@@ -49,8 +49,6 @@ from .polytope import (
     ConeFaceLattice,
     PolytopeComplex,
     cone_face_lattice,
-    f_vector,
-    homology,
     mutation_transfer,
     relative_complex,
     sphere_certificate,

@@ -14,10 +14,15 @@ oracles are provided to check the enumeration independently.
 
 from itertools import combinations
 
-from .coloring import Coloring, require_admissible
+from .coloring import (
+    Coloring,
+    checkable_triangles,
+    require_admissible,
+    triangles_ok,
+)
 from .errors import ZeroColoring
 from .linalg import rational_feasible
-from .triangulation import DualGraph, slot_id
+from .triangulation import DualGraph
 
 
 class BarbellTree:
@@ -104,7 +109,7 @@ def _disjoint_bell_sets(cycles):
     return result
 
 
-def _connected(vertex_sets, edge_ends):
+def connected(vertex_sets, edge_ends):
     """Union-find connectivity of a hypergraph: vertex groups + edges."""
     parent = {}
 
@@ -133,19 +138,13 @@ def _connected(vertex_sets, edge_ends):
     return len(roots) <= 1
 
 
-def enumerate_barbell_trees(dual, tri=None):
-    """All barbell trees embedded in a trivalent dual graph.
+def enumerate_barbell_trees(tri):
+    """All barbell trees embedded in the trivalent dual graph of ``tri``.
 
     Returns BarbellTree objects in canonical order (degree, then coloring
-    lexicographically).  ``tri`` supplies the triangulation the colorings
-    bind to; when omitted a DualGraph built from one is required.
+    lexicographically).
     """
-    if not isinstance(dual, DualGraph):
-        tri = dual
-        dual = DualGraph(tri)
-    if tri is None:
-        raise ValueError("need the triangulation to emit colorings")
-
+    dual = DualGraph(tri)
     cycles = _cycles(dual)
     nedges = len(dual.edges)
     loops = {i for i in range(nedges) if dual.is_loop(i)}
@@ -159,14 +158,14 @@ def enumerate_barbell_trees(dual, tri=None):
                       if i not in bell_edges and i not in loops]
         for size in range(len(candidates) + 1):
             for chain in combinations(candidates, size):
-                if _valid_tree(dual, bells, bell_vertices, bell_edges, chain):
+                if _valid_tree(dual, bells, bell_vertices, chain):
                     results.append(_to_barbell(
                         tri, dual, bells, bell_vertices, chain))
     results.sort(key=lambda b: (b.degree, b.coloring.values))
     return results
 
 
-def _valid_tree(dual, bells, bell_vertices, bell_edges, chain):
+def _valid_tree(dual, bells, bell_vertices, chain):
     degree = {}
     for i in chain:
         a, b = dual.edges[i]
@@ -174,18 +173,16 @@ def _valid_tree(dual, bells, bell_vertices, bell_edges, chain):
         degree[b] = degree.get(b, 0) + 1
     steiner = set()
     for v, d in degree.items():
-        if v in bell_vertices:
-            if d > 1:  # cannot happen on a trivalent graph; defensive
-                return False
-        else:
+        # a bell vertex has one non-bell edge, so only others are checked
+        if v not in bell_vertices:
             if d not in (2, 3):
                 return False
             steiner.add(v)
     # contraction of the bells must be a tree
     if len(chain) != len(bells) + len(steiner) - 1:
         return False
-    return _connected([b[1] for b in bells] + [{v} for v in steiner],
-                      [dual.edges[i] for i in chain])
+    return connected([b[1] for b in bells] + [{v} for v in steiner],
+                     [dual.edges[i] for i in chain])
 
 
 def _to_barbell(tri, dual, bells, bell_vertices, chain):
@@ -210,8 +207,8 @@ def _to_barbell(tri, dual, bells, bell_vertices, chain):
                        Coloring(tri, values), simple)
 
 
-def enumerate_simple(dual, tri=None):
-    return [b for b in enumerate_barbell_trees(dual, tri) if b.simple]
+def enumerate_simple(tri):
+    return [b for b in enumerate_barbell_trees(tri) if b.simple]
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +226,8 @@ def is_indecomposable(tri, v):
         raise ZeroColoring("zero coloring has no decomposition status")
 
     nedges = tri.num_edges
-    tri_sides = [tuple(tri.edge_of_slot(slot_id(t, k)) for k in range(3))
-                 for t in range(tri.triangle_count)]
-    ready = [[] for _ in range(nedges)]
-    for sides in tri_sides:
-        ready[max(sides)].append(sides)
-
+    ready = checkable_triangles(tri)
     part = [0] * nedges
-
-    def admissible_at(e, vec):
-        for sides in ready[e]:
-            a, b, c = (vec[i] for i in sides)
-            if (a + b + c) % 2 or a > b + c or b > a + c or c > a + b:
-                return False
-        return True
-
     rest = [0] * nedges
 
     def rec(e):
@@ -252,7 +236,7 @@ def is_indecomposable(tri, v):
         for x in range(values[e] + 1):
             part[e] = x
             rest[e] = values[e] - x
-            if admissible_at(e, part) and admissible_at(e, rest):
+            if triangles_ok(ready[e], part) and triangles_ok(ready[e], rest):
                 if rec(e + 1):
                     return True
         part[e] = rest[e] = 0

@@ -4,14 +4,13 @@ Subcommands: ``generators``, ``polytope``, ``mutate``, ``git``, ``param``.
 Exit codes: 0 success, 2 validation error, 3 certificate failure, 4 illegal
 operation.  Reports are canonical JSON (sorted keys, fixed formatting) on
 stdout, so identical command lines with identical seeds produce
-byte-identical output; timings go to stderr.  The environment variable
-``MULTICURVE_THREADS`` caps the worker threads used by the parameter
-sweeps (default 1).
+byte-identical output; timings go to stderr.  Only errors raised by the
+package (``MulticurveError``) map to exit codes 2 and 4; anything else is
+a bug and propagates.
 """
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -42,11 +41,7 @@ from . import (
     toric_polytope,
 )
 from . import quadric as q
-from .errors import (
-    EmptyRelativeComplex,
-    FlipIllegal,
-    MulticurveError,
-)
+from .errors import FlipIllegal, MulticurveError
 from .export import complex_to_json, complex_to_off, complex_to_svg
 
 EXIT_OK = 0
@@ -62,8 +57,18 @@ def _emit(report):
 def _load_triangulation(source):
     try:
         return load(source)
-    except FileNotFoundError:
-        raise MulticurveError(f"no fixture or file named {source!r}")
+    except OSError as err:
+        raise MulticurveError(f"no fixture or readable file named {source!r}: "
+                              f"{err.strerror}") from None
+
+
+def _parse_ints(text, option):
+    """Comma-separated integers of a command-line option."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise MulticurveError(
+            f"{option} needs comma-separated integers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +155,7 @@ def cmd_mutate(args):
         "flipped": flipped.to_json_dict(),
     }
     if args.coloring:
-        values = [int(x) for x in args.coloring.split(",")]
+        values = _parse_ints(args.coloring, "--coloring")
         out = mutation_transfer(tri, args.edge, values)
         report["coloring"] = {
             "before": values,
@@ -174,17 +179,14 @@ def _parse_partition(text):
     """Blocks like "12|3|4" (1-based, single digits) or "1,2|3|4"."""
     blocks = []
     for chunk in text.split("|"):
-        chunk = chunk.strip()
-        if "," in chunk:
-            items = [int(x) for x in chunk.split(",")]
-        else:
-            items = [int(ch) for ch in chunk]
-        blocks.append({i - 1 for i in items})
+        items = chunk if "," in chunk else ",".join(chunk.strip())
+        option = f"--partition {text!r}"
+        blocks.append({i - 1 for i in _parse_ints(items, option)})
     return blocks
 
 
 def cmd_git(args):
-    weights = tuple(int(x) for x in args.weights.split(","))
+    weights = tuple(_parse_ints(args.weights, "--weights"))
     report = {"command": "git classify", "weights": list(weights),
               "nondegenerate": is_nondegenerate(weights)}
     if args.partition:
@@ -205,72 +207,48 @@ def cmd_git(args):
 # ---------------------------------------------------------------------------
 
 
-def _thread_chunks(n):
-    threads = max(1, int(os.environ.get("MULTICURVE_THREADS", "1")))
-    if threads == 1 or n < 2 * threads:
-        return [n]
-    base = n // threads
-    chunks = [base] * threads
-    chunks[0] += n - base * threads
-    return chunks
-
-
-def _float_param_sweep(samples, seed):
-    worst = {"equivariance": 0.0, "det": 0.0, "trace": 0.0,
-             "gamma": 0.0, "tau_imag": 0.0, "eta_unitary": 0.0}
-
-    def chunk(n, sub_rng):
-        p = q.float_point_arrays(sub_rng, n)
-        pt = q.float_point_arrays(sub_rng, n)
-        rho = q.float_mobius_arrays(sub_rng, n)
-        cp = q.float_conic_arrays(sub_rng, n)
-        rep = equivariance_check(rho, p, pt, cp)
-        qp = quadric_point(p, pt, cp)
-        det_r, tr_r = q.quadric_identity_residuals(qp, cp)
-        # gamma involution invariance of F for a single factor
-        t_last = sub_rng.standard_normal(n)
-        f0 = evaluate_F([p, pt], [cp], t_last)
-        pts2, cps2 = gamma_involution(1, [p, pt], [cp])
-        f1 = evaluate_F(pts2, cps2, t_last)
-        scale = np.maximum(1.0, np.abs(f0))
-        # tau realness / eta unitarity on elliptic traces
-        t_ell = sub_rng.uniform(-1.99, 1.99, n)
-        tau_imag = 0.0
-        eta_res = 0.0
-        for i in range(min(n, 200)):  # scalar loops kept small
-            pp = q.ProjectivePoint(complex(p.x1[i]), complex(p.x2[i]))
-            try:
-                tq = tau_matrix(pp, float(t_ell[i]))
-            except MulticurveError:
-                continue
-            tau_imag = max(tau_imag, max(
-                abs(x.imag) for row in tq.a for x in row))
-            em = eta_matrix(pp, float(t_ell[i]))
-            ct = ((em[0][0].conjugate(), em[1][0].conjugate()),
-                  (em[0][1].conjugate(), em[1][1].conjugate()))
-            prod = q.mat_mul(em, ct)
-            eta_res = max(eta_res, q.mat_max_abs(
-                q.mat_sub(prod, ((1, 0), (0, 1)))))
-        return {
-            "equivariance": rep.residual,
-            "det": float(np.max(np.abs(det_r))),
-            "trace": float(np.max(np.abs(tr_r))),
-            "gamma": float(np.max(np.abs(f1 - f0) / scale)),
-            "tau_imag": tau_imag,
-            "eta_unitary": eta_res,
-        }
-
-    from concurrent.futures import ThreadPoolExecutor
-    chunks = _thread_chunks(samples)
-    seeds = [seed + 1000 * i for i in range(len(chunks))]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        results = list(pool.map(
-            lambda cs: chunk(cs[0], np.random.default_rng(cs[1])),
-            zip(chunks, seeds)))
-    for res in results:
-        for key, val in res.items():
-            worst[key] = max(worst[key], val)
-    return worst
+def _float_param_sweep(n, seed):
+    """Largest residual of each identity over one seeded numpy sweep."""
+    rng = np.random.default_rng(seed)
+    p = q.float_point_arrays(rng, n)
+    pt = q.float_point_arrays(rng, n)
+    rho = q.float_mobius_arrays(rng, n)
+    cp = q.float_conic_arrays(rng, n)
+    rep = equivariance_check(rho, p, pt, cp)
+    qp = quadric_point(p, pt, cp)
+    det_r, tr_r = q.quadric_identity_residuals(qp, cp)
+    # gamma involution invariance of F for a single factor
+    t_last = rng.standard_normal(n)
+    f0 = evaluate_F([p, pt], [cp], t_last)
+    pts2, cps2 = gamma_involution(1, [p, pt], [cp])
+    f1 = evaluate_F(pts2, cps2, t_last)
+    scale = np.maximum(1.0, np.abs(f0))
+    # tau realness / eta unitarity on elliptic traces
+    t_ell = rng.uniform(-1.99, 1.99, n)
+    tau_imag = 0.0
+    eta_res = 0.0
+    for i in range(min(n, 200)):  # scalar loops kept small
+        pp = q.ProjectivePoint(complex(p.x1[i]), complex(p.x2[i]))
+        try:
+            tq = tau_matrix(pp, float(t_ell[i]))
+        except MulticurveError:
+            continue
+        tau_imag = max(tau_imag, max(
+            abs(x.imag) for row in tq.a for x in row))
+        em = eta_matrix(pp, float(t_ell[i]))
+        ct = ((em[0][0].conjugate(), em[1][0].conjugate()),
+              (em[0][1].conjugate(), em[1][1].conjugate()))
+        prod = q.mat_mul(em, ct)
+        eta_res = max(eta_res, q.mat_max_abs(
+            q.mat_sub(prod, ((1, 0), (0, 1)))))
+    return {
+        "equivariance": rep.residual,
+        "det": float(np.max(np.abs(det_r))),
+        "trace": float(np.max(np.abs(tr_r))),
+        "gamma": float(np.max(np.abs(f1 - f0) / scale)),
+        "tau_imag": tau_imag,
+        "eta_unitary": eta_res,
+    }
 
 
 def _exact_param_sweep(samples, seed):
@@ -297,6 +275,9 @@ def _exact_param_sweep(samples, seed):
 
 
 def cmd_param(args):
+    if args.samples < 1:
+        raise MulticurveError(
+            f"--samples must be at least 1, got {args.samples}")
     t0 = time.time()
     if args.action == "check":
         if args.backend == "float":
@@ -323,16 +304,8 @@ def cmd_param(args):
     else:  # fricke
         if args.backend == "float":
             rng_np = np.random.default_rng(args.seed)
-
-            def sl2(n):
-                a = q.complex_array(rng_np, n)
-                a = np.where(np.abs(a) < 0.5, a + 1.0, a)
-                b = q.complex_array(rng_np, n)
-                c = q.complex_array(rng_np, n)
-                return ((a, b), (c, (1 + b * c) / a))
-
-            res = fricke_verify(sl2(args.samples), sl2(args.samples),
-                                sl2(args.samples))
+            res = fricke_verify(*(q.float_mobius_arrays(rng_np, args.samples).m
+                                  for _ in range(3)))
             worst = float(np.max(res))
             report = {
                 "command": "param fricke",
@@ -429,13 +402,7 @@ def main(argv=None):
     except FlipIllegal as err:
         print(f"illegal operation: {err}", file=sys.stderr)
         return EXIT_ILLEGAL
-    except EmptyRelativeComplex as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except MulticurveError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, KeyError, json.JSONDecodeError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -81,20 +81,43 @@ def bind_same(c1, c2):
 
 def triangle_side_colors(tri, values, t):
     """Colors seen by slots 0,1,2 of triangle t (doubled sides repeat)."""
-    return tuple(values[tri.edge_of_slot(slot_id(t, k))] for k in range(3))
+    return tuple(values[e] for e in tri.triangle_edges(t))
+
+
+def triangles_ok(triangles, values):
+    """Parity and triangle inequalities on each side-index triple.
+
+    ``triangles`` lists the edge indices carried by the three sides of each
+    triangle to check; ``values`` is indexed by edge.
+    """
+    for i, j, k in triangles:
+        a = values[i]
+        b = values[j]
+        c = values[k]
+        if (a + b + c) % 2 or a > b + c or b > a + c or c > a + b:
+            return False
+    return True
+
+
+def checkable_triangles(tri):
+    """Side triples grouped by the largest edge index they touch.
+
+    Entry e lists the triangles whose sides are all assigned once edges
+    0..e are: a search assigning edges in index order checks them there.
+    """
+    ready = [[] for _ in range(tri.num_edges)]
+    for t in range(tri.triangle_count):
+        sides = tri.triangle_edges(t)
+        ready[max(sides)].append(sides)
+    return ready
 
 
 def is_admissible(tri, v):
     values = as_values(tri, v)
     if any(x < 0 for x in values):
         return False
-    for t in range(tri.triangle_count):
-        a, b, c = triangle_side_colors(tri, values, t)
-        if (a + b + c) % 2 != 0:
-            return False
-        if a > b + c or b > a + c or c > a + b:
-            return False
-    return True
+    return triangles_ok(
+        [tri.triangle_edges(t) for t in range(tri.triangle_count)], values)
 
 
 def require_admissible(tri, v):
@@ -182,26 +205,12 @@ def relative_degree(tri, v):
     return sum(stripped.values)
 
 
-def all_twos(tri):
-    return Coloring(tri, [2] * tri.num_edges)
-
-
-def zero(tri):
-    return Coloring(tri, [0] * tri.num_edges)
-
-
 def enumerate_admissible(tri, max_degree):
     """All admissible colorings with degree <= max_degree, in lexicographic
     order.  Recursive with per-triangle pruning: a triangle is checked as
     soon as all three of its sides are assigned."""
     nedges = tri.num_edges
-    tri_sides = [tuple(tri.edge_of_slot(slot_id(t, k)) for k in range(3))
-                 for t in range(tri.triangle_count)]
-    # triangles become checkable at the largest edge index they touch
-    ready = [[] for _ in range(nedges)]
-    for sides in tri_sides:
-        ready[max(sides)].append(sides)
-
+    ready = checkable_triangles(tri)
     out = []
     values = [0] * nedges
 
@@ -211,13 +220,7 @@ def enumerate_admissible(tri, max_degree):
             return
         for x in range(budget + 1):
             values[e] = x
-            ok = True
-            for sides in ready[e]:
-                a, b, c = (values[i] for i in sides)
-                if (a + b + c) % 2 or a > b + c or b > a + c or c > a + b:
-                    ok = False
-                    break
-            if ok:
+            if triangles_ok(ready[e], values):
                 rec(e + 1, budget - x)
         values[e] = 0
 

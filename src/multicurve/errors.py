@@ -41,15 +41,6 @@ class FlipOnFoldedEdge(FlipIllegal):
     pass
 
 
-class FlipOnSelfGluedSquare(FlipIllegal):
-    """Reserved for flips where the two triangle instances coincide.
-
-    With gluing data on side slots, an edge whose two slots live in one
-    triangle is exactly a folded doubled side, so FlipOnFoldedEdge fires
-    first and this error is not reachable through the public API.
-    """
-
-
 # --- colorings ---
 
 class ColoringError(MulticurveError):

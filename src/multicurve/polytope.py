@@ -14,7 +14,7 @@ connectivity + pseudomanifold + integral homology (a homology sphere
 certificate for d >= 3, genuine homeomorphism in dimensions <= 2).
 """
 
-from .barbell import enumerate_simple
+from .barbell import connected, enumerate_simple
 from .coloring import (
     Coloring,
     corner_coords,
@@ -82,7 +82,7 @@ class ConeFaceLattice:
 
 
 def cone_face_lattice(tri):
-    simple = enumerate_simple(tri, tri)
+    simple = enumerate_simple(tri)
     rays = [b.coloring for b in simple]
     corner_vectors = [corner_coords(tri, r) for r in rays]
     return ConeFaceLattice(rays, corner_vectors)
@@ -101,6 +101,7 @@ class PolytopeComplex:
         self.contains = {k: frozenset(v) for k, v in contains.items()}
         self.labels = labels or {}
         self.order = sorted(self.cells, key=lambda k: (self.cells[k], str(k)))
+        self._homology = None
 
     @property
     def dimension(self):
@@ -126,24 +127,9 @@ class PolytopeComplex:
         return tuple(counts)
 
     def is_connected(self):
-        if not self.cells:
-            return False
-        keys = list(self.cells)
-        index = {k: i for i, k in enumerate(keys)}
-        parent = list(range(len(keys)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for k, below in self.contains.items():
-            for b in below:
-                ra, rb = find(index[k]), find(index[b])
-                if ra != rb:
-                    parent[ra] = rb
-        return len({find(i) for i in range(len(keys))}) == 1
+        return bool(self.cells) and connected(
+            [{k} for k in self.cells],
+            [(k, b) for k, below in self.contains.items() for b in below])
 
     # -- homology via the order complex (barycentric subdivision) ----------
 
@@ -173,9 +159,15 @@ class PolytopeComplex:
 
     def homology(self):
         """Integral homology of the underlying space, one (betti, torsion)
-        pair per dimension 0..top."""
+        pair per dimension 0..top.
+
+        Computed once per complex (complexes are not mutated after
+        construction); every call returns a fresh copy of the result.
+        """
         if not self.cells:
             raise EmptyComplex("homology of an empty complex")
+        if self._homology is not None:
+            return [(b, list(tors)) for b, tors in self._homology]
         chains = self.order_complex_chains()
         top = max(chains)
         index = {k: {c: i for i, c in enumerate(chains[k])} for k in chains}
@@ -192,6 +184,7 @@ class PolytopeComplex:
         # pad up to the cell dimension of the polytope complex
         while len(result) < self.dimension + 1:
             result.append((0, []))
+        self._homology = [(b, list(tors)) for b, tors in result]
         return result
 
     def to_json_dict(self):
@@ -252,14 +245,6 @@ def relative_complex(tri):
             f"relative complex of (g,n)=({tri.genus},{tri.punctures}) "
             "came out empty")
     return cpx
-
-
-def f_vector(cpx):
-    return cpx.f_vector()
-
-
-def homology(cpx):
-    return cpx.homology()
 
 
 class SphereCertificate:

@@ -75,10 +75,6 @@ def mat_sub(m, n):
                  for rm, rn in zip(m, n))
 
 
-def mat_conj(m):
-    return tuple(tuple(x.conjugate() for x in row) for row in m)
-
-
 def mat_scale(m, z):
     return tuple(tuple(z * x for x in row) for row in m)
 

@@ -14,7 +14,6 @@ from .coloring import (
     peripheral_colorings,
     require_admissible,
 )
-from .errors import NotAdmissible, TriangulationMismatch
 from .triangulation import slot_id
 
 
@@ -122,18 +121,13 @@ def strip_peripheral(tri, v):
     """Remove all peripheral components; return (coloring, counts).
 
     counts[i] is the number of parallel copies of the loop around puncture
-    p_i that were removed.  Iterates trace-and-subtract until a trace pass
-    finds no peripheral component (the first pass already removes all of
-    them; the loop re-checks that).
+    p_i that were removed.  One trace pass finds every component, so
+    subtracting its peripheral ones leaves none behind.
     """
     values = require_admissible(tri, v)
     counts = [0] * tri.punctures
-    while True:
-        components = trace_components(tri, values)
-        peripheral = [c for c in components if c.peripheral is not None]
-        if not peripheral:
-            break
-        for comp in peripheral:
+    for comp in trace_components(tri, values):
+        if comp.peripheral is not None:
             counts[comp.peripheral] += 1
             values = tuple(a - b for a, b in
                            zip(values, comp.coloring.values))
@@ -147,11 +141,5 @@ def geometric_sum(tri, v, w):
     attaches to the leading term is out of scope here.
     """
     values = require_admissible(tri, v)
-    if isinstance(w, Coloring) and w.tri != tri:
-        raise TriangulationMismatch(
-            "colorings bound to different triangulations")
     other = require_admissible(tri, w)
-    total = Coloring(tri, [a + b for a, b in zip(values, other)])
-    if not all(x >= 0 for x in total.values):  # defensive; cannot trigger
-        raise NotAdmissible("sum has negative entries")
-    return total
+    return Coloring(tri, [a + b for a, b in zip(values, other)])

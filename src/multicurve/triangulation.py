@@ -26,8 +26,10 @@ from .errors import (
     FlipOnFoldedEdge,
     FlowerRequiresNAtLeast4,
     GluingNotInvolution,
+    IndexOutOfRange,
     NotTrivalent,
     SlotGluedToItself,
+    TriangulationError,
 )
 
 
@@ -274,6 +276,18 @@ def flower(n):
     return build(2 * (n - 2), pairs)
 
 
+def _diagonal_slots(tri, e):
+    """(triangle, side) of both slots of edge e, checked to be flippable."""
+    if not 0 <= e < tri.num_edges:
+        raise IndexOutOfRange(f"edge {e} not in 0..{tri.num_edges - 1}")
+    s1, s2 = tri.edges[e]
+    t1, p = slot_pair(s1)
+    t2, q = slot_pair(s2)
+    if t1 == t2:
+        raise FlipOnFoldedEdge(f"edge {e} is a doubled side of triangle {t1}")
+    return (t1, p), (t2, q)
+
+
 def flip(tri, e):
     """Replace the diagonal e of its square by the other diagonal.
 
@@ -283,12 +297,8 @@ def flip(tri, e):
     instances adjacent to e are distinct; flipping the doubled side of a
     folded triangle raises FlipOnFoldedEdge.
     """
+    (t1, p), (t2, q) = _diagonal_slots(tri, e)
     s1, s2 = tri.edges[e]
-    t1, p = slot_pair(s1)
-    t2, q = slot_pair(s2)
-    if t1 == t2:
-        raise FlipOnFoldedEdge(f"edge {e} is a doubled side of triangle {t1}")
-
     x1 = slot_id(t1, (p + 1) % 3)
     y1 = slot_id(t1, (p + 2) % 3)
     x2 = slot_id(t2, (q + 1) % 3)
@@ -330,11 +340,7 @@ def flip_square_sides(tri, e):
     labeling used by the coloring transfer rule
     ``v_e' = max(v_a + v_c, v_b + v_d) - v_e``.
     """
-    s1, s2 = tri.edges[e]
-    t1, p = slot_pair(s1)
-    t2, q = slot_pair(s2)
-    if t1 == t2:
-        raise FlipOnFoldedEdge(f"edge {e} is a doubled side of triangle {t1}")
+    (t1, p), (t2, q) = _diagonal_slots(tri, e)
     a = tri.edge_of_slot(slot_id(t1, (p + 1) % 3))
     b = tri.edge_of_slot(slot_id(t1, (p + 2) % 3))
     c = tri.edge_of_slot(slot_id(t2, (q + 1) % 3))
@@ -421,7 +427,12 @@ def fixture(name):
     if name == "n4ex2":
         return _n4ex2()
     if name.startswith("flower:"):
-        n = int(name.split(":", 1)[1])
+        size = name.split(":", 1)[1]
+        try:
+            n = int(size)
+        except ValueError:
+            raise TriangulationError(
+                f"flower:<n> needs an integer n, got {size!r}") from None
         if n == 3:
             return _three_punctured_sphere()
         return flower(n)
@@ -432,17 +443,41 @@ FIXTURE_NAMES = ("ex11", "n4ex", "n4ex2", "flower:4", "flower:5")
 
 
 def from_json_dict(data):
-    return build(data["triangles"], [tuple(map(tuple, pair))
-                                     for pair in data["gluing"]])
+    """Build from ``{"triangles": T, "gluing": [[[t, s], [t', s']], ...]}``.
+
+    Data of any other shape raises TriangulationError.
+    """
+    try:
+        count = data["triangles"]
+        pairs = [(tuple(a), tuple(b)) for a, b in data["gluing"]]
+    except (KeyError, TypeError, ValueError):
+        pairs = None
+    if pairs is None or not (
+            isinstance(count, int) and 2 * len(pairs) == 3 * count
+            and all(len(s) == 2 and all(isinstance(x, int) for x in s)
+                    for pair in pairs for s in pair)):
+        raise TriangulationError(
+            "malformed gluing data: need an integer triangle count T and "
+            "3T/2 pairs of [triangle, side] slots")
+    return build(count, pairs)
 
 
 def load(source):
-    """Load a triangulation from a fixture name, JSON path, or JSON text."""
+    """Load a triangulation from a fixture name, JSON path, or JSON text.
+
+    Text that does not parse as JSON raises TriangulationError; a path
+    that cannot be read raises the OSError from ``open``.
+    """
     try:
         return fixture(source)
     except KeyError:
         pass
-    if source.strip().startswith("{"):
-        return from_json_dict(json.loads(source))
-    with open(source) as fh:
-        return from_json_dict(json.load(fh))
+    try:
+        if source.strip().startswith("{"):
+            data = json.loads(source)
+        else:
+            with open(source) as fh:
+                data = json.load(fh)
+    except ValueError as err:  # includes JSONDecodeError, UnicodeDecodeError
+        raise TriangulationError(f"malformed JSON: {err}") from None
+    return from_json_dict(data)

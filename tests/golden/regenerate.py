@@ -1,5 +1,8 @@
 """Regenerate the golden CLI outputs from the recorded command lines.
 
+``manifest.json`` maps each golden file to its command line; to add a
+golden output, add its entry there and rerun this script.
+
 Run from the repository root:  python3 tests/golden/regenerate.py
 """
 
@@ -12,25 +15,7 @@ from multicurve.cli import main
 
 HERE = pathlib.Path(__file__).parent
 
-MANIFEST = {
-    "generators_ex11.json": ["generators", "ex11"],
-    "generators_n4ex.json": ["generators", "n4ex"],
-    "generators_n4ex2.json": ["generators", "n4ex2"],
-    "generators_flower5.json": ["generators", "flower:5"],
-    "polytope_n4ex_relative.json": ["polytope", "n4ex", "--relative",
-                                    "--check-sphere", "1"],
-    "polytope_flower5_relative.json": ["polytope", "flower:5", "--relative",
-                                       "--check-sphere", "3"],
-    "mutate_n4ex.json": ["mutate", "n4ex", "0",
-                         "--coloring", "1,0,1,0,1,0", "--verify-betti"],
-    "git_classify.json": ["git", "classify", "--weights", "3,3,1,1,1,1",
-                          "--partition", "12|3|4|5|6", "--toric",
-                          "--polystable"],
-    "param_check_exact.json": ["param", "check", "--samples", "50",
-                               "--seed", "7", "--backend", "exact"],
-    "param_fricke_float.json": ["param", "fricke", "--samples", "2000",
-                                "--seed", "7", "--backend", "float"],
-}
+MANIFEST = json.loads((HERE / "manifest.json").read_text())
 
 
 def capture(argv):
@@ -45,6 +30,3 @@ if __name__ == "__main__":
     for name, argv in MANIFEST.items():
         (HERE / name).write_text(capture(argv))
         print("wrote", name)
-    (HERE / "manifest.json").write_text(
-        json.dumps(MANIFEST, indent=2, sort_keys=True) + "\n")
-    print("wrote manifest.json")

@@ -53,7 +53,7 @@ class TestEnumeration:
     def test_simple_subset(self, any_fixture):
         tri = any_fixture
         all_trees = mc.enumerate_barbell_trees(tri)
-        simple = mc.enumerate_simple(tri, tri)
+        simple = mc.enumerate_simple(tri)
         assert [b.coloring.values for b in simple] == \
             [b.coloring.values for b in all_trees if b.simple]
 
@@ -145,7 +145,7 @@ class TestRationalCone:
 
     def test_outside_cone(self):
         tri = mc.fixture("ex11")
-        simple = mc.enumerate_simple(tri, tri)
+        simple = mc.enumerate_simple(tri)
         # (2,0,0) is not admissible, hence not in the cone
         assert not mc.in_rational_cone(simple, (2, 0, 0))
 

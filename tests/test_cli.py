@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from multicurve import cli
 from multicurve.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -50,6 +51,53 @@ class TestExitCodes:
         code, _, err = run(["mutate", "flower:5", "1"])
         assert code == 4
         assert "illegal operation" in err
+
+    @pytest.mark.parametrize("edge", ["-1", "99"])
+    def test_edge_index_out_of_range(self, edge):
+        code, out, err = run(["mutate", "n4ex", edge])
+        assert code == 2
+        assert out == ""
+        assert f"edge {edge} not in 0..5" in err
+
+    def test_directory_as_source(self, tmp_path):
+        code, _, err = run(["generators", str(tmp_path)])
+        assert code == 2
+        assert "no fixture or readable file" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"triangles":2,"gluing":[1]}',
+        '{"triangles":"2","gluing":[]}',
+        '{"gluing":[]}',
+        '{"triangles":2,',
+    ])
+    def test_malformed_json_source(self, text):
+        code, _, err = run(["generators", text])
+        assert code == 2
+        assert "validation error: malformed" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_must_be_positive(self, samples):
+        code, _, err = run(["param", "check", "--samples", samples])
+        assert code == 2
+        assert "--samples must be at least 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["mutate", "n4ex", "0", "--coloring", "1,0,x"],
+        ["git", "classify", "--weights", "1,a,1"],
+        ["git", "classify", "--weights", "1,1,1,1", "--partition", "1x|2"],
+        ["generators", "flower:abc"],
+    ])
+    def test_unparsable_option_text(self, argv):
+        code, _, err = run(argv)
+        assert code == 2
+        assert "validation error" in err
+
+    def test_internal_errors_propagate(self, monkeypatch):
+        def broken(tri):
+            raise KeyError("internal")
+        monkeypatch.setattr(cli, "enumerate_barbell_trees", broken)
+        with pytest.raises(KeyError):
+            main(["generators", "ex11"])
 
 
 class TestReports:
@@ -113,6 +161,15 @@ class TestDeterminism:
         _, first, _ = run(argv)
         _, second, _ = run(argv)
         assert first == second
+
+    def test_float_sweep_ignores_environment(self, monkeypatch):
+        argv = ["param", "check", "--samples", "2000", "--seed", "1",
+                "--backend", "float"]
+        monkeypatch.delenv("MULTICURVE_THREADS", raising=False)
+        _, unset, _ = run(argv)
+        monkeypatch.setenv("MULTICURVE_THREADS", "2")
+        _, two, _ = run(argv)
+        assert unset == two
 
 
 class TestGolden:

@@ -1,0 +1,16 @@
+import contextlib
+import io
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(path), run_name="__main__")
+    assert buf.getvalue()
