@@ -136,12 +136,16 @@ def cmd_polytope(args):
         report["sphere_certificate"] = cert.to_json_dict()
         if not cert.granted:
             code = EXIT_CERTIFICATE
-    _emit(report)
-    if args.emit and args.out:
+    if args.emit:
         writer = {"json": complex_to_json, "off": complex_to_off,
                   "svg": complex_to_svg}[args.emit]
-        with open(args.out, "w") as fh:
-            fh.write(writer(cpx))
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(writer(cpx))
+        except OSError as err:
+            raise MulticurveError(f"cannot write {args.out!r}: "
+                                  f"{err.strerror}") from None
+    _emit(report)
     return code
 
 
@@ -279,58 +283,29 @@ def cmd_param(args):
         raise MulticurveError(
             f"--samples must be at least 1, got {args.samples}")
     t0 = time.time()
-    if args.action == "check":
-        if args.backend == "float":
-            worst = _float_param_sweep(args.samples, args.seed)
-            tol = 1e-12
-            report = {
-                "command": "param check",
-                "backend": "float",
-                "samples": args.samples,
-                "seed": args.seed,
-                "tolerance": tol,
-                "max_residuals": {k: f"{v:.3e}" for k, v in worst.items()},
-                "failures": sum(1 for v in worst.values() if v > tol),
-            }
-        else:
-            failures = _exact_param_sweep(args.samples, args.seed)
-            report = {
-                "command": "param check",
-                "backend": "exact",
-                "samples": args.samples,
-                "seed": args.seed,
-                "failures": failures,
-            }
-    else:  # fricke
-        if args.backend == "float":
-            rng_np = np.random.default_rng(args.seed)
-            res = fricke_verify(*(q.float_mobius_arrays(rng_np, args.samples).m
-                                  for _ in range(3)))
-            worst = float(np.max(res))
-            report = {
-                "command": "param fricke",
-                "backend": "float",
-                "samples": args.samples,
-                "seed": args.seed,
-                "max_residual": f"{worst:.3e}",
-                "failures": int(worst >= 1e-9),
-            }
-        else:
-            rng = random.Random(args.seed)
-            failures = 0
-            for _ in range(args.samples):
-                res = fricke_verify(q.random_sl2_rational(rng),
-                                    q.random_sl2_rational(rng),
-                                    q.random_sl2_rational(rng))
-                if res != 0:
-                    failures += 1
-            report = {
-                "command": "param fricke",
-                "backend": "exact",
-                "samples": args.samples,
-                "seed": args.seed,
-                "failures": failures,
-            }
+    report = {"command": f"param {args.action}", "backend": args.backend,
+              "samples": args.samples, "seed": args.seed}
+    if args.action == "check" and args.backend == "float":
+        worst = _float_param_sweep(args.samples, args.seed)
+        tol = 1e-12
+        report.update(
+            tolerance=tol,
+            max_residuals={k: f"{v:.3e}" for k, v in worst.items()},
+            failures=sum(1 for v in worst.values() if v > tol))
+    elif args.action == "check":
+        report["failures"] = _exact_param_sweep(args.samples, args.seed)
+    elif args.backend == "float":
+        rng_np = np.random.default_rng(args.seed)
+        res = fricke_verify(*(q.float_mobius_arrays(rng_np, args.samples).m
+                              for _ in range(3)))
+        worst = float(np.max(res))
+        report.update(max_residual=f"{worst:.3e}",
+                      failures=int(worst >= 1e-9))
+    else:
+        rng = random.Random(args.seed)
+        report["failures"] = sum(
+            fricke_verify(*(q.random_sl2_rational(rng) for _ in range(3))) != 0
+            for _ in range(args.samples))
     _emit(report)
     print(f"elapsed {time.time() - t0:.2f}s", file=sys.stderr)
     return EXIT_OK if report.get("failures", 0) == 0 else EXIT_CERTIFICATE

@@ -1,9 +1,10 @@
 """Exact integer/rational linear algebra helpers.
 
 Everything here works over Python ints and fractions.Fraction, so results
-are exact at the desk scales this package targets (matrices with a few
-hundred rows).  numpy is deliberately not used: the homology and cone
-computations must be free of floating error.
+are exact at the desk scales this package targets (cellular boundary
+matrices of at most about a hundred rows, e.g. 61 x 59 for flower:6).
+numpy is deliberately not used: the homology and cone computations must be
+free of floating error.
 """
 
 from fractions import Fraction

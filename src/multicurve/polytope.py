@@ -11,7 +11,9 @@ dimension k-1.
 The relative complex keeps the faces whose closures miss every peripheral
 ray; by the structure theory it is a sphere, which is certified here by
 connectivity + pseudomanifold + integral homology (a homology sphere
-certificate for d >= 3, genuine homeomorphism in dimensions <= 2).
+certificate for d >= 3, genuine homeomorphism in dimensions <= 2).  The
+cells are polytopes, so the homology is cellular, with the +-1 incidence
+numbers of a regular CW complex read off the face poset alone.
 """
 
 from .barbell import connected, enumerate_simple
@@ -131,61 +133,83 @@ class PolytopeComplex:
             [{k} for k in self.cells],
             [(k, b) for k, below in self.contains.items() for b in below])
 
-    # -- homology via the order complex (barycentric subdivision) ----------
+    # -- cellular homology from the face poset ------------------------------
 
-    def order_complex_chains(self):
-        """All chains of the face poset, grouped by length.
+    def _incidences(self):
+        """Incidence numbers [c:f] = +-1 of every cell on its facets.
 
-        A k-simplex of the subdivision is a chain of k+1 cells ordered by
-        strict containment; the ordering by dimension is canonical since a
-        chain never repeats a dimension.
+        Cells are oriented dimension by dimension: an edge runs from its
+        first vertex to its second; a k-cell (k >= 2) gives its first facet
+        +1 and crosses each ridge r from a facet f to the other facet g with
+        the diamond rule [c:g] = -[c:f][f:r][g:r], so the boundary of a
+        boundary vanishes.  Raises ``ValueError`` naming the cell when the
+        poset is not that of a regular CW complex.
         """
-        keys = self.order
-        above = {k: [] for k in keys}
-        for k in keys:
-            for b in self.contains[k]:
-                above[b].append(k)
-        chains = {0: [(k,) for k in keys]}
-        level = 0
-        while chains[level]:
-            nxt = []
-            for chain in chains[level]:
-                for k in above[chain[-1]]:
-                    nxt.append(chain + (k,))
-            level += 1
-            chains[level] = nxt
-        del chains[level]
-        return chains
+        rank = {k: i for i, k in enumerate(self.order)}
+        incidence = {}
+        for c in self.order:
+            k = self.cells[c]
+            facets = sorted(self.boundary_cells(c), key=rank.__getitem__)
+            if k == 1 and len(facets) != 2:
+                raise ValueError(
+                    f"edge {c!r} has {len(facets)} vertices, not 2")
+            if k >= 2 and not facets:
+                raise ValueError(f"{k}-cell {c!r} has no facets")
+            owners = {r: [] for r in self.contains[c]
+                      if self.cells[r] == k - 2}
+            for f in facets:
+                for r in incidence[f]:
+                    owners.setdefault(r, []).append(f)
+            for r, fs in owners.items():
+                if len(fs) != 2:
+                    raise ValueError(f"ridge {r!r} of {k}-cell {c!r} lies "
+                                     f"in {len(fs)} of its facets, not 2")
+            signs = dict(zip(facets, (1, -1) if k == 1 else (1,)))
+            stack = list(signs)
+            while stack:
+                f = stack.pop()
+                for r, sign_fr in incidence[f].items():
+                    g = owners[r][1] if owners[r][0] == f else owners[r][0]
+                    sign = -signs[f] * sign_fr * incidence[g][r]
+                    if g not in signs:
+                        signs[g] = sign
+                        stack.append(g)
+                    elif signs[g] != sign:
+                        raise ValueError(f"{k}-cell {c!r} is not orientable "
+                                         f"across ridge {r!r}")
+            for f in facets:
+                if f not in signs:
+                    raise ValueError(f"facet {f!r} of {k}-cell {c!r} is not "
+                                     "reached across its ridges")
+            incidence[c] = signs
+        return incidence
 
     def homology(self):
-        """Integral homology of the underlying space, one (betti, torsion)
-        pair per dimension 0..top.
+        """Integral cellular homology, one (betti, torsion) pair per
+        dimension 0..top.
 
-        Computed once per complex (complexes are not mutated after
-        construction); every call returns a fresh copy of the result.
+        The chain groups are spanned by the cells and the boundary maps
+        carry the incidence numbers of ``_incidences``.  Computed once per
+        complex (complexes are not mutated after construction); every call
+        returns a fresh copy of the result.
         """
         if not self.cells:
             raise EmptyComplex("homology of an empty complex")
-        if self._homology is not None:
-            return [(b, list(tors)) for b, tors in self._homology]
-        chains = self.order_complex_chains()
-        top = max(chains)
-        index = {k: {c: i for i, c in enumerate(chains[k])} for k in chains}
-        boundaries = {}
-        num_cells = [len(chains[k]) for k in range(top + 1)]
-        for k in range(1, top + 1):
-            rows = [[0] * len(chains[k]) for _ in range(len(chains[k - 1]))]
-            for j, chain in enumerate(chains[k]):
-                for drop in range(len(chain)):
-                    face = chain[:drop] + chain[drop + 1:]
-                    rows[index[k - 1][face]][j] = (-1) ** drop
-            boundaries[k] = rows
-        result = homology_from_boundaries(boundaries, num_cells)
-        # pad up to the cell dimension of the polytope complex
-        while len(result) < self.dimension + 1:
-            result.append((0, []))
-        self._homology = [(b, list(tors)) for b, tors in result]
-        return result
+        if self._homology is None:
+            incidence = self._incidences()
+            num_cells = [0] * (self.dimension + 1)
+            index = {}
+            for c in self.order:
+                index[c] = num_cells[self.cells[c]]
+                num_cells[self.cells[c]] += 1
+            boundaries = {k: [[0] * num_cells[k]
+                              for _ in range(num_cells[k - 1])]
+                          for k in range(1, len(num_cells))}
+            for c in self.order:
+                for f, sign in incidence[c].items():
+                    boundaries[self.cells[c]][index[f]][index[c]] = sign
+            self._homology = homology_from_boundaries(boundaries, num_cells)
+        return [(b, list(tors)) for b, tors in self._homology]
 
     def to_json_dict(self):
         keys = self.order

@@ -59,6 +59,15 @@ class TestExitCodes:
         assert out == ""
         assert f"edge {edge} not in 0..5" in err
 
+    def test_unwritable_emit_target(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(["polytope", "n4ex", "--relative",
+                              "--emit", "json", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err
+        assert not target.exists()
+
     def test_directory_as_source(self, tmp_path):
         code, _, err = run(["generators", str(tmp_path)])
         assert code == 2

@@ -1,8 +1,16 @@
+import random
+
 import pytest
+from conftest import random_triangulation
+from oracles import num_simplices, order_complex_homology
 
 import multicurve as mc
 from multicurve import errors
 from multicurve.polytope import PolytopeComplex, complex_from_cone_faces
+
+# the 6-vertex triangulation of the real projective plane
+RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+                 (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
 
 
 def path_complex(edges):
@@ -17,6 +25,52 @@ def path_complex(edges):
         cells[key] = 1
         contains[key] = frozenset({("v", a), ("v", b)})
     return PolytopeComplex(cells, contains)
+
+
+def simplicial_cells(triangles):
+    """Face poset (cells, contains) of a 2-dimensional simplicial complex."""
+    cells = {}
+    contains = {}
+    for t in map(tuple, map(sorted, triangles)):
+        for v in t:
+            cells[(v,)] = 0
+            contains[(v,)] = frozenset()
+        for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
+            cells[e] = 1
+            contains[e] = frozenset({(e[0],), (e[1],)})
+        cells[t] = 2
+        contains[t] = frozenset(k for k in contains if len(k) < 3
+                                and set(k) <= set(t))
+    return cells, contains
+
+
+def polygon_2cell(*cycles):
+    """One 2-cell whose boundary is the given vertex cycles."""
+    cells = {}
+    contains = {}
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            cells[(a,)] = cells[(b,)] = 0
+            contains[(a,)] = contains[(b,)] = frozenset()
+            cells[(a, b)] = 1
+            contains[(a, b)] = frozenset({(a,), (b,)})
+    contains["disk"] = frozenset(cells)
+    cells["disk"] = 2
+    return cells, contains
+
+
+def random_surfaces(count):
+    """Seeded random four-triangle surfaces, one per seed 0..count-1."""
+    return [random_triangulation(random.Random(seed), 4)
+            for seed in range(count)]
+
+
+def legal_flips(tri):
+    return [e for e, (s1, s2) in enumerate(tri.edges) if s1 // 3 != s2 // 3]
+
+
+def betti(cpx):
+    return [b for b, _ in cpx.homology()]
 
 
 class TestConeFaceLattice:
@@ -73,10 +127,9 @@ class TestRelativeComplex:
             mc.relative_complex(mc.fixture("flower:3"))
 
     def test_flower6_five_sphere_structure(self):
-        # full homology of the order complex is out of desk range here,
-        # but the boundary-of-a-6-polytope structure is cheap to certify:
-        # vertices are the 10 pair curves, Euler characteristic vanishes,
-        # and every 4-cell lies in exactly two of the nine 5-cells
+        # the boundary of a 6-polytope: vertices are the 10 pair curves,
+        # Euler characteristic vanishes, every 4-cell lies in exactly two
+        # of the nine 5-cells, and the cellular homology is that of S^5
         cpx = mc.relative_complex(mc.flower(6))
         fv = cpx.f_vector()
         assert fv[0] == 10 and len(fv) == 6
@@ -85,6 +138,9 @@ class TestRelativeComplex:
         top = cpx.cells_of_dim(5)
         for ridge in cpx.cells_of_dim(4):
             assert sum(1 for c in top if ridge in cpx.contains[c]) == 2
+        assert cpx.homology() == [(1, []), (0, []), (0, []), (0, []),
+                                  (0, []), (1, [])]
+        assert mc.sphere_certificate(cpx, 5).granted
 
     def test_closed_under_faces(self, any_fixture):
         cpx = mc.relative_complex(any_fixture)
@@ -103,26 +159,8 @@ class TestRelativeComplex:
 
 class TestHomologyEngine:
     def test_projective_plane_torsion(self):
-        # face poset of the 6-vertex triangulation of the projective
-        # plane; homology must come out (Z, Z/2, 0)
-        triangles = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-                     (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
-        cells = {}
-        contains = {}
-        for v in range(6):
-            cells[(v,)] = 0
-            contains[(v,)] = frozenset()
-        edges = {tuple(sorted((a, b))) for t in triangles
-                 for a in t for b in t if a < b}
-        for e in edges:
-            cells[e] = 1
-            contains[e] = frozenset({(e[0],), (e[1],)})
-        for t in triangles:
-            cells[t] = 2
-            a, b, c = t
-            contains[t] = frozenset({(a,), (b,), (c,),
-                                     (a, b), (a, c), (b, c)})
-        cpx = PolytopeComplex(cells, contains)
+        # homology of the projective plane must come out (Z, Z/2, 0)
+        cpx = PolytopeComplex(*simplicial_cells(RP2_TRIANGLES))
         hom = cpx.homology()
         assert hom[0] == (1, [])
         assert hom[1] == (0, [2])
@@ -135,6 +173,81 @@ class TestHomologyEngine:
     def test_empty_complex(self):
         cpx = PolytopeComplex({}, {})
         with pytest.raises(errors.EmptyComplex):
+            cpx.homology()
+
+
+class TestCellularMatchesOrderComplex:
+    """Cellular homology against the order-complex oracle (tests/oracles.py),
+    on complexes whose subdivision has at most about 1000 simplices."""
+
+    def test_fixtures(self, any_fixture):
+        cpx = mc.relative_complex(any_fixture)
+        assert cpx.homology() == order_complex_homology(cpx)
+
+    @pytest.mark.parametrize("poset", [
+        simplicial_cells(RP2_TRIANGLES),
+        simplicial_cells([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 2, 3)]),
+        simplicial_cells([(0, 1, 2), (2, 3, 4)]),
+        polygon_2cell([0, 1, 2, 3, 4]),
+        polygon_2cell([0, 1]),
+    ], ids=["rp2", "tetrahedron", "bowtie", "pentagon", "digon"])
+    def test_hand_built(self, poset):
+        cpx = PolytopeComplex(*poset)
+        assert cpx.homology() == order_complex_homology(cpx)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 0)],
+        [(0, 1), (1, 2), (2, 0), (0, 3)],
+        [(0, 1), (1, 0), (2, 3), (3, 2)],
+        [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)],
+    ], ids=["circle", "dangling", "two-circles", "figure-eight"])
+    def test_path_complexes(self, edges):
+        cpx = path_complex(edges)
+        assert cpx.homology() == order_complex_homology(cpx)
+
+    def test_random_surfaces(self):
+        compared = set()
+        for tri in random_surfaces(6):
+            cpx = mc.relative_complex(tri)
+            if num_simplices(cpx) <= 1000:
+                assert cpx.homology() == order_complex_homology(cpx)
+                compared.add(tri.genus)
+        assert compared == {0, 1}
+
+
+class TestNonRegularPoset:
+    """Posets that are not the face poset of a regular CW complex."""
+
+    def test_loop_edge(self):
+        cpx = PolytopeComplex({"v": 0, "loop": 1},
+                              {"v": frozenset(), "loop": frozenset({"v"})})
+        with pytest.raises(ValueError, match="edge 'loop' has 1 vertices"):
+            cpx.homology()
+
+    def test_dangling_edge_in_boundary(self):
+        cells, contains = polygon_2cell([0, 1, 2])
+        cells[(3,)], contains[(3,)] = 0, frozenset()
+        cells[(0, 3)], contains[(0, 3)] = 1, frozenset({(0,), (3,)})
+        contains["disk"] |= {(3,), (0, 3)}
+        with pytest.raises(ValueError, match="of 2-cell 'disk' lies in"):
+            PolytopeComplex(cells, contains).homology()
+
+    def test_non_orientable_boundary(self):
+        cells, contains = simplicial_cells(RP2_TRIANGLES)
+        contains["ball"] = frozenset(cells)
+        cells["ball"] = 3
+        with pytest.raises(ValueError, match="'ball' is not orientable"):
+            PolytopeComplex(cells, contains).homology()
+
+    def test_disconnected_boundary(self):
+        cpx = PolytopeComplex(*polygon_2cell([0, 1, 2], [3, 4, 5]))
+        with pytest.raises(ValueError, match="of 2-cell 'disk' is not reach"):
+            cpx.homology()
+
+    def test_cell_without_facets(self):
+        cpx = PolytopeComplex({"v": 0, "blob": 2},
+                              {"v": frozenset(), "blob": frozenset({"v"})})
+        with pytest.raises(ValueError, match="2-cell 'blob' has no facets"):
             cpx.homology()
 
 
@@ -234,6 +347,19 @@ class TestMutationTransfer:
         assert len(image) == len(mc.enumerate_admissible(tri, 6))
         for v in image:
             assert mc.is_admissible(flipped, v)
+
+    @pytest.mark.parametrize("tri", random_surfaces(6),
+                             ids=[f"seed{i}" for i in range(6)])
+    def test_random_surface_flips(self, tri):
+        colorings = mc.enumerate_admissible(tri, 6)
+        before = betti(mc.relative_complex(tri))
+        for e in legal_flips(tri):
+            flipped = mc.flip(tri, e)
+            assert betti(mc.relative_complex(flipped)) == before
+            images = [mc.mutation_transfer(tri, e, c) for c in colorings]
+            assert len({v.values for v in images}) == len(colorings)
+            assert [mc.mutation_transfer(flipped, e, v).values
+                    for v in images] == [c.values for c in colorings]
 
     def test_betti_invariant_under_flips(self, any_fixture):
         tri = any_fixture

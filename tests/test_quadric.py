@@ -8,7 +8,7 @@ import pytest
 import multicurve as mc
 from multicurve import errors
 from multicurve import quadric as q
-from multicurve.exactnum import GaussianRational
+from multicurve.exactnum import GaussianRational, rational_sqrt
 
 
 def exact_point(a, b, c=0, d=0):
@@ -237,16 +237,38 @@ class TestGammaInvolution:
             mc.gamma_involution(2, pts, [cp])
 
 
+def projectively_equal(m, n, tol=0):
+    """(A, e) of m and n agree up to one common nonzero scalar."""
+    u = [*m.a[0], *m.a[1], m.e]
+    v = [*n.a[0], *n.a[1], n.e]
+    scale = max(map(abs, u)) * max(map(abs, v))
+    return scale != 0 and all(
+        abs(u[i] * v[j] - u[j] * v[i]) <= tol * scale
+        for i in range(5) for j in range(i + 1, 5))
+
+
+def conjugate_point(p):
+    return mc.ProjectivePoint(p.x1.conjugate(), p.x2.conjugate())
+
+
 class TestTau:
     def test_exact_realness_and_identities(self, rng):
         cp = mc.conic_from_angle_parameter(Fraction(1, 3))
         t = cp.t
+        y = rational_sqrt(4 - t.re ** 2)
+        upper = mc.ConicPoint(t, GaussianRational(0, y))
+        lower = mc.ConicPoint(t, GaussianRational(0, -y))
         for _ in range(25):
             p = q.random_gaussian_point(rng)
             try:
                 tq = mc.tau_matrix(p, t)
             except errors.TauDegenerate:
                 continue
+            # tau is the real representative of (p, conj p) at s = +iy
+            assert projectively_equal(
+                tq, mc.quadric_point(p, conjugate_point(p), upper))
+            assert not projectively_equal(
+                tq, mc.quadric_point(p, conjugate_point(p), lower))
             for row in tq.a:
                 for x in row:
                     assert isinstance(x, Fraction)
@@ -267,6 +289,10 @@ class TestTau:
                 continue
             assert all(abs(x.imag) == 0 for row in tq.a for x in row
                        if isinstance(x, complex))
+            upper = mc.ConicPoint(complex(t), 1j * math.sqrt(4 - t * t))
+            p = mc.ProjectivePoint(x1, x2)
+            assert projectively_equal(
+                tq, mc.quadric_point(p, conjugate_point(p), upper), 1e-9)
             det_r = q.mat_det(tq.a) - tq.e ** 2
             assert abs(det_r) < 1e-9
 
