@@ -4,37 +4,31 @@ Everything here works over Python ints and fractions.Fraction, so results
 are exact at the desk scales this package targets (cellular boundary
 matrices of at most about a hundred rows, e.g. 61 x 59 for flower:6).
 numpy is deliberately not used: the homology and cone computations must be
-free of floating error.
+free of floating error.  ``integer_rank`` runs once per cone face lattice, as
+the cross-check of the dimension read off the lattice's grading.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def integer_rank(rows):
     """Rank over Q of a matrix given as an iterable of integer rows."""
     mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
     rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0),
+                     None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        for r in range(row + 1, len(mat)):
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        for r in range(rank + 1, len(mat)):
             if mat[r][col] != 0:
                 factor = mat[r][col] / pv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
-        row += 1
-        if row == len(mat):
+        if rank == len(mat):
             break
     return rank
 
@@ -101,7 +95,6 @@ def smith_normal_form_diagonal(rows):
         for k in range(len(diag) - 1):
             a, b = diag[k], diag[k + 1]
             if b % a != 0:
-                from math import gcd
                 g = gcd(a, b)
                 diag[k], diag[k + 1] = g, a * b // g
                 changed = True

@@ -4,9 +4,13 @@ The closure of the coloring cone in R^E is cut out by the corner
 functionals u_theta >= 0, so its faces are exactly the zero sets of corner
 subsets.  Faces are represented by the set of extremal rays (simple barbell
 colorings) they contain; the lattice is the closure of the candidate facets
-{rays with u_theta = 0} under intersection.  Slicing by the degree
-hyperplane turns a cone face of dimension k into a polytope cell of
-dimension k-1.
+{rays with u_theta = 0} under intersection.  The lattice of a pointed cone
+is graded, so a face's dimension is its lattice rank: one more than the
+largest dimension of its intersections with the candidate facets that do
+not contain it (Kaibel-Pfetsch 2002), with no linear algebra per face; the
+rational rank of all the rays checks the top dimension once.  Slicing by
+the degree hyperplane turns a cone face of dimension k into a polytope cell
+of dimension k-1.
 
 The relative complex keeps the faces whose closures miss every peripheral
 ray; by the structure theory it is a sphere, which is certified here by
@@ -20,6 +24,7 @@ from .barbell import connected, enumerate_simple
 from .coloring import (
     Coloring,
     corner_coords,
+    is_admissible,
     peripheral_colorings,
     require_admissible,
 )
@@ -40,40 +45,42 @@ class ConeFaceLattice:
         self._build()
 
     def _build(self):
-        nrays = len(self.rays)
-        if nrays == 0:
+        if not self.rays:
             return
-        ncorners = len(self.corner_vectors[0])
-        full = frozenset(range(nrays))
-        candidates = []
-        for theta in range(ncorners):
-            candidates.append(frozenset(
-                i for i in range(nrays)
-                if self.corner_vectors[i][theta] == 0))
+        full = frozenset(range(len(self.rays)))
+        candidates = [frozenset(i for i in full
+                                if self.corner_vectors[i][theta] == 0)
+                      for theta in range(len(self.corner_vectors[0]))]
+        distinct = set(candidates)
         faces = {full}
         frontier = [full]
         while frontier:
             new = []
             for face in frontier:
-                for cand in candidates:
+                for cand in distinct:
                     inter = face & cand
                     if inter not in faces:
                         faces.add(inter)
                         new.append(inter)
             frontier = new
         self.faces = sorted(faces, key=lambda f: (len(f), sorted(f)))
+        # Graded lattice: every facet of F is F & C for a candidate C not
+        # containing F, and every other such F & C lies in a facet of F.
         for face in self.faces:
             self.face_corners[face] = frozenset(
-                theta for theta in range(ncorners)
-                if all(self.corner_vectors[i][theta] == 0 for i in face))
-            self.face_dim[face] = integer_rank(
-                [self.rays[i].values for i in face])
+                theta for theta, cand in enumerate(candidates)
+                if face <= cand)
+            self.face_dim[face] = 1 + max(
+                (self.face_dim[face & cand] for cand in distinct
+                 if not face <= cand), default=-1)
+        rank = integer_rank([ray.values for ray in self.rays])
+        if rank != self.dimension:
+            raise ValueError(f"graded dimension {self.dimension} differs "
+                             f"from the rank {rank} of the rays")
 
     @property
     def dimension(self):
-        if not self.faces:
-            return 0
-        return self.face_dim[self.faces[-1]]
+        return self.face_dim[self.faces[-1]] if self.faces else 0
 
     def faces_of_dim(self, d):
         return [f for f in self.faces if self.face_dim[f] == d]
@@ -352,7 +359,6 @@ def mutation_transfer(tri, e, v):
     flipped = flip(tri, e)
     values[e] = max(values[a] + values[c], values[b] + values[d]) - values[e]
     out = Coloring(flipped, values)
-    from .coloring import is_admissible
     if not is_admissible(flipped, out):
         raise NotAdmissible("transfer produced an inadmissible coloring")
     return out

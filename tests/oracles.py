@@ -7,9 +7,13 @@ It needs no orientation of the cells, so it checks the cellular homology of
 ``PolytopeComplex.homology`` independently.  The chain count grows fast
 (716 simplices for the 38 cells of the flower:5 relative complex), so keep
 it to small complexes.
+
+``rank_face_lattice`` rebuilds a cone face lattice with the dimension of
+each face taken as the rational rank of its rays, which checks the graded
+dimensions of ``ConeFaceLattice`` with linear algebra.
 """
 
-from multicurve.linalg import homology_from_boundaries
+from multicurve.linalg import homology_from_boundaries, integer_rank
 
 
 def order_complex_chains(cpx):
@@ -51,3 +55,24 @@ def order_complex_homology(cpx):
 
 def num_simplices(cpx):
     return sum(len(c) for c in order_complex_chains(cpx).values())
+
+
+def rank_face_lattice(lattice):
+    """(faces, face_dim, face_corners) of a cone face lattice, rebuilt
+    independently: faces by folding in one candidate facet at a time,
+    dimensions as the rank of each face's rays, and vanishing corners as
+    those zero on every ray of the face."""
+    vectors = lattice.corner_vectors
+    rays = range(len(lattice.rays))
+    corners = range(len(vectors[0]))
+    faces = {frozenset(rays)}
+    for theta in corners:
+        zero = frozenset(i for i in rays if vectors[i][theta] == 0)
+        faces |= {face & zero for face in faces}
+    faces = sorted(faces, key=lambda f: (len(f), sorted(f)))
+    face_dim = {f: integer_rank([lattice.rays[i].values for i in f])
+                for f in faces}
+    face_corners = {f: frozenset(theta for theta in corners
+                                 if all(vectors[i][theta] == 0 for i in f))
+                    for f in faces}
+    return faces, face_dim, face_corners

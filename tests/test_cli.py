@@ -123,6 +123,19 @@ class TestReports:
         assert report["dimension"] == 3
         assert report["faces_per_dim"]["2"] == 3
 
+    @pytest.mark.parametrize("source,per_dim", [
+        ("flower:5", [1, 10, 43, 105, 161, 161, 105, 43, 10, 1]),
+        ("flower:6", [1, 15, 95, 346, 819, 1338, 1554, 1296, 771, 319, 87,
+                      14, 1]),
+    ])
+    def test_flower_cone_faces_per_dim(self, source, per_dim):
+        code, out, _ = run(["polytope", source])
+        assert code == 0
+        report = json.loads(out)
+        assert report["dimension"] == len(per_dim) - 1
+        assert report["faces_per_dim"] == {
+            str(d): n for d, n in enumerate(per_dim)}
+
     def test_sphere_pass(self):
         code, out, _ = run(["polytope", "flower:5", "--relative",
                             "--check-sphere", "3"])

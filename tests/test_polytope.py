@@ -2,7 +2,7 @@ import random
 
 import pytest
 from conftest import random_triangulation
-from oracles import num_simplices, order_complex_homology
+from oracles import num_simplices, order_complex_homology, rank_face_lattice
 
 import multicurve as mc
 from multicurve import errors
@@ -73,6 +73,14 @@ def betti(cpx):
     return [b for b, _ in cpx.homology()]
 
 
+def assert_matches_rank_oracle(tri):
+    lat = mc.cone_face_lattice(tri)
+    faces, face_dim, face_corners = rank_face_lattice(lat)
+    assert lat.faces == faces
+    assert lat.face_dim == face_dim
+    assert lat.face_corners == face_corners
+
+
 class TestConeFaceLattice:
     def test_ex11_lattice(self):
         lat = mc.cone_face_lattice(mc.fixture("ex11"))
@@ -100,6 +108,26 @@ class TestConeFaceLattice:
         lat = mc.ConeFaceLattice([], [])
         assert lat.faces == []
         assert lat.dimension == 0
+
+    def test_grading_checked_against_ray_rank(self):
+        # one corner positive on every ray: two faces, graded dimension 1
+        rays = mc.cone_face_lattice(mc.fixture("ex11")).rays
+        with pytest.raises(ValueError, match="rank 3 of the rays"):
+            mc.ConeFaceLattice(rays, [(1,)] * len(rays))
+
+    def test_grading_matches_rank_oracle(self, any_fixture):
+        assert_matches_rank_oracle(any_fixture)
+
+    @pytest.mark.parametrize("e", legal_flips(mc.fixture("flower:5")))
+    def test_grading_on_flower5_flips(self, e):
+        assert_matches_rank_oracle(mc.flip(mc.fixture("flower:5"), e))
+
+    @pytest.mark.parametrize("triangles,seed",
+                             [(4, s) for s in range(6)]
+                             + [(6, s) for s in range(3)])
+    def test_grading_on_random_surfaces(self, triangles, seed):
+        assert_matches_rank_oracle(
+            random_triangulation(random.Random(seed), triangles))
 
 
 class TestRelativeComplex:
@@ -141,6 +169,13 @@ class TestRelativeComplex:
         assert cpx.homology() == [(1, []), (0, []), (0, []), (0, []),
                                   (0, []), (1, [])]
         assert mc.sphere_certificate(cpx, 5).granted
+
+    def test_flower7_seven_sphere(self):
+        cpx = mc.relative_complex(mc.flower(7))
+        assert cpx.f_vector() == (15, 75, 192, 291, 276, 165, 60, 12)
+        cert = mc.sphere_certificate(cpx, 7)
+        assert cert.granted
+        assert cert.betti == (1, 0, 0, 0, 0, 0, 0, 1)
 
     def test_closed_under_faces(self, any_fixture):
         cpx = mc.relative_complex(any_fixture)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import conjugate_point, projectively_equal
 
 import multicurve as mc
 from multicurve import errors
@@ -235,20 +236,6 @@ class TestGammaInvolution:
         pts = [exact_point(1, 0), exact_point(0, 1)]
         with pytest.raises(errors.IndexOutOfRange):
             mc.gamma_involution(2, pts, [cp])
-
-
-def projectively_equal(m, n, tol=0):
-    """(A, e) of m and n agree up to one common nonzero scalar."""
-    u = [*m.a[0], *m.a[1], m.e]
-    v = [*n.a[0], *n.a[1], n.e]
-    scale = max(map(abs, u)) * max(map(abs, v))
-    return scale != 0 and all(
-        abs(u[i] * v[j] - u[j] * v[i]) <= tol * scale
-        for i in range(5) for j in range(i + 1, 5))
-
-
-def conjugate_point(p):
-    return mc.ProjectivePoint(p.x1.conjugate(), p.x2.conjugate())
 
 
 class TestTau:
