@@ -19,8 +19,7 @@ daisy = mc.flower(5)
 cpx = mc.relative_complex(daisy)
 print(f"\nflower:5: f-vector {cpx.f_vector()}")
 print("  top cells by vertex count:",
-      sorted(len([v for v in cpx.contains[c] if cpx.cells[v] == 0])
-             for c in cpx.cells_of_dim(3)))
+      sorted(len(c) for c in cpx.cells_of_dim(3)))
 cert = mc.sphere_certificate(cpx, 3)
 print("  connected:", cert.connected,
       "| pseudomanifold:", cert.pseudomanifold,

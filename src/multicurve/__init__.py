@@ -41,7 +41,6 @@ from .barbell import (
     BarbellTree,
     enumerate_barbell_trees,
     enumerate_simple,
-    in_rational_cone,
     is_indecomposable,
     monoid_generates,
 )

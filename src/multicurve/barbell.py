@@ -21,7 +21,6 @@ from .coloring import (
     triangles_ok,
 )
 from .errors import ZeroColoring
-from .linalg import rational_feasible
 from .triangulation import DualGraph
 
 
@@ -274,10 +273,3 @@ def monoid_generates(tri, generators, v):
 
     return rec(values)
 
-
-def in_rational_cone(simple_barbells, v):
-    """Exact LP feasibility: is v a nonnegative rational combination of the
-    simple barbell colorings?"""
-    columns = [list(b.coloring.values) for b in simple_barbells]
-    return rational_feasible(columns, list(v.values if isinstance(v, Coloring)
-                                           else v))

@@ -9,8 +9,6 @@ the conditions to ``2 | v_beta`` and ``v_beta <= 2 v_alpha``.
 All arithmetic is over Python ints (arbitrary precision).
 """
 
-import json
-
 from .errors import (
     EdgeBalanceViolated,
     LengthMismatch,
@@ -54,9 +52,6 @@ class Coloring:
     def to_json_dict(self, fixture_name=None):
         tag = fixture_name if fixture_name else self.tri.gluing_hash()
         return {"triangulation": tag, "coloring": list(self.values)}
-
-    def to_json(self, fixture_name=None):
-        return json.dumps(self.to_json_dict(fixture_name), sort_keys=True)
 
 
 def as_values(tri, v):

@@ -36,7 +36,7 @@ def _spring_layout(cpx, dim):
             pos.append([r * math.cos(golden * i), r * math.sin(golden * i), z])
     springs = []
     for edge in cpx.cells_of_dim(1):
-        ends = [index[v] for v in cpx.contains[edge] if v in index]
+        ends = [index[v] for v in cpx.facets[edge]]
         if len(ends) == 2:
             springs.append(tuple(ends))
     for _ in range(300):
@@ -63,28 +63,27 @@ def _spring_layout(cpx, dim):
 
 
 def _polygon_cycle(cpx, face, vertex_order):
-    """Vertices of a 2-cell in cyclic order along its boundary edges."""
-    edges = [e for e in cpx.contains[face] if cpx.cells[e] == 1]
+    """Vertices of a 2-cell in cyclic order along its boundary edges.
+
+    The cycle starts at the lowest vertex in ``vertex_order`` and steps
+    first to its lower neighbour, so it depends on the poset alone.
+    """
     adjacency = {}
-    for e in edges:
-        ends = [v for v in cpx.contains[e] if cpx.cells[v] == 0]
-        if len(ends) != 2:
+    for e in cpx.facets[face]:
+        if len(cpx.facets[e]) != 2:
             return None
-        a, b = ends
+        a, b = cpx.facets[e]
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
     if any(len(nbrs) != 2 for nbrs in adjacency.values()):
         return None
-    start = min(adjacency, key=lambda v: vertex_order[v])
+    start = min(adjacency, key=vertex_order.__getitem__)
     cycle = [start]
-    prev, cur = None, start
-    while True:
+    prev, cur = start, min(adjacency[start], key=vertex_order.__getitem__)
+    while cur != start:
+        cycle.append(cur)
         a, b = adjacency[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
+        prev, cur = cur, b if a == prev else a
     return cycle
 
 
@@ -121,7 +120,7 @@ def complex_to_svg(cpx):
              f'height="{height}" viewBox="0 0 {width} {height}">',
              "<!-- non-metric spring embedding, display only -->"]
     for e in cpx.cells_of_dim(1):
-        ends = [v for v in cpx.contains[e] if v in order]
+        ends = sorted(cpx.facets[e], key=order.__getitem__)
         if len(ends) == 2:
             (x1, y1), (x2, y2) = xy(pos[order[ends[0]]]), xy(pos[order[ends[1]]])
             parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" '

@@ -3,7 +3,7 @@
 Everything here works over Python ints and fractions.Fraction, so results
 are exact at the desk scales this package targets (cellular boundary
 matrices of at most about a hundred rows, e.g. 61 x 59 for flower:6).
-numpy is deliberately not used: the homology and cone computations must be
+numpy is deliberately not used: the rank and homology computations must be
 free of floating error.  ``integer_rank`` runs once per cone face lattice, as
 the cross-check of the dimension read off the lattice's grading.
 """
@@ -130,68 +130,3 @@ def homology_from_boundaries(boundaries, num_cells):
         result.append((betti, torsions.get(k + 1, [])))
     return result
 
-
-def rational_feasible(columns, target):
-    """Exact feasibility of ``sum_j x_j * columns[j] = target`` with x >= 0.
-
-    Phase-one simplex over Fractions.  ``columns`` is a list of integer
-    vectors, ``target`` an integer vector of the same length.  Returns
-    True iff a nonnegative rational solution exists.
-    """
-    m = len(target)
-    n = len(columns)
-    if all(t == 0 for t in target):
-        return True
-    # tableau rows: [A | I | b], minimizing sum of artificials
-    rows = []
-    b = [Fraction(t) for t in target]
-    for i in range(m):
-        if b[i] < 0:
-            row = [Fraction(-columns[j][i]) for j in range(n)]
-            bi = -b[i]
-        else:
-            row = [Fraction(columns[j][i]) for j in range(n)]
-            bi = b[i]
-        rows.append(row + [Fraction(int(i == k)) for k in range(m)] + [bi])
-    basis = [n + i for i in range(m)]
-    total = n + m
-
-    def objective_row():
-        # cost of artificials is 1, others 0; reduced costs
-        obj = [Fraction(0)] * (total + 1)
-        for i in range(m):
-            if basis[i] >= n:
-                for j in range(total + 1):
-                    obj[j] += rows[i][j]
-        return obj
-
-    while True:
-        obj = objective_row()
-        enter = None
-        for j in range(total):  # Bland's rule: smallest entering index
-            if obj[j] > 0 and j not in basis:
-                enter = j
-                break
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][total] / rows[i][enter]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            break  # cannot happen in phase one; defensive
-        pv = rows[leave][enter]
-        rows[leave] = [x / pv for x in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        basis[leave] = enter
-
-    residual = sum(rows[i][total] for i in range(m) if basis[i] >= n)
-    return residual == 0

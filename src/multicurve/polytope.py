@@ -8,17 +8,21 @@ colorings) they contain; the lattice is the closure of the candidate facets
 is graded, so a face's dimension is its lattice rank: one more than the
 largest dimension of its intersections with the candidate facets that do
 not contain it (Kaibel-Pfetsch 2002), with no linear algebra per face; the
-rational rank of all the rays checks the top dimension once.  Slicing by
-the degree hyperplane turns a cone face of dimension k into a polytope cell
-of dimension k-1.
+rational rank of all the rays checks the top dimension once.  Those
+intersections one dimension down are the face's facets, and a polytope
+complex stores each cell's facets (its Hasse diagram).  Slicing by the
+degree hyperplane turns a cone face of dimension k into a polytope cell of
+dimension k-1.
 
-The relative complex keeps the faces whose closures miss every peripheral
-ray; by the structure theory it is a sphere, which is certified here by
-connectivity + pseudomanifold + integral homology (a homology sphere
-certificate for d >= 3, genuine homeomorphism in dimensions <= 2).  The
-cells are polytopes, so the homology is cellular, with the +-1 incidence
-numbers of a regular CW complex read off the face poset alone.
+The relative complex keeps the faces containing no peripheral through-face
+(the smallest face holding a peripheral vector).  By the structure theory
+it is a sphere, certified here by connectivity + pseudomanifold + integral
+homology (a homology sphere certificate for d >= 3, genuine homeomorphism
+in dimensions <= 2).  The homology is cellular, with the +-1 incidences of
+a regular CW complex read off the facets alone.
 """
+
+from collections import Counter
 
 from .barbell import connected, enumerate_simple
 from .coloring import (
@@ -40,7 +44,7 @@ class ConeFaceLattice:
         self.rays = list(rays)                 # Coloring objects
         self.corner_vectors = [tuple(u) for u in corner_vectors]
         self.faces = []                        # list of frozenset(ray ids)
-        self.face_corners = {}                 # rayset -> vanishing corners
+        self.candidates = set()                # distinct candidate facets
         self.face_dim = {}                     # rayset -> integer dimension
         self._build()
 
@@ -48,16 +52,17 @@ class ConeFaceLattice:
         if not self.rays:
             return
         full = frozenset(range(len(self.rays)))
-        candidates = [frozenset(i for i in full
-                                if self.corner_vectors[i][theta] == 0)
-                      for theta in range(len(self.corner_vectors[0]))]
-        distinct = set(candidates)
+        self.candidates = {
+            frozenset(i for i in full if self.corner_vectors[i][theta] == 0)
+            for theta in range(len(self.corner_vectors[0]))}
+        # str() of the first-built copy of each face orders the cells of a
+        # PolytopeComplex, so the candidates' iteration order shows in output
         faces = {full}
         frontier = [full]
         while frontier:
             new = []
             for face in frontier:
-                for cand in distinct:
+                for cand in self.candidates:
                     inter = face & cand
                     if inter not in faces:
                         faces.add(inter)
@@ -67,11 +72,8 @@ class ConeFaceLattice:
         # Graded lattice: every facet of F is F & C for a candidate C not
         # containing F, and every other such F & C lies in a facet of F.
         for face in self.faces:
-            self.face_corners[face] = frozenset(
-                theta for theta, cand in enumerate(candidates)
-                if face <= cand)
             self.face_dim[face] = 1 + max(
-                (self.face_dim[face & cand] for cand in distinct
+                (self.face_dim[face & cand] for cand in self.candidates
                  if not face <= cand), default=-1)
         rank = integer_rank([ray.values for ray in self.rays])
         if rank != self.dimension:
@@ -98,16 +100,16 @@ def cone_face_lattice(tri):
 
 
 class PolytopeComplex:
-    """Ranked face poset of a polytope complex.
+    """Ranked face poset of a polytope complex, stored as its Hasse diagram.
 
-    ``cells`` maps cell key -> dimension; ``contains`` maps cell key ->
-    frozenset of strictly contained cell keys.  Vertex labels live in
-    ``labels`` (for complexes from cone lattices these are ray colorings).
+    ``cells`` maps cell key -> dimension; ``facets`` maps cell key -> its
+    facets, the frozenset of cells one dimension lower that it covers.
+    Vertex labels live in ``labels`` (ray colorings for cone complexes).
     """
 
-    def __init__(self, cells, contains, labels=None):
+    def __init__(self, cells, facets, labels=None):
         self.cells = dict(cells)
-        self.contains = {k: frozenset(v) for k, v in contains.items()}
+        self.facets = {k: frozenset(v) for k, v in facets.items()}
         self.labels = labels or {}
         self.order = sorted(self.cells, key=lambda k: (self.cells[k], str(k)))
         self._homology = None
@@ -124,8 +126,7 @@ class PolytopeComplex:
 
     def boundary_cells(self, key):
         """Immediate (codimension-1) faces of a cell."""
-        d = self.cells[key]
-        return [k for k in self.contains[key] if self.cells[k] == d - 1]
+        return self.facets[key]
 
     def f_vector(self):
         if not self.cells:
@@ -138,7 +139,7 @@ class PolytopeComplex:
     def is_connected(self):
         return bool(self.cells) and connected(
             [{k} for k in self.cells],
-            [(k, b) for k, below in self.contains.items() for b in below])
+            [(k, f) for k, facets in self.facets.items() for f in facets])
 
     # -- cellular homology from the face poset ------------------------------
 
@@ -156,14 +157,17 @@ class PolytopeComplex:
         incidence = {}
         for c in self.order:
             k = self.cells[c]
-            facets = sorted(self.boundary_cells(c), key=rank.__getitem__)
+            facets = sorted(self.facets[c], key=rank.__getitem__)
+            for f in facets:
+                if self.cells[f] != k - 1:
+                    raise ValueError(f"facet {f!r} of {k}-cell {c!r} has "
+                                     f"dimension {self.cells[f]}, not {k - 1}")
             if k == 1 and len(facets) != 2:
                 raise ValueError(
                     f"edge {c!r} has {len(facets)} vertices, not 2")
             if k >= 2 and not facets:
                 raise ValueError(f"{k}-cell {c!r} has no facets")
-            owners = {r: [] for r in self.contains[c]
-                      if self.cells[r] == k - 2}
+            owners = {}
             for f in facets:
                 for r in incidence[f]:
                     owners.setdefault(r, []).append(f)
@@ -224,8 +228,7 @@ class PolytopeComplex:
         cells = []
         for k in keys:
             cell = {"id": ids[k], "dim": self.cells[k],
-                    "boundary": sorted(ids[b] for b in
-                                       self.boundary_cells(k))}
+                    "boundary": sorted(ids[f] for f in self.facets[k])}
             if k in self.labels:
                 cell["rays"] = self.labels[k]
             cells.append(cell)
@@ -238,38 +241,37 @@ def complex_from_cone_faces(lattice, keep):
 
     ``keep`` lists raysets (faces of the lattice); faces of dimension 0
     (the apex) are dropped, and a cone face of dimension k becomes a cell
-    of dimension k-1.
+    of dimension k-1.  The facets of a kept face F are the kept faces
+    F & C one dimension down, C a candidate facet.
     """
-    cells = {}
-    contains = {}
-    labels = {}
-    kept = [f for f in keep if lattice.face_dim[f] >= 1]
-    for face in kept:
-        cells[face] = lattice.face_dim[face] - 1
-        contains[face] = frozenset(
-            g for g in kept if g < face)
-        if lattice.face_dim[face] == 1:
-            labels[face] = [list(lattice.rays[i].values) for i in sorted(face)]
-    return PolytopeComplex(cells, contains, labels)
+    dims = lattice.face_dim
+    cells = {f: dims[f] - 1 for f in keep if dims[f] >= 1}
+    facets = {face: {g for g in (face & cand for cand in lattice.candidates)
+                     if dims[g] == k and g in cells}
+              for face, k in cells.items()}
+    labels = {face: [list(lattice.rays[i].values) for i in sorted(face)]
+              for face, k in cells.items() if k == 0}
+    return PolytopeComplex(cells, facets, labels)
 
 
 def relative_complex(tri):
     """Union of the slice-polytope faces avoiding every peripheral vector.
 
-    A peripheral vector lies in a face iff every corner functional in the
-    face's maximal vanishing set kills it; kept faces must exclude all n
-    peripheral vectors.  Empty exactly for (g,n) = (0,3).
+    The through-face of a peripheral vector p is the smallest face holding
+    it: the rays that vanish on every corner where p vanishes.  A face holds
+    p iff it contains p's through-face, so the kept faces are those that
+    contain none of the n through-faces.  Empty exactly for (g,n) = (0,3).
     """
     if (tri.genus, tri.punctures) == (0, 3):
         raise EmptyRelativeComplex(
             "the relative complex of the three-punctured sphere is empty")
     lattice = cone_face_lattice(tri)
-    peripheral_u = [corner_coords(tri, p) for p in peripheral_colorings(tri)]
-    keep = []
-    for face in lattice.faces:
-        corners = lattice.face_corners[face]
-        if all(any(u[theta] > 0 for theta in corners) for u in peripheral_u):
-            keep.append(face)
+    zeros = [[theta for theta, x in enumerate(corner_coords(tri, p)) if x == 0]
+             for p in peripheral_colorings(tri)]
+    through = [frozenset(i for i, u in enumerate(lattice.corner_vectors)
+                         if all(u[theta] == 0 for theta in z)) for z in zeros]
+    keep = [face for face in lattice.faces
+            if not any(t <= face for t in through)]
     cpx = complex_from_cone_faces(lattice, keep)
     if not cpx.cells:
         raise EmptyRelativeComplex(
@@ -325,12 +327,9 @@ def sphere_certificate(cpx, d):
     connected = cpx.is_connected()
     pseudo = cpx.dimension == d
     if pseudo:
-        top_cells = cpx.cells_of_dim(d)
-        for ridge in cpx.cells_of_dim(d - 1):
-            cofaces = sum(1 for c in top_cells if ridge in cpx.contains[c])
-            if cofaces != 2:
-                pseudo = False
-                break
+        cofaces = Counter(f for c in cpx.cells_of_dim(d)
+                          for f in cpx.facets[c])
+        pseudo = all(cofaces[r] == 2 for r in cpx.cells_of_dim(d - 1))
     hom = cpx.homology()
     betti = [b for b, _tors in hom]
     torsion_free = all(not tors for _b, tors in hom)

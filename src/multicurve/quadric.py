@@ -17,6 +17,7 @@ exact scalars (Fraction, GaussianRational), Python complex, and numpy
 arrays (for vectorized sweeps) alike.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -108,7 +109,7 @@ class ConicPoint:
     def degenerate(self):
         """Branch points (t, s) = (+-2, 0), where the parametrization
         collapses."""
-        return _is_zero(self.s, tol=0 if _is_exact(self.s) else FLOAT_TOL)
+        return _is_zero(self.s)
 
     def negate_s(self):
         return ConicPoint(self.t, -self.s, self.beta2, self.beta1)
@@ -119,7 +120,7 @@ class ConicPoint:
 
 def conic_from_beta(beta):
     """Rational-friendly parametrization t = beta + 1/beta, s = beta - 1/beta."""
-    if _is_zero(beta, tol=0 if _is_exact(beta) else 0.0):
+    if _is_zero(beta, tol=0):
         raise ZeroBeta("beta must be nonzero")
     inv = 1 / beta
     return ConicPoint(beta + inv, beta - inv, beta, inv)
@@ -144,24 +145,25 @@ def conic_from_angle_parameter(r):
 def conic_from_t_elliptic(t):
     """Conic point over real t with |t| < 2: s = i*sqrt(4 - t^2).
 
-    Exact input requires 4 - t^2 to be a rational square (use
-    conic_from_angle_parameter to generate such t densely).
+    Exact input (a real GaussianRational included) requires 4 - t^2 to be a
+    rational square (use conic_from_angle_parameter to generate such t
+    densely).
     """
-    if _is_exact(t):
-        t = Fraction(t)
-        if abs(t) >= 2:
-            raise ValueError("need |t| < 2")
-        y = rational_sqrt(4 - t * t)
-        if y is None:
-            raise ValueError(
-                f"4 - t^2 = {4 - t * t} is not a rational square; "
-                "use conic_from_angle_parameter")
-        return ConicPoint(GaussianRational(t), GaussianRational(0, y))
-    t = float(t)
+    if isinstance(t, GaussianRational):
+        if t.im != 0:
+            raise ValueError("t must be real")
+        t = t.re
+    exact = _is_exact(t)
+    t = Fraction(t) if exact else float(t)
     if abs(t) >= 2:
         raise ValueError("need |t| < 2")
-    import math
-    return ConicPoint(complex(t), 1j * math.sqrt(4 - t * t))
+    if not exact:
+        return ConicPoint(complex(t), 1j * math.sqrt(4 - t * t))
+    y = rational_sqrt(4 - t * t)
+    if y is None:
+        raise ValueError(f"4 - t^2 = {4 - t * t} is not a rational square; "
+                         "use conic_from_angle_parameter")
+    return ConicPoint(GaussianRational(t), GaussianRational(0, y))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +183,7 @@ class ProjectivePoint:
 
     def same_point(self, other, tol=FLOAT_TOL):
         cross = self.x1 * other.x2 - self.x2 * other.x1
-        return _is_zero(cross, tol=0 if _is_exact(cross) else tol)
+        return _is_zero(cross, tol)
 
     def negate(self):
         return ProjectivePoint(-self.x1, -self.x2)
@@ -198,7 +200,7 @@ class MobiusMap:
     def __init__(self, m, tol=FLOAT_TOL):
         self.m = tuple(tuple(row) for row in m)
         residual = mat_det(self.m) - 1
-        if not _is_zero(residual, tol=0 if _is_exact(residual) else tol):
+        if not _is_zero(residual, tol):
             raise NotUnitDeterminant(f"det - 1 = {residual}")
 
     def apply(self, p):
@@ -228,7 +230,7 @@ class QuadricPoint:
     @property
     def degenerate(self):
         """On the base curve (e = 0), i.e. p = q."""
-        return _is_zero(self.e, tol=0 if _is_exact(self.e) else FLOAT_TOL)
+        return _is_zero(self.e)
 
     def coords(self):
         return (self.a[0][0], self.a[0][1], self.a[1][0], self.a[1][1],
@@ -236,11 +238,10 @@ class QuadricPoint:
 
     def projectively_equal(self, other, tol=FLOAT_TOL):
         mine, theirs = self.coords(), other.coords()
-        exact = all(_is_exact(x) for x in mine + theirs)
         for i in range(5):
             for j in range(i + 1, 5):
                 cross = mine[i] * theirs[j] - mine[j] * theirs[i]
-                if not _is_zero(cross, tol=0 if exact else tol):
+                if not _is_zero(cross, tol):
                     return False
         return True
 
@@ -356,7 +357,8 @@ def tau_matrix(p, t):
     representative together with its (real) e.  Degenerate when p lies on
     the real circle Im(x2 * conj(x1)) = 0, where normalization fails.
     """
-    t, y, _exact = _elliptic_y(t)
+    cp = conic_from_t_elliptic(t)
+    t, y = cp.t.real, cp.s.imag
     x1, x2 = p.x1, p.x2
     w = x2 * x1.conjugate()
     re_w, im_w = w.real, w.imag
@@ -372,38 +374,11 @@ def eta_matrix(p, t):
 
     Normalized on the nose (e = |x1|^2 + |x2|^2 > 0 always), with trace t.
     """
-    t, y, exact = _elliptic_y(t)
-    if exact:
-        cp = ConicPoint(GaussianRational(t), GaussianRational(0, y))
-    else:
-        cp = ConicPoint(complex(t), 1j * y)
+    cp = conic_from_t_elliptic(t)
     x1, x2 = p.x1, p.x2
     antipode = ProjectivePoint(x2.conjugate(), -(x1.conjugate()))
     qp = quadric_point(p, antipode, cp)
     return qp.normalized()
-
-
-def _elliptic_y(t):
-    """Normalize an elliptic trace value; returns (t, sqrt(4-t^2), exact)."""
-    if isinstance(t, GaussianRational):
-        if t.im != 0:
-            raise ValueError("t must be real")
-        t = t.re
-    if _is_exact(t):
-        t = Fraction(t)
-        if abs(t) >= 2:
-            raise ValueError("need |t| < 2")
-        y = rational_sqrt(4 - t * t)
-        if y is None:
-            raise ValueError(
-                f"4 - t^2 = {4 - t * t} is not a rational square; "
-                "pick t via conic_from_angle_parameter")
-        return t, y, True
-    import math
-    t = float(t)
-    if abs(t) >= 2:
-        raise ValueError("need |t| < 2")
-    return t, math.sqrt(4.0 - t * t), False
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +387,8 @@ def _elliptic_y(t):
 
 def _check_sl2(m, tol):
     residual = mat_det(m) - 1
-    exact = all(_is_exact(x) for x in
-                (m[0][0], m[0][1], m[1][0], m[1][1]))
-    if not _is_zero(residual, tol=0 if exact else tol):
+    if not _is_zero(residual, tol):
         raise NotUnitDeterminant(f"det - 1 = {residual}")
-    return exact
 
 
 def fricke_trace_coordinates(b1, b2, b3, tol=1e-9):
@@ -438,15 +410,11 @@ def fricke_trace_coordinates(b1, b2, b3, tol=1e-9):
     return a, (c12, c23, c13)
 
 
-def fricke_verify(b1, b2, b3, tol=1e-9):
-    """Residual of the cubic trace relation of the four-punctured sphere.
-
-    Returns |c12 c23 c13 - (c12^2 + c23^2 + c13^2 + f_{12|34} c12
-    + f_{23|14} c23 + f_{13|24} c13 + f)|, which vanishes for unit
-    determinant matrices (exactly over exact scalars).
-    """
-    (a1, a2, a3, a4), (c12, c23, c13) = fricke_trace_coordinates(
-        b1, b2, b3, tol)
+def _fricke_residual(a, c12, c23, c13):
+    """|c12 c23 c13 - (c12^2 + c23^2 + c13^2 + f_{12|34} c12
+    + f_{23|14} c23 + f_{13|24} c13 + f)|, the Fricke cubic of the
+    four-punctured sphere."""
+    a1, a2, a3, a4 = a
     f_12_34 = a1 * a2 + a3 * a4
     f_23_14 = a2 * a3 + a1 * a4
     f_13_24 = a1 * a3 + a2 * a4
@@ -457,20 +425,26 @@ def fricke_verify(b1, b2, b3, tol=1e-9):
     return abs(lhs - rhs)
 
 
+def fricke_verify(b1, b2, b3, tol=1e-9):
+    """Residual of the Fricke cubic on the trace coordinates of three SL(2)
+    matrices, which vanishes for unit determinant matrices (exactly over
+    exact scalars)."""
+    a, (c12, c23, c13) = fricke_trace_coordinates(b1, b2, b3, tol)
+    return _fricke_residual(a, c12, c23, c13)
+
+
 def z_relation_verify(b1, b2, b3, tol=1e-9):
     """(z, residual) for the extra generator of the flipped square.
 
-    z is defined by the polynomial c12 c13 - c23 - (a1 a4 + a2 a3); the
-    residual re-evaluates the defining identity through independent
-    arithmetic order and must vanish.  (The geometric content, namely that
-    z completes the degree data of the flipped triangulation, is checked
-    at the coloring level elsewhere.)
+    Read as a quadratic in c23, the Fricke cubic has the roots c23 and, by
+    Vieta, z = c12 c13 - c23 - (a1 a4 + a2 a3); the residual is the cubic
+    with z in place of c23 and vanishes for unit determinant matrices.
+    (The geometric content, namely that z completes the degree data of the
+    flipped triangulation, is checked at the coloring level elsewhere.)
     """
-    (a1, a2, a3, a4), (c12, c23, c13) = fricke_trace_coordinates(
-        b1, b2, b3, tol)
-    z = c12 * c13 - c23 - (a1 * a4 + a2 * a3)
-    residual = abs((z + c23 + a1 * a4 + a2 * a3) - c12 * c13)
-    return z, residual
+    a, (c12, c23, c13) = fricke_trace_coordinates(b1, b2, b3, tol)
+    z = c12 * c13 - c23 - (a[0] * a[3] + a[1] * a[2])
+    return z, _fricke_residual(a, c12, z, c13)
 
 
 # ---------------------------------------------------------------------------

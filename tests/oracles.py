@@ -11,16 +11,28 @@ it to small complexes.
 ``rank_face_lattice`` rebuilds a cone face lattice with the dimension of
 each face taken as the rational rank of its rays, which checks the graded
 dimensions of ``ConeFaceLattice`` with linear algebra.
+``rank_relative_complex`` rebuilds the relative complex from it with the
+vanishing-corner filter and covers found by pairwise inclusion, which
+checks the through-face filter and the facets of ``relative_complex``.
+
+``in_rational_cone`` decides membership in the rational cone of the simple
+barbell colorings by an exact phase-one simplex (``rational_feasible``),
+which checks the generators independently of the lattice.
 """
 
+from fractions import Fraction
+
+from multicurve import Coloring, corner_coords, peripheral_colorings
 from multicurve.linalg import homology_from_boundaries, integer_rank
 
 
 def order_complex_chains(cpx):
     """All chains of the face poset of ``cpx``, grouped by length - 1."""
+    below = {}
     above = {k: [] for k in cpx.order}
     for k in cpx.order:
-        for b in cpx.contains[k]:
+        below[k] = set(cpx.facets[k]).union(*(below[f] for f in cpx.facets[k]))
+        for b in below[k]:
             above[b].append(k)
     chains = {0: [(k,) for k in cpx.order]}
     level = 0
@@ -76,3 +88,93 @@ def rank_face_lattice(lattice):
                                  if all(vectors[i][theta] == 0 for i in f))
                     for f in faces}
     return faces, face_dim, face_corners
+
+
+def rank_relative_complex(tri, lattice):
+    """(cells, facets) of the relative complex of ``tri``, rebuilt from
+    ``rank_face_lattice``: a face is kept iff every peripheral vector is
+    positive on one of its vanishing corners, and the facets of a kept face
+    are the kept faces inside it one dimension down."""
+    faces, face_dim, face_corners = rank_face_lattice(lattice)
+    peripheral_u = [corner_coords(tri, p) for p in peripheral_colorings(tri)]
+    kept = [f for f in faces if face_dim[f] >= 1 and all(
+        any(u[theta] > 0 for theta in face_corners[f]) for u in peripheral_u)]
+    cells = {f: face_dim[f] - 1 for f in kept}
+    facets = {f: frozenset(g for g in kept
+                           if g < f and face_dim[g] == face_dim[f] - 1)
+              for f in kept}
+    return cells, facets
+
+
+def rational_feasible(columns, target):
+    """Exact feasibility of ``sum_j x_j * columns[j] = target`` with x >= 0.
+
+    Phase-one simplex over Fractions.  ``columns`` is a list of integer
+    vectors, ``target`` an integer vector of the same length.  Returns
+    True iff a nonnegative rational solution exists.
+    """
+    m = len(target)
+    n = len(columns)
+    if all(t == 0 for t in target):
+        return True
+    # tableau rows: [A | I | b], minimizing sum of artificials
+    rows = []
+    b = [Fraction(t) for t in target]
+    for i in range(m):
+        if b[i] < 0:
+            row = [Fraction(-columns[j][i]) for j in range(n)]
+            bi = -b[i]
+        else:
+            row = [Fraction(columns[j][i]) for j in range(n)]
+            bi = b[i]
+        rows.append(row + [Fraction(int(i == k)) for k in range(m)] + [bi])
+    basis = [n + i for i in range(m)]
+    total = n + m
+
+    def objective_row():
+        # cost of artificials is 1, others 0; reduced costs
+        obj = [Fraction(0)] * (total + 1)
+        for i in range(m):
+            if basis[i] >= n:
+                for j in range(total + 1):
+                    obj[j] += rows[i][j]
+        return obj
+
+    while True:
+        obj = objective_row()
+        enter = None
+        for j in range(total):  # Bland's rule: smallest entering index
+            if obj[j] > 0 and j not in basis:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rows[i][total] / rows[i][enter]
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            break  # cannot happen in phase one; defensive
+        pv = rows[leave][enter]
+        rows[leave] = [x / pv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        basis[leave] = enter
+
+    residual = sum(rows[i][total] for i in range(m) if basis[i] >= n)
+    return residual == 0
+
+
+def in_rational_cone(simple_barbells, v):
+    """Exact LP feasibility: is v a nonnegative rational combination of the
+    simple barbell colorings?"""
+    columns = [list(b.coloring.values) for b in simple_barbells]
+    return rational_feasible(columns, list(v.values if isinstance(v, Coloring)
+                                           else v))

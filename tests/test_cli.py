@@ -5,8 +5,10 @@ import pathlib
 
 import pytest
 
+import multicurve as mc
 from multicurve import cli
 from multicurve.cli import main
+from multicurve.export import complex_to_off, complex_to_svg
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -215,6 +217,16 @@ class TestEmit:
         assert "non-metric" in text
         counts = text.splitlines()[2].split()
         assert counts[0] == "6"   # six vertices
+
+    @pytest.mark.parametrize("writer", [complex_to_off, complex_to_svg])
+    def test_export_ignores_set_order(self, writer):
+        # polygons and edges come from the poset, not from how its sets
+        # iterate
+        cpx = mc.relative_complex(mc.flower(5))
+        rebuilt = mc.PolytopeComplex(
+            cpx.cells, {k: frozenset(reversed(list(fs)))
+                        for k, fs in cpx.facets.items()}, cpx.labels)
+        assert writer(rebuilt) == writer(cpx)
 
     def test_svg_export(self, tmp_path):
         out_file = tmp_path / "c.svg"

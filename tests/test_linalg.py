@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+from oracles import rational_feasible
+
 from multicurve.linalg import (
     homology_from_boundaries,
     integer_rank,
-    rational_feasible,
     smith_normal_form_diagonal,
 )
 

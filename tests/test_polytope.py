@@ -1,8 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 from conftest import random_triangulation
-from oracles import num_simplices, order_complex_homology, rank_face_lattice
+from oracles import (
+    num_simplices,
+    order_complex_homology,
+    rank_face_lattice,
+    rank_relative_complex,
+)
 
 import multicurve as mc
 from multicurve import errors
@@ -16,47 +22,47 @@ RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
 def path_complex(edges):
     """1-complex from a list of vertex-pair edges, for counterexamples."""
     cells = {}
-    contains = {}
+    facets = {}
     for a, b in edges:
         for v in (a, b):
             cells[("v", v)] = 0
-            contains.setdefault(("v", v), frozenset())
+            facets[("v", v)] = frozenset()
         key = ("e", a, b)
         cells[key] = 1
-        contains[key] = frozenset({("v", a), ("v", b)})
-    return PolytopeComplex(cells, contains)
+        facets[key] = frozenset({("v", a), ("v", b)})
+    return PolytopeComplex(cells, facets)
 
 
 def simplicial_cells(triangles):
-    """Face poset (cells, contains) of a 2-dimensional simplicial complex."""
+    """Face poset (cells, facets) of a 2-dimensional simplicial complex."""
     cells = {}
-    contains = {}
+    facets = {}
     for t in map(tuple, map(sorted, triangles)):
+        edges = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
         for v in t:
             cells[(v,)] = 0
-            contains[(v,)] = frozenset()
-        for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
+            facets[(v,)] = frozenset()
+        for e in edges:
             cells[e] = 1
-            contains[e] = frozenset({(e[0],), (e[1],)})
+            facets[e] = frozenset({(e[0],), (e[1],)})
         cells[t] = 2
-        contains[t] = frozenset(k for k in contains if len(k) < 3
-                                and set(k) <= set(t))
-    return cells, contains
+        facets[t] = frozenset(edges)
+    return cells, facets
 
 
 def polygon_2cell(*cycles):
     """One 2-cell whose boundary is the given vertex cycles."""
     cells = {}
-    contains = {}
+    facets = {}
     for cycle in cycles:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             cells[(a,)] = cells[(b,)] = 0
-            contains[(a,)] = contains[(b,)] = frozenset()
+            facets[(a,)] = facets[(b,)] = frozenset()
             cells[(a, b)] = 1
-            contains[(a, b)] = frozenset({(a,), (b,)})
-    contains["disk"] = frozenset(cells)
+            facets[(a, b)] = frozenset({(a,), (b,)})
+    facets["disk"] = frozenset(k for k in cells if len(k) == 2)
     cells["disk"] = 2
-    return cells, contains
+    return cells, facets
 
 
 def random_surfaces(count):
@@ -75,10 +81,22 @@ def betti(cpx):
 
 def assert_matches_rank_oracle(tri):
     lat = mc.cone_face_lattice(tri)
-    faces, face_dim, face_corners = rank_face_lattice(lat)
+    faces, face_dim, _face_corners = rank_face_lattice(lat)
     assert lat.faces == faces
     assert lat.face_dim == face_dim
-    assert lat.face_corners == face_corners
+
+
+def assert_relative_matches_rank_oracle(tri):
+    cpx = mc.relative_complex(tri)
+    cells, facets = rank_relative_complex(tri, mc.cone_face_lattice(tri))
+    assert cpx.cells == cells
+    assert cpx.facets == facets
+
+
+# the surfaces on which the lattice and the relative complex are checked
+# against the rank oracle: flips of flower:5 and seeded random surfaces
+FLOWER5_FLIPS = legal_flips(mc.fixture("flower:5"))
+RANDOM_SURFACES = [(4, s) for s in range(6)] + [(6, s) for s in range(3)]
 
 
 class TestConeFaceLattice:
@@ -102,7 +120,7 @@ class TestConeFaceLattice:
         full = lat.faces[-1]
         for face in lat.faces:
             if face != full:
-                assert lat.face_corners[face]
+                assert any(face <= cand for cand in lat.candidates)
 
     def test_no_rays_empty_lattice(self):
         lat = mc.ConeFaceLattice([], [])
@@ -118,13 +136,11 @@ class TestConeFaceLattice:
     def test_grading_matches_rank_oracle(self, any_fixture):
         assert_matches_rank_oracle(any_fixture)
 
-    @pytest.mark.parametrize("e", legal_flips(mc.fixture("flower:5")))
+    @pytest.mark.parametrize("e", FLOWER5_FLIPS)
     def test_grading_on_flower5_flips(self, e):
         assert_matches_rank_oracle(mc.flip(mc.fixture("flower:5"), e))
 
-    @pytest.mark.parametrize("triangles,seed",
-                             [(4, s) for s in range(6)]
-                             + [(6, s) for s in range(3)])
+    @pytest.mark.parametrize("triangles,seed", RANDOM_SURFACES)
     def test_grading_on_random_surfaces(self, triangles, seed):
         assert_matches_rank_oracle(
             random_triangulation(random.Random(seed), triangles))
@@ -163,9 +179,9 @@ class TestRelativeComplex:
         assert fv[0] == 10 and len(fv) == 6
         assert sum((-1) ** d * c for d, c in enumerate(fv)) == 0
         assert cpx.is_connected()
-        top = cpx.cells_of_dim(5)
-        for ridge in cpx.cells_of_dim(4):
-            assert sum(1 for c in top if ridge in cpx.contains[c]) == 2
+        cofaces = Counter(r for c in cpx.cells_of_dim(5)
+                          for r in cpx.facets[c])
+        assert all(cofaces[r] == 2 for r in cpx.cells_of_dim(4))
         assert cpx.homology() == [(1, []), (0, []), (0, []), (0, []),
                                   (0, []), (1, [])]
         assert mc.sphere_certificate(cpx, 5).granted
@@ -179,10 +195,10 @@ class TestRelativeComplex:
 
     def test_closed_under_faces(self, any_fixture):
         cpx = mc.relative_complex(any_fixture)
-        for cell, below in cpx.contains.items():
-            for b in below:
-                assert b in cpx.cells
-                assert cpx.contains[b] <= below
+        for cell, facets in cpx.facets.items():
+            for f in facets:
+                assert cpx.cells.get(f) == cpx.cells[cell] - 1
+                assert f < cell
 
     def test_euler_matches_homology(self, any_fixture):
         cpx = mc.relative_complex(any_fixture)
@@ -190,6 +206,23 @@ class TestRelativeComplex:
         euler_h = sum((-1) ** d * b for d, (b, _t)
                       in enumerate(cpx.homology()))
         assert euler_f == euler_h
+
+
+class TestRelativeMatchesRankOracle:
+    """The through-face filter and the facets read off the candidates give
+    the complex of the vanishing-corner filter and pairwise covers."""
+
+    def test_fixtures(self, any_fixture):
+        assert_relative_matches_rank_oracle(any_fixture)
+
+    @pytest.mark.parametrize("e", FLOWER5_FLIPS)
+    def test_flower5_flips(self, e):
+        assert_relative_matches_rank_oracle(mc.flip(mc.fixture("flower:5"), e))
+
+    @pytest.mark.parametrize("triangles,seed", RANDOM_SURFACES)
+    def test_random_surfaces(self, triangles, seed):
+        assert_relative_matches_rank_oracle(
+            random_triangulation(random.Random(seed), triangles))
 
 
 class TestHomologyEngine:
@@ -260,19 +293,19 @@ class TestNonRegularPoset:
             cpx.homology()
 
     def test_dangling_edge_in_boundary(self):
-        cells, contains = polygon_2cell([0, 1, 2])
-        cells[(3,)], contains[(3,)] = 0, frozenset()
-        cells[(0, 3)], contains[(0, 3)] = 1, frozenset({(0,), (3,)})
-        contains["disk"] |= {(3,), (0, 3)}
+        cells, facets = polygon_2cell([0, 1, 2])
+        cells[(3,)], facets[(3,)] = 0, frozenset()
+        cells[(0, 3)], facets[(0, 3)] = 1, frozenset({(0,), (3,)})
+        facets["disk"] |= {(0, 3)}
         with pytest.raises(ValueError, match="of 2-cell 'disk' lies in"):
-            PolytopeComplex(cells, contains).homology()
+            PolytopeComplex(cells, facets).homology()
 
     def test_non_orientable_boundary(self):
-        cells, contains = simplicial_cells(RP2_TRIANGLES)
-        contains["ball"] = frozenset(cells)
+        cells, facets = simplicial_cells(RP2_TRIANGLES)
+        facets["ball"] = frozenset(k for k in cells if len(k) == 3)
         cells["ball"] = 3
         with pytest.raises(ValueError, match="'ball' is not orientable"):
-            PolytopeComplex(cells, contains).homology()
+            PolytopeComplex(cells, facets).homology()
 
     def test_disconnected_boundary(self):
         cpx = PolytopeComplex(*polygon_2cell([0, 1, 2], [3, 4, 5]))
@@ -281,9 +314,16 @@ class TestNonRegularPoset:
 
     def test_cell_without_facets(self):
         cpx = PolytopeComplex({"v": 0, "blob": 2},
-                              {"v": frozenset(), "blob": frozenset({"v"})})
+                              {"v": frozenset(), "blob": frozenset()})
         with pytest.raises(ValueError, match="2-cell 'blob' has no facets"):
             cpx.homology()
+
+    def test_facet_of_wrong_dimension(self):
+        cells, facets = polygon_2cell([0, 1, 2])
+        facets["disk"] |= {(0,)}
+        with pytest.raises(ValueError, match=r"facet \(0,\) of 2-cell 'disk' "
+                                             "has dimension 0, not 1"):
+            PolytopeComplex(cells, facets).homology()
 
 
 class TestSphereCertificate:
