@@ -6,13 +6,17 @@ cycles (bells), whose 2-colored edges are never loops, and which becomes a
 tree when every bell is collapsed to a point.  Allowed color triples at a
 vertex are (2,2,2), (2,2,0), (2,1,1), (2,2x1), (0,1,1), (0,2x1), (0,0,0).
 
-Enumeration follows that structure: enumerate bells (cycles), pick pairwise
-vertex-disjoint subsets, then connect them with 2-colored edge sets whose
-contraction is a tree.  Brute-force indecomposability and monoid-membership
-oracles are provided to check the enumeration independently.
+Enumeration follows that structure.  The bells are the simple cycles, taken
+in pairwise vertex-disjoint sets B.  In G/B, the dual graph with each bell
+contracted to a node and dual loops and intra-bell chords dropped, the
+2-colored chains are exactly the trees whose leaves are all bells, i.e. the
+inclusion-minimal Steiner trees of the bell nodes.  They are grown path by
+path: start at bell 0, and join each bell not yet reached by every simple
+path to the tree whose inner nodes avoid it.  A tree splits uniquely into
+these paths, so each is emitted once; G/B is connected, so no branch is
+empty.  Brute-force indecomposability and monoid-membership oracles are
+provided to check the enumeration independently.
 """
-
-from itertools import combinations
 
 from .coloring import (
     Coloring,
@@ -145,43 +149,50 @@ def enumerate_barbell_trees(tri):
     """
     dual = DualGraph(tri)
     cycles = _cycles(dual)
-    nedges = len(dual.edges)
-    loops = {i for i in range(nedges) if dual.is_loop(i)}
-
     results = []
     for bell_ids in _disjoint_bell_sets(cycles):
         bells = [cycles[i] for i in bell_ids]
-        bell_edges = set().union(*(b[0] for b in bells))
         bell_vertices = set().union(*(b[1] for b in bells))
-        candidates = [i for i in range(nedges)
-                      if i not in bell_edges and i not in loops]
-        for size in range(len(candidates) + 1):
-            for chain in combinations(candidates, size):
-                if _valid_tree(dual, bells, bell_vertices, chain):
-                    results.append(_to_barbell(
-                        tri, dual, bells, bell_vertices, chain))
+        # G/B: bell j is node -1-j; its edges and chords and the dual loops
+        # become self-loops and drop out
+        node = list(range(dual.num_vertices))
+        for j, (_edges, verts) in enumerate(bells):
+            for v in verts:
+                node[v] = -1 - j
+        adjacency = {}
+        for i, (a, b) in enumerate(dual.edges):
+            a, b = node[a], node[b]
+            if a != b:
+                adjacency.setdefault(a, []).append((i, b))
+                adjacency.setdefault(b, []).append((i, a))
+        for chain in _steiner_trees(adjacency, [-1 - j for j in
+                                                range(len(bells))]):
+            results.append(_to_barbell(tri, dual, bells, bell_vertices, chain))
     results.sort(key=lambda b: (b.degree, b.coloring.values))
     return results
 
 
-def _valid_tree(dual, bells, bell_vertices, chain):
-    degree = {}
-    for i in chain:
-        a, b = dual.edges[i]
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    steiner = set()
-    for v, d in degree.items():
-        # a bell vertex has one non-bell edge, so only others are checked
-        if v not in bell_vertices:
-            if d not in (2, 3):
-                return False
-            steiner.add(v)
-    # contraction of the bells must be a tree
-    if len(chain) != len(bells) + len(steiner) - 1:
-        return False
-    return connected([b[1] for b in bells] + [{v} for v in steiner],
-                     [dual.edges[i] for i in chain])
+def _steiner_trees(adjacency, terminals):
+    """Edge lists of the trees whose leaves are all terminals, each once.
+
+    The tree starts at terminals[0]; the first terminal not yet in it is
+    joined by each simple path whose inner nodes avoid the tree.
+    """
+    def join(tree, edges):
+        rest = [t for t in terminals if t not in tree]
+        if not rest:
+            yield edges
+        else:
+            yield from walk(tree, edges, [rest[0]])
+
+    def walk(tree, edges, path):
+        for i, w in adjacency.get(path[-1], ()):
+            if w in tree:
+                yield from join(tree.union(path), edges + [i])
+            elif w not in path:
+                yield from walk(tree, edges + [i], path + [w])
+
+    return join({terminals[0]}, [])
 
 
 def _to_barbell(tri, dual, bells, bell_vertices, chain):

@@ -178,14 +178,11 @@ def peripheral_colorings(tri):
     v(a_i)_e counts edge-ends of e at vertex i; their sum over i is the
     all-twos vector.
     """
-    result = []
-    for i in range(tri.punctures):
-        values = [0] * tri.num_edges
-        for e in range(tri.num_edges):
-            a, b = tri.edge_endpoints(e)
-            values[e] = (a == i) + (b == i)
-        result.append(Coloring(tri, values))
-    return result
+    vectors = [[0] * tri.num_edges for _ in range(tri.punctures)]
+    for e in range(tri.num_edges):
+        for i in tri.edge_endpoints(e):
+            vectors[i][e] += 1
+    return [Coloring(tri, values) for values in vectors]
 
 
 def degree(tri, v):

@@ -19,6 +19,7 @@ this representation.
 """
 
 import json
+import random
 
 from .errors import (
     DisconnectedSurface,
@@ -418,8 +419,28 @@ def _three_punctured_sphere():
     return build(2, [((0, 1), (0, 2)), ((1, 1), (1, 2)), ((0, 0), (1, 0))])
 
 
+def random_triangulation(rng, triangles):
+    """Random connected oriented surface from a random slot pairing of an
+    even number of triangles, redrawn until it is a valid surface."""
+    if triangles < 2 or triangles % 2:
+        raise TriangulationError(
+            f"a random surface needs an even number T >= 2 of triangles, "
+            f"got {triangles}")
+    while True:
+        slots = list(range(3 * triangles))
+        rng.shuffle(slots)
+        pairs = [(slots[2 * i], slots[2 * i + 1])
+                 for i in range(len(slots) // 2)]
+        try:
+            return build(triangles, pairs)
+        except TriangulationError:
+            continue
+
+
 def fixture(name):
-    """Named triangulations: ex11, n4ex, n4ex2, flower:<n>."""
+    """Named triangulations: ex11, n4ex, n4ex2, flower:<n>, and
+    random:<T>:<seed> (``random_triangulation(random.Random(seed), T)``).
+    """
     if name == "ex11":
         return _ex11()
     if name == "n4ex":
@@ -436,6 +457,14 @@ def fixture(name):
         if n == 3:
             return _three_punctured_sphere()
         return flower(n)
+    if name.startswith("random:"):
+        try:
+            triangles, seed = (int(x) for x in name.split(":")[1:])
+        except ValueError:
+            raise TriangulationError(
+                f"random:<T>:<seed> needs integers T and seed, got "
+                f"{name!r}") from None
+        return random_triangulation(random.Random(seed), triangles)
     raise KeyError(f"unknown fixture {name!r}")
 
 

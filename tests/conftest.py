@@ -3,6 +3,7 @@ import random
 import pytest
 
 import multicurve as mc
+from multicurve.triangulation import random_triangulation  # noqa: F401
 
 FIXTURES = ["ex11", "n4ex", "n4ex2", "flower:4", "flower:5"]
 
@@ -10,19 +11,6 @@ FIXTURES = ["ex11", "n4ex", "n4ex2", "flower:4", "flower:5"]
 @pytest.fixture(params=FIXTURES)
 def any_fixture(request):
     return mc.fixture(request.param)
-
-
-def random_triangulation(rng, triangles=4):
-    """Random connected oriented surface from a random slot pairing."""
-    while True:
-        slots = list(range(3 * triangles))
-        rng.shuffle(slots)
-        pairs = [(slots[2 * i], slots[2 * i + 1])
-                 for i in range(len(slots) // 2)]
-        try:
-            return mc.build(triangles, pairs)
-        except mc.errors.TriangulationError:
-            continue
 
 
 def random_admissible(rng, tri, max_degree=8):

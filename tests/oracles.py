@@ -18,11 +18,27 @@ checks the through-face filter and the facets of ``relative_complex``.
 ``in_rational_cone`` decides membership in the rational cone of the simple
 barbell colorings by an exact phase-one simplex (``rational_feasible``),
 which checks the generators independently of the lattice.
+
+``subset_scan_barbell_trees`` is the exhaustive barbell enumeration: for
+every set of vertex-disjoint bells it tries every subset of the other
+non-loop dual edges as the 2-colored chain, and keeps the subsets whose
+non-bell vertices have degree 2 or 3 and which become a tree once each bell
+is contracted.  It shares only the cycle and bell-set listing with
+``enumerate_barbell_trees``, so it checks the Steiner-tree growth.  It
+costs 2^|E| per bell set, so keep it to about ten triangles.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from multicurve import Coloring, corner_coords, peripheral_colorings
+from multicurve.barbell import (
+    _cycles,
+    _disjoint_bell_sets,
+    _to_barbell,
+    connected,
+)
+from multicurve.triangulation import DualGraph
 from multicurve.linalg import homology_from_boundaries, integer_rank
 
 
@@ -104,6 +120,49 @@ def rank_relative_complex(tri, lattice):
                            if g < f and face_dim[g] == face_dim[f] - 1)
               for f in kept}
     return cells, facets
+
+
+def subset_scan_barbell_trees(tri):
+    """All barbell trees of ``tri`` by scanning every chain subset, in the
+    canonical (degree, coloring) order."""
+    dual = DualGraph(tri)
+    cycles = _cycles(dual)
+    nedges = len(dual.edges)
+    loops = {i for i in range(nedges) if dual.is_loop(i)}
+    results = []
+    for bell_ids in _disjoint_bell_sets(cycles):
+        bells = [cycles[i] for i in bell_ids]
+        bell_edges = set().union(*(b[0] for b in bells))
+        bell_vertices = set().union(*(b[1] for b in bells))
+        candidates = [i for i in range(nedges)
+                      if i not in bell_edges and i not in loops]
+        for size in range(len(candidates) + 1):
+            for chain in combinations(candidates, size):
+                if _valid_tree(dual, bells, bell_vertices, chain):
+                    results.append(_to_barbell(
+                        tri, dual, bells, bell_vertices, chain))
+    results.sort(key=lambda b: (b.degree, b.coloring.values))
+    return results
+
+
+def _valid_tree(dual, bells, bell_vertices, chain):
+    degree = {}
+    for i in chain:
+        a, b = dual.edges[i]
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    steiner = set()
+    for v, d in degree.items():
+        # a bell vertex has one non-bell edge, so only others are checked
+        if v not in bell_vertices:
+            if d not in (2, 3):
+                return False
+            steiner.add(v)
+    # contraction of the bells must be a tree
+    if len(chain) != len(bells) + len(steiner) - 1:
+        return False
+    return connected([b[1] for b in bells] + [{v} for v in steiner],
+                     [dual.edges[i] for i in chain])
 
 
 def rational_feasible(columns, target):

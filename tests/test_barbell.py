@@ -1,7 +1,8 @@
 from collections import Counter
 
 import pytest
-from oracles import in_rational_cone
+from conftest import FIXTURES
+from oracles import in_rational_cone, subset_scan_barbell_trees
 
 import multicurve as mc
 from multicurve import errors
@@ -74,6 +75,27 @@ class TestEnumeration:
                     if y == t:
                         colors.append(v[i])
                 assert tuple(sorted(colors)) in allowed, (v, t, colors)
+
+
+def barbell_keys(barbells):
+    return [(b.coloring.values, b.simple, b.bells, b.chain_edges)
+            for b in barbells]
+
+
+class TestEnumeratorMatchesSubsetScan:
+    @pytest.mark.parametrize("name", [
+        *FIXTURES, "flower:3", "flower:6", "flower:7",
+        *(f"random:{t}:{s}" for t in (2, 4, 6, 8, 10) for s in range(10))])
+    def test_same_barbells(self, name):
+        tri = mc.fixture(name)
+        assert barbell_keys(mc.enumerate_barbell_trees(tri)) == \
+            barbell_keys(subset_scan_barbell_trees(tri))
+
+    def test_large_random_surface(self):
+        # the subset scan takes minutes here
+        tri = mc.fixture("random:16:0")
+        assert (tri.genus, tri.punctures) == (1, 8)
+        assert len(mc.enumerate_barbell_trees(tri)) == 4163
 
 
 class TestIndecomposability:

@@ -4,6 +4,7 @@ import json
 import pathlib
 
 import pytest
+from oracles import subset_scan_barbell_trees
 
 import multicurve as mc
 from multicurve import cli
@@ -103,6 +104,17 @@ class TestExitCodes:
         assert code == 2
         assert "validation error" in err
 
+    @pytest.mark.parametrize("name,message", [
+        ("random:5:0", "even number T >= 2 of triangles, got 5"),
+        ("random:0:1", "even number T >= 2 of triangles, got 0"),
+        ("random:four:1", "random:<T>:<seed> needs integers T and seed"),
+    ])
+    def test_bad_random_fixture(self, name, message):
+        code, out, err = run(["generators", name])
+        assert code == 2
+        assert out == ""
+        assert "validation error" in err and message in err
+
     def test_internal_errors_propagate(self, monkeypatch):
         def broken(tri):
             raise KeyError("internal")
@@ -117,6 +129,14 @@ class TestReports:
         assert code == 0
         report = json.loads(out)
         assert report["oracle"] == {"depth": 6, "mismatches": []}
+
+    def test_generators_random_surface(self):
+        code, out, _ = run(["generators", "random:12:0"])
+        assert code == 0
+        report = json.loads(out)
+        scan = subset_scan_barbell_trees(mc.fixture("random:12:0"))
+        assert report["count"] == len(scan) == 429
+        assert report["generators"] == [b.to_json_dict() for b in scan]
 
     def test_polytope_cone_report(self):
         code, out, _ = run(["polytope", "ex11"])

@@ -71,6 +71,11 @@ class TestBuild:
                 assert tri.num_edges == 3 * (2 * tri.genus
                                              + tri.punctures - 2)
 
+    @pytest.mark.parametrize("triangles,seed", [(2, 0), (6, 3), (12, 0)])
+    def test_random_fixture_is_seeded_draw(self, triangles, seed):
+        assert mc.fixture(f"random:{triangles}:{seed}") == \
+            random_triangulation(random.Random(seed), triangles)
+
 
 class TestDualGraph:
     def test_ex11_theta_graph(self):
