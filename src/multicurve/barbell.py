@@ -152,7 +152,6 @@ def enumerate_barbell_trees(tri):
     results = []
     for bell_ids in _disjoint_bell_sets(cycles):
         bells = [cycles[i] for i in bell_ids]
-        bell_vertices = set().union(*(b[1] for b in bells))
         # G/B: bell j is node -1-j; its edges and chords and the dual loops
         # become self-loops and drop out
         node = list(range(dual.num_vertices))
@@ -167,7 +166,7 @@ def enumerate_barbell_trees(tri):
                 adjacency.setdefault(b, []).append((i, a))
         for chain in _steiner_trees(adjacency, [-1 - j for j in
                                                 range(len(bells))]):
-            results.append(_to_barbell(tri, dual, bells, bell_vertices, chain))
+            results.append(_to_barbell(tri, dual, bells, chain))
     results.sort(key=lambda b: (b.degree, b.coloring.values))
     return results
 
@@ -195,26 +194,16 @@ def _steiner_trees(adjacency, terminals):
     return join({terminals[0]}, [])
 
 
-def _to_barbell(tri, dual, bells, bell_vertices, chain):
+def _to_barbell(tri, dual, bells, chain):
     values = [0] * len(dual.edges)
     for edges, _verts in bells:
         for i in edges:
             values[i] = 1
     for i in chain:
         values[i] = 2
-    if len(bells) == 1:
-        simple = len(chain) == 0
-    elif len(bells) == 2:
-        counts = {}
-        for i in chain:
-            for v in dual.edges[i]:
-                if v not in bell_vertices:
-                    counts[v] = counts.get(v, 0) + 1
-        simple = all(d == 2 for d in counts.values())
-    else:
-        simple = False
+    # a minimal Steiner tree of one or two bells is empty or a path
     return BarbellTree([b[0] for b in bells], chain,
-                       Coloring(tri, values), simple)
+                       Coloring(tri, values), len(bells) <= 2)
 
 
 def enumerate_simple(tri):

@@ -101,8 +101,7 @@ def checkable_triangles(tri):
     0..e are: a search assigning edges in index order checks them there.
     """
     ready = [[] for _ in range(tri.num_edges)]
-    for t in range(tri.triangle_count):
-        sides = tri.triangle_edges(t)
+    for sides in tri.side_edges:
         ready[max(sides)].append(sides)
     return ready
 
@@ -111,8 +110,7 @@ def is_admissible(tri, v):
     values = as_values(tri, v)
     if any(x < 0 for x in values):
         return False
-    return triangles_ok(
-        [tri.triangle_edges(t) for t in range(tri.triangle_count)], values)
+    return triangles_ok(tri.side_edges, values)
 
 
 def require_admissible(tri, v):

@@ -2,24 +2,24 @@
 
 The closure of the coloring cone in R^E is cut out by the corner
 functionals u_theta >= 0, so its faces are exactly the zero sets of corner
-subsets.  Faces are represented by the set of extremal rays (simple barbell
-colorings) they contain; the lattice is the closure of the candidate facets
-{rays with u_theta = 0} under intersection.  The lattice of a pointed cone
-is graded, so a face's dimension is its lattice rank: one more than the
-largest dimension of its intersections with the candidate facets that do
-not contain it (Kaibel-Pfetsch 2002), with no linear algebra per face; the
-rational rank of all the rays checks the top dimension once.  Those
-intersections one dimension down are the face's facets, and a polytope
-complex stores each cell's facets (its Hasse diagram).  Slicing by the
-degree hyperplane turns a cone face of dimension k into a polytope cell of
-dimension k-1.
+subsets.  A face is an int bitmask of the extremal rays (simple barbell
+colorings) it contains, with the bitmask of its vanishing corners beside it
+where needed; the public keys are frozensets of ray ids built in sorted
+order, so they print by content alone.  The lattice is the closure of the
+candidate facets {rays with u_theta = 0} under intersection, graded by rank
+(Kaibel-Pfetsch 2002): a face's dimension is one more than the largest
+dimension of its intersections with the candidates not containing it, and
+the rational rank of all the rays checks the top dimension once.  Slicing
+by the degree hyperplane turns a cone face of dimension k into a polytope
+cell of dimension k-1; a polytope complex stores each cell's facets.
 
 The relative complex keeps the faces containing no peripheral through-face
-(the smallest face holding a peripheral vector).  By the structure theory
-it is a sphere, certified here by connectivity + pseudomanifold + integral
-homology (a homology sphere certificate for d >= 3, genuine homeomorphism
-in dimensions <= 2).  The homology is cellular, with the +-1 incidences of
-a regular CW complex read off the facets alone.
+(the smallest face holding a peripheral vector), a down-set walked upward
+from the apex without the full lattice.  By the structure theory it is a
+sphere, certified here by connectivity + pseudomanifold + integral homology
+(a homology sphere certificate for d >= 3, genuine homeomorphism in
+dimensions <= 2).  The homology is cellular, with the +-1 incidences of a
+regular CW complex read off the facets alone.
 """
 
 from collections import Counter
@@ -51,30 +51,28 @@ class ConeFaceLattice:
     def _build(self):
         if not self.rays:
             return
-        full = frozenset(range(len(self.rays)))
-        self.candidates = {
-            frozenset(i for i in full if self.corner_vectors[i][theta] == 0)
-            for theta in range(len(self.corner_vectors[0]))}
-        # str() of the first-built copy of each face orders the cells of a
-        # PolytopeComplex, so the candidates' iteration order shows in output
-        faces = {full}
-        frontier = [full]
+        candidates = {_zeros(col) for col in zip(*self.corner_vectors)}
+        faces = {(1 << len(self.rays)) - 1}
+        frontier = list(faces)
         while frontier:
             new = []
             for face in frontier:
-                for cand in self.candidates:
+                for cand in candidates:
                     inter = face & cand
                     if inter not in faces:
                         faces.add(inter)
                         new.append(inter)
             frontier = new
-        self.faces = sorted(faces, key=lambda f: (len(f), sorted(f)))
+        order = sorted(faces, key=lambda f: (f.bit_count(), _bits(f)))
         # Graded lattice: every facet of F is F & C for a candidate C not
         # containing F, and every other such F & C lies in a facet of F.
-        for face in self.faces:
-            self.face_dim[face] = 1 + max(
-                (self.face_dim[face & cand] for cand in self.candidates
-                 if not face <= cand), default=-1)
+        dims = {}
+        for face in order:
+            dims[face] = 1 + max((dims[face & cand] for cand in candidates
+                                  if face & cand != face), default=-1)
+        self.faces = [frozenset(_bits(f)) for f in order]
+        self.face_dim = {key: dims[f] for key, f in zip(self.faces, order)}
+        self.candidates = {frozenset(_bits(c)) for c in candidates}
         rank = integer_rank([ray.values for ray in self.rays])
         if rank != self.dimension:
             raise ValueError(f"graded dimension {self.dimension} differs "
@@ -92,11 +90,40 @@ class ConeFaceLattice:
                 f"faces={len(self.faces)}, dim={self.dimension})")
 
 
+def _bits(mask):
+    """Positions of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _zeros(values):
+    """Bitmask of the zero entries of ``values``."""
+    return sum(1 << i for i, x in enumerate(values) if x == 0)
+
+
+def _rays_on(corner_rays, corners, full):
+    """Ray mask of the face cut out by a corner mask: the rays vanishing on
+    every corner in it (all rays for no corner)."""
+    rays = full
+    while corners and rays:
+        low = corners & -corners
+        rays &= corner_rays[low.bit_length() - 1]
+        corners ^= low
+    return rays
+
+
+def _cone_rays(tri):
+    """Extremal rays of the coloring cone and their corner vectors."""
+    rays = [b.coloring for b in enumerate_simple(tri)]
+    return rays, [corner_coords(tri, r) for r in rays]
+
+
 def cone_face_lattice(tri):
-    simple = enumerate_simple(tri)
-    rays = [b.coloring for b in simple]
-    corner_vectors = [corner_coords(tri, r) for r in rays]
-    return ConeFaceLattice(rays, corner_vectors)
+    return ConeFaceLattice(*_cone_rays(tri))
 
 
 class PolytopeComplex:
@@ -236,48 +263,67 @@ class PolytopeComplex:
                 "cells": cells}
 
 
-def complex_from_cone_faces(lattice, keep):
-    """Polytope complex of the degree-1 slice of the kept cone faces.
-
-    ``keep`` lists raysets (faces of the lattice); faces of dimension 0
-    (the apex) are dropped, and a cone face of dimension k becomes a cell
-    of dimension k-1.  The facets of a kept face F are the kept faces
-    F & C one dimension down, C a candidate facet.
-    """
-    dims = lattice.face_dim
-    cells = {f: dims[f] - 1 for f in keep if dims[f] >= 1}
-    facets = {face: {g for g in (face & cand for cand in lattice.candidates)
-                     if dims[g] == k and g in cells}
-              for face, k in cells.items()}
-    labels = {face: [list(lattice.rays[i].values) for i in sorted(face)]
-              for face, k in cells.items() if k == 0}
-    return PolytopeComplex(cells, facets, labels)
-
-
 def relative_complex(tri):
     """Union of the slice-polytope faces avoiding every peripheral vector.
 
     The through-face of a peripheral vector p is the smallest face holding
-    it: the rays that vanish on every corner where p vanishes.  A face holds
-    p iff it contains p's through-face, so the kept faces are those that
-    contain none of the n through-faces.  Empty exactly for (g,n) = (0,3).
+    it, and a face holds p iff it contains p's through-face, so the kept
+    faces, those containing none of the n through-faces, form a down-set.
+    It is walked up from the apex: of the faces H_r spanned by a face F and
+    one more ray r, the covers of F are those that every ray of H_r - F
+    spans (the minimal ones).  A kept cover's facets are the faces it was
+    reached from and its depth is its cone dimension, checked against the
+    rank of one top cell's rays.  Empty exactly for (g,n) = (0,3).
     """
     if (tri.genus, tri.punctures) == (0, 3):
         raise EmptyRelativeComplex(
             "the relative complex of the three-punctured sphere is empty")
-    lattice = cone_face_lattice(tri)
-    zeros = [[theta for theta, x in enumerate(corner_coords(tri, p)) if x == 0]
-             for p in peripheral_colorings(tri)]
-    through = [frozenset(i for i, u in enumerate(lattice.corner_vectors)
-                         if all(u[theta] == 0 for theta in z)) for z in zeros]
-    keep = [face for face in lattice.faces
-            if not any(t <= face for t in through)]
-    cpx = complex_from_cone_faces(lattice, keep)
-    if not cpx.cells:
+    rays, corner_vectors = _cone_rays(tri)
+    # each ray's mask of vanishing corners, each corner's of vanishing rays
+    ray_zero = [_zeros(u) for u in corner_vectors]
+    corner_rays = [_zeros(col) for col in zip(*corner_vectors)]
+    full = (1 << len(rays)) - 1
+    through = [_rays_on(corner_rays, _zeros(corner_coords(tri, p)), full)
+               for p in peripheral_colorings(tri)]
+    corners = {0: (1 << len(corner_rays)) - 1}     # ray mask -> corner mask
+    depth = {0: 0}
+    facets = {0: []}
+    level = [0]
+    while level:
+        reached = []
+        for face in level:
+            hits = {}                       # H_r -> (rays giving it, corners)
+            for r in _bits(full & ~face):
+                z = corners[face] & ray_zero[r]
+                h = _rays_on(corner_rays, z, full)
+                hits[h] = (hits[h][0] + 1 if h in hits else 1, z)
+            for h, (count, z) in hits.items():
+                if count != (h & ~face).bit_count() or any(
+                        h & t == t for t in through):
+                    continue
+                if h not in depth:
+                    depth[h] = depth[face] + 1
+                    corners[h] = z
+                    facets[h] = []
+                    reached.append(h)
+                facets[h].append(face)
+        level = reached
+    del depth[0]
+    if not depth:
         raise EmptyRelativeComplex(
             f"relative complex of (g,n)=({tri.genus},{tri.punctures}) "
             "came out empty")
-    return cpx
+    keys = {h: frozenset(_bits(h)) for h in depth}
+    top = max(depth, key=depth.get)
+    rank = integer_rank([rays[i].values for i in _bits(top)])
+    if rank != depth[top]:
+        raise ValueError(f"walked depth {depth[top]} of a top cell differs "
+                         f"from the rank {rank} of its rays")
+    return PolytopeComplex(
+        {keys[h]: d - 1 for h, d in depth.items()},
+        {keys[h]: [keys[f] for f in facets[h] if f] for h in depth},
+        {keys[h]: [list(rays[i].values) for i in _bits(h)]
+         for h, d in depth.items() if d == 1})
 
 
 class SphereCertificate:

@@ -46,13 +46,17 @@ class Triangulation:
     """Immutable validated triangulation; use :func:`build` to construct."""
 
     __slots__ = ("triangle_count", "gluing", "edges", "edge_index",
-                 "vertices", "corner_vertex", "genus", "punctures", "_hash")
+                 "side_edges", "vertices", "corner_vertex", "genus",
+                 "punctures", "_hash")
 
     def __init__(self, triangle_count, gluing, edges):
         self.triangle_count = triangle_count
         self.gluing = tuple(gluing)
         self.edges = tuple(edges)
         self.edge_index = {pair: i for i, pair in enumerate(self.edges)}
+        self.side_edges = tuple(
+            tuple(self.edge_of_slot(slot_id(t, k)) for k in range(3))
+            for t in range(triangle_count))
         self.vertices, self.corner_vertex = self._vertex_orbits()
         n = len(self.vertices)
         m = triangle_count // 2  # = 2g + n - 2
@@ -107,7 +111,7 @@ class Triangulation:
 
     def triangle_edges(self, t):
         """Edge indices carried by slots 0,1,2 of triangle t."""
-        return tuple(self.edge_of_slot(slot_id(t, k)) for k in range(3))
+        return self.side_edges[t]
 
     def is_folded(self, t):
         pairs = [self.gluing[slot_id(t, k)] // 3 for k in range(3)]

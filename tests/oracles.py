@@ -23,11 +23,13 @@ which checks the generators independently of the lattice.
 every set of vertex-disjoint bells it tries every subset of the other
 non-loop dual edges as the 2-colored chain, and keeps the subsets whose
 non-bell vertices have degree 2 or 3 and which become a tree once each bell
-is contracted.  It shares only the cycle and bell-set listing with
-``enumerate_barbell_trees``, so it checks the Steiner-tree growth.  It
+is contracted, and it tells simple barbells by counting chain degrees.  It
+shares only the cycle and bell-set listing with ``enumerate_barbell_trees``,
+so it checks the Steiner-tree growth and its ``simple`` flag.  It
 costs 2^|E| per bell set, so keep it to about ten triangles.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -139,10 +141,24 @@ def subset_scan_barbell_trees(tri):
         for size in range(len(candidates) + 1):
             for chain in combinations(candidates, size):
                 if _valid_tree(dual, bells, bell_vertices, chain):
-                    results.append(_to_barbell(
-                        tri, dual, bells, bell_vertices, chain))
+                    barbell = _to_barbell(tri, dual, bells, chain)
+                    barbell.simple = _is_simple(dual, bells, bell_vertices,
+                                                chain)
+                    results.append(barbell)
     results.sort(key=lambda b: (b.degree, b.coloring.values))
     return results
+
+
+def _is_simple(dual, bells, bell_vertices, chain):
+    """One bell with no chain, or two bells joined by a chain whose
+    non-bell vertices all have degree 2."""
+    if len(bells) == 1:
+        return not chain
+    if len(bells) != 2:
+        return False
+    counts = Counter(v for i in chain for v in dual.edges[i]
+                     if v not in bell_vertices)
+    return all(d == 2 for d in counts.values())
 
 
 def _valid_tree(dual, bells, bell_vertices, chain):

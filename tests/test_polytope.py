@@ -1,8 +1,9 @@
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
-from conftest import random_triangulation
+from conftest import FIXTURES, random_triangulation
 from oracles import (
     num_simplices,
     order_complex_homology,
@@ -12,7 +13,8 @@ from oracles import (
 
 import multicurve as mc
 from multicurve import errors
-from multicurve.polytope import PolytopeComplex, complex_from_cone_faces
+from multicurve import polytope
+from multicurve.polytope import PolytopeComplex
 
 # the 6-vertex triangulation of the real projective plane
 RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -79,6 +81,18 @@ def betti(cpx):
     return [b for b, _ in cpx.homology()]
 
 
+def assert_sphere_shape(cpx, d):
+    """What a d-sphere needs short of homology: dimension d, connected,
+    every (d-1)-cell in exactly two d-cells, Euler characteristic
+    1 + (-1)^d."""
+    fv = cpx.f_vector()
+    assert len(fv) == d + 1
+    assert cpx.is_connected()
+    cofaces = Counter(r for c in cpx.cells_of_dim(d) for r in cpx.facets[c])
+    assert all(cofaces[r] == 2 for r in cpx.cells_of_dim(d - 1))
+    assert sum((-1) ** k * c for k, c in enumerate(fv)) == 1 + (-1) ** d
+
+
 def assert_matches_rank_oracle(tri):
     lat = mc.cone_face_lattice(tri)
     faces, face_dim, _face_corners = rank_face_lattice(lat)
@@ -97,6 +111,17 @@ def assert_relative_matches_rank_oracle(tri):
 # against the rank oracle: flips of flower:5 and seeded random surfaces
 FLOWER5_FLIPS = legal_flips(mc.fixture("flower:5"))
 RANDOM_SURFACES = [(4, s) for s in range(6)] + [(6, s) for s in range(3)]
+
+# two seeded surfaces random:<T>:<seed> for each (g, n) with T <= 6 other
+# than (0, 3), where T = 2(2g + n - 2)
+SPHERE_TABLE = [
+    ("random:2:12", (1, 1)), ("random:2:13", (1, 1)),
+    ("random:4:2", (0, 4)), ("random:4:8", (0, 4)),
+    ("random:4:0", (1, 2)), ("random:4:1", (1, 2)),
+    ("random:6:2", (0, 5)), ("random:6:6", (0, 5)),
+    ("random:6:0", (1, 3)), ("random:6:1", (1, 3)),
+    ("random:6:14", (2, 1)), ("random:6:32", (2, 1)),
+]
 
 
 class TestConeFaceLattice:
@@ -175,13 +200,8 @@ class TestRelativeComplex:
         # Euler characteristic vanishes, every 4-cell lies in exactly two
         # of the nine 5-cells, and the cellular homology is that of S^5
         cpx = mc.relative_complex(mc.flower(6))
-        fv = cpx.f_vector()
-        assert fv[0] == 10 and len(fv) == 6
-        assert sum((-1) ** d * c for d, c in enumerate(fv)) == 0
-        assert cpx.is_connected()
-        cofaces = Counter(r for c in cpx.cells_of_dim(5)
-                          for r in cpx.facets[c])
-        assert all(cofaces[r] == 2 for r in cpx.cells_of_dim(4))
+        assert cpx.f_vector()[0] == 10
+        assert_sphere_shape(cpx, 5)
         assert cpx.homology() == [(1, []), (0, []), (0, []), (0, []),
                                   (0, []), (1, [])]
         assert mc.sphere_certificate(cpx, 5).granted
@@ -192,6 +212,31 @@ class TestRelativeComplex:
         cert = mc.sphere_certificate(cpx, 7)
         assert cert.granted
         assert cert.betti == (1, 0, 0, 0, 0, 0, 0, 1)
+
+    def test_flower8_nine_sphere_shape(self):
+        # 28 rays; the homology is left to a sparse elimination
+        cpx = mc.relative_complex(mc.flower(8))
+        assert cpx.f_vector() == (21, 140, 483, 1017, 1406, 1317, 840, 358,
+                                  97, 15)
+        assert_sphere_shape(cpx, 9)
+
+    @pytest.mark.parametrize("name", [
+        "flower:6", "random:6:0", "random:6:1", "random:6:2"])
+    def test_cell_keys_print_by_content(self, name):
+        # cells of one dimension are ordered by str(key), which must not
+        # depend on how the key's set was built
+        cpx = mc.relative_complex(mc.fixture(name))
+        assert all(str(k) == str(frozenset(sorted(k))) for k in cpx.cells)
+
+    def test_depth_checked_against_ray_rank(self, monkeypatch):
+        # the walk reads only the corners; rays all on one line leave the
+        # depth of a top cell above the rank of its rays
+        rays, corner_vectors = polytope._cone_rays(mc.fixture("n4ex"))
+        line = [SimpleNamespace(values=rays[0].values) for _ in rays]
+        monkeypatch.setattr(polytope, "_cone_rays",
+                            lambda tri: (line, corner_vectors))
+        with pytest.raises(ValueError, match="rank 1 of its rays"):
+            mc.relative_complex(mc.fixture("n4ex"))
 
     def test_closed_under_faces(self, any_fixture):
         cpx = mc.relative_complex(any_fixture)
@@ -223,6 +268,26 @@ class TestRelativeMatchesRankOracle:
     def test_random_surfaces(self, triangles, seed):
         assert_relative_matches_rank_oracle(
             random_triangulation(random.Random(seed), triangles))
+
+
+class TestSphereTheoremTable:
+    """The relative complex is S^d with d = 6g - 7 + 2n on seeded surfaces
+    of every (g, n) with T <= 6, and on one legal flip of each."""
+
+    @pytest.mark.parametrize("flipped", [False, True], ids=["base", "flip"])
+    @pytest.mark.parametrize("name,gn", SPHERE_TABLE,
+                             ids=[name for name, _gn in SPHERE_TABLE])
+    def test_sphere_of_predicted_dimension(self, name, gn, flipped):
+        tri = mc.fixture(name)
+        assert (tri.genus, tri.punctures) == gn
+        if flipped:
+            tri = mc.flip(tri, legal_flips(tri)[0])
+        g, n = gn
+        d = 6 * g - 7 + 2 * n
+        cpx = mc.relative_complex(tri)
+        assert_sphere_shape(cpx, d)
+        if gn != (2, 1):  # (2, 1) homology waits on a sparse elimination
+            assert mc.sphere_certificate(cpx, d).granted
 
 
 class TestHomologyEngine:
@@ -492,7 +557,12 @@ class TestLeadingTermIdentities:
 
 class TestFaceSliceConversion:
     def test_vertices_carry_ray_labels(self):
-        lat = mc.cone_face_lattice(mc.fixture("ex11"))
-        cpx = complex_from_cone_faces(lat, lat.faces)
-        for v in cpx.cells_of_dim(0):
-            assert cpx.labels[v]
+        # a vertex of the slice is a cone ray, labelled by its coloring
+        for name in FIXTURES:
+            tri = mc.fixture(name)
+            cpx = mc.relative_complex(tri)
+            rays = [b.coloring.values for b in mc.enumerate_simple(tri)]
+            assert set(cpx.labels) == set(cpx.cells_of_dim(0))
+            for v in cpx.cells_of_dim(0):
+                (i,) = v
+                assert cpx.labels[v] == [list(rays[i])]

@@ -140,6 +140,15 @@ class TestFlip:
         for e in range(tri.num_edges):
             assert mc.is_isomorphic(mc.flip(tri, e), other)
 
+    def test_side_edge_table_follows_the_gluing(self, any_fixture):
+        # the table is built once per triangulation; a flip builds a new one
+        for tri in [any_fixture] + [mc.flip(any_fixture, e) for e, (s1, s2)
+                                    in enumerate(any_fixture.edges)
+                                    if s1 // 3 != s2 // 3]:
+            for t in range(tri.triangle_count):
+                assert tri.triangle_edges(t) == tuple(
+                    tri.edge_of_slot(3 * t + k) for k in range(3))
+
     def test_double_flip_isomorphic(self, any_fixture):
         tri = any_fixture
         for e in range(tri.num_edges):
