@@ -76,7 +76,7 @@ def bind_same(c1, c2):
 
 def triangle_side_colors(tri, values, t):
     """Colors seen by slots 0,1,2 of triangle t (doubled sides repeat)."""
-    return tuple(values[e] for e in tri.triangle_edges(t))
+    return tuple(values[e] for e in tri.side_edges[t])
 
 
 def triangles_ok(triangles, values):

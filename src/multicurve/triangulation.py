@@ -54,6 +54,7 @@ class Triangulation:
         self.gluing = tuple(gluing)
         self.edges = tuple(edges)
         self.edge_index = {pair: i for i, pair in enumerate(self.edges)}
+        # side_edges[t]: edge indices carried by slots 0,1,2 of triangle t
         self.side_edges = tuple(
             tuple(self.edge_of_slot(slot_id(t, k)) for k in range(3))
             for t in range(triangle_count))
@@ -108,10 +109,6 @@ class Triangulation:
     def edge_of_slot(self, s):
         partner = self.gluing[s]
         return self.edge_index[(min(s, partner), max(s, partner))]
-
-    def triangle_edges(self, t):
-        """Edge indices carried by slots 0,1,2 of triangle t."""
-        return self.side_edges[t]
 
     def is_folded(self, t):
         pairs = [self.gluing[slot_id(t, k)] // 3 for k in range(3)]

@@ -1,19 +1,15 @@
 """Regenerate the golden CLI outputs from the recorded command lines.
 
 ``manifest.json`` maps each golden file to its command line; to add a
-golden output, add its entry there and rerun this script.  With
-``--check`` nothing is written: the script names each golden whose
-regenerated bytes differ and exits 1 if any do.
+golden output, add its entry there and rerun this script.
 
-Run from the repository root:  python3 tests/golden/regenerate.py [--check]
+Run from the repository root:  python3 tests/golden/regenerate.py
 """
 
-import argparse
 import contextlib
 import io
 import json
 import pathlib
-import sys
 
 from multicurve.cli import main
 
@@ -31,19 +27,6 @@ def capture(argv):
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="write nothing; exit 1 if any golden differs")
-    args = parser.parse_args()
-    differ = []
     for name, argv in MANIFEST.items():
-        text = capture(argv)
-        if args.check:
-            path = HERE / name
-            if not path.exists() or path.read_text() != text:
-                differ.append(name)
-                print("differs", name)
-        else:
-            (HERE / name).write_text(text)
-            print("wrote", name)
-    sys.exit(1 if differ else 0)
+        (HERE / name).write_text(capture(argv))
+        print("wrote", name)

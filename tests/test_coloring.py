@@ -38,7 +38,7 @@ class TestAdmissibility:
         alpha = next(e for e, (a, b) in enumerate(tri.edges)
                      if a // 3 == b // 3)
         t = tri.edges[alpha][0] // 3
-        beta = next(e for e in tri.triangle_edges(t) if e != alpha)
+        beta = next(e for e in tri.side_edges[t] if e != alpha)
 
         def coloring(v_alpha, v_beta):
             v = [0] * tri.num_edges

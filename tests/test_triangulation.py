@@ -145,9 +145,9 @@ class TestFlip:
         for tri in [any_fixture] + [mc.flip(any_fixture, e) for e, (s1, s2)
                                     in enumerate(any_fixture.edges)
                                     if s1 // 3 != s2 // 3]:
-            for t in range(tri.triangle_count):
-                assert tri.triangle_edges(t) == tuple(
-                    tri.edge_of_slot(3 * t + k) for k in range(3))
+            assert tri.side_edges == tuple(
+                tuple(tri.edge_of_slot(3 * t + k) for k in range(3))
+                for t in range(tri.triangle_count))
 
     def test_double_flip_isomorphic(self, any_fixture):
         tri = any_fixture
