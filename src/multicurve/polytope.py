@@ -227,7 +227,8 @@ class PolytopeComplex:
         dimension 0..top.
 
         The chain groups are spanned by the cells and the boundary maps
-        carry the incidence numbers of ``_incidences``.  Computed once per
+        carry the incidence numbers of ``_incidences``, as one sparse row
+        {k-cell index: sign} per (k-1)-cell.  Computed once per
         complex (complexes are not mutated after construction); every call
         returns a fresh copy of the result.
         """
@@ -240,8 +241,7 @@ class PolytopeComplex:
             for c in self.order:
                 index[c] = num_cells[self.cells[c]]
                 num_cells[self.cells[c]] += 1
-            boundaries = {k: [[0] * num_cells[k]
-                              for _ in range(num_cells[k - 1])]
+            boundaries = {k: [{} for _ in range(num_cells[k - 1])]
                           for k in range(1, len(num_cells))}
             for c in self.order:
                 for f, sign in incidence[c].items():

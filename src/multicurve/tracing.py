@@ -44,16 +44,15 @@ class TracedComponent:
         }
 
 
-def _point_index(tri, values, slot, pos_from_source):
-    """Edge-point index of the point at ``pos_from_source`` on a slot.
+def _point_index(tri, values, slot, e, pos_from_source):
+    """Edge-point index of the point at ``pos_from_source`` on a slot
+    carrying edge e.
 
     The canonical origin of an edge is the source of its lower slot, which
     the orientation-reversing gluing identifies with the target of the
     higher slot.
     """
-    e = tri.edge_of_slot(slot)
-    lo, _hi = tri.edges[e]
-    if slot == lo:
+    if slot == tri.edges[e][0]:
         return e, pos_from_source
     return e, values[e] - 1 - pos_from_source
 
@@ -66,14 +65,14 @@ def _arcs(tri, values):
     """
     u = corner_coords(tri, values)
     match = {}
-    for t in range(tri.triangle_count):
+    for t, sides in enumerate(tri.side_edges):
         for k in range(3):
             a = slot_id(t, (k + 1) % 3)   # corner at target of a
             b = slot_id(t, (k + 2) % 3)   # corner at source of b
-            ea = tri.edge_of_slot(a)
+            ea, eb = sides[(k + 1) % 3], sides[(k + 2) % 3]
             for c in range(1, u[slot_id(t, k)] + 1):
-                na = _point_index(tri, values, a, values[ea] - c)
-                nb = _point_index(tri, values, b, c - 1)
+                na = _point_index(tri, values, a, ea, values[ea] - c)
+                nb = _point_index(tri, values, b, eb, c - 1)
                 match[(na, a)] = (nb, b)
                 match[(nb, b)] = (na, a)
     return match

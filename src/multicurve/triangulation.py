@@ -343,11 +343,8 @@ def flip_square_sides(tri, e):
     ``v_e' = max(v_a + v_c, v_b + v_d) - v_e``.
     """
     (t1, p), (t2, q) = _diagonal_slots(tri, e)
-    a = tri.edge_of_slot(slot_id(t1, (p + 1) % 3))
-    b = tri.edge_of_slot(slot_id(t1, (p + 2) % 3))
-    c = tri.edge_of_slot(slot_id(t2, (q + 1) % 3))
-    d = tri.edge_of_slot(slot_id(t2, (q + 2) % 3))
-    return a, c, b, d
+    ab, cd = tri.side_edges[t1], tri.side_edges[t2]
+    return ab[(p + 1) % 3], cd[(q + 1) % 3], ab[(p + 2) % 3], cd[(q + 2) % 3]
 
 
 # ---------------------------------------------------------------------------

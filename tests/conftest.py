@@ -7,6 +7,10 @@ from multicurve.triangulation import random_triangulation  # noqa: F401
 
 FIXTURES = ["ex11", "n4ex", "n4ex2", "flower:4", "flower:5"]
 
+# the 6-vertex triangulation of the real projective plane
+RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+                 (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+
 
 @pytest.fixture(params=FIXTURES)
 def any_fixture(request):
@@ -44,3 +48,20 @@ def projectively_equal(m, n, tol=0):
 
 def conjugate_point(p):
     return mc.ProjectivePoint(p.x1.conjugate(), p.x2.conjugate())
+
+
+def simplicial_cells(triangles):
+    """Face poset (cells, facets) of a 2-dimensional simplicial complex."""
+    cells = {}
+    facets = {}
+    for t in map(tuple, map(sorted, triangles)):
+        edges = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
+        for v in t:
+            cells[(v,)] = 0
+            facets[(v,)] = frozenset()
+        for e in edges:
+            cells[e] = 1
+            facets[e] = frozenset({(e[0],), (e[1],)})
+        cells[t] = 2
+        facets[t] = frozenset(edges)
+    return cells, facets

@@ -19,6 +19,11 @@ checks the through-face filter and the facets of ``relative_complex``.
 barbell colorings by an exact phase-one simplex (``rational_feasible``),
 which checks the generators independently of the lattice.
 
+``dense_smith_diagonal`` is the dense Smith normal form that scans the
+whole matrix for the pivot of least absolute value at every step; it checks
+the sparse elimination behind ``smith_normal_form_diagonal``.  Keep it to a
+few hundred rows.
+
 ``subset_scan_barbell_trees`` is the exhaustive barbell enumeration: for
 every set of vertex-disjoint bells it tries every subset of the other
 non-loop dual edges as the 2-colored chain, and keeps the subsets whose
@@ -32,6 +37,7 @@ costs 2^|E| per bell set, so keep it to about ten triangles.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from multicurve import Coloring, corner_coords, peripheral_colorings
 from multicurve.barbell import (
@@ -253,3 +259,71 @@ def in_rational_cone(simple_barbells, v):
     columns = [list(b.coloring.values) for b in simple_barbells]
     return rational_feasible(columns, list(v.values if isinstance(v, Coloring)
                                            else v))
+
+
+def dense_smith_diagonal(rows):
+    """Diagonal of the Smith normal form of an integer matrix.
+
+    Returns the list of nonzero invariant factors d_1 | d_2 | ... (all
+    positive).  Only the diagonal is computed; the unimodular transforms
+    are not tracked.
+    """
+    mat = [list(map(int, row)) for row in rows]
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    diag = []
+    top = 0
+    while top < m and top < n:
+        # find pivot of smallest absolute value
+        best = None
+        for i in range(top, m):
+            for j in range(top, n):
+                v = mat[i][j]
+                if v != 0 and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        mat[top], mat[bi] = mat[bi], mat[top]
+        for row in mat:
+            row[top], row[bj] = row[bj], row[top]
+        # clear row and column; restart if a reduction creates a smaller entry
+        while True:
+            pivot = mat[top][top]
+            done = True
+            for i in range(top + 1, m):
+                if mat[i][top] != 0:
+                    q = mat[i][top] // pivot
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
+                    if mat[i][top] != 0:
+                        # remainder is smaller than pivot; swap it up
+                        mat[top], mat[i] = mat[i], mat[top]
+                        done = False
+                        break
+            if not done:
+                continue
+            for j in range(top + 1, n):
+                if mat[top][j] != 0:
+                    q = mat[top][j] // pivot
+                    for row in mat:
+                        row[j] -= q * row[top]
+                    if mat[top][j] != 0:
+                        for row in mat:
+                            row[top], row[j] = row[j], row[top]
+                        done = False
+                        break
+            if done:
+                break
+        diag.append(abs(mat[top][top]))
+        top += 1
+    # enforce divisibility d_k | d_{k+1}
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(diag) - 1):
+            a, b = diag[k], diag[k + 1]
+            if b % a != 0:
+                g = gcd(a, b)
+                diag[k], diag[k + 1] = g, a * b // g
+                changed = True
+    return diag

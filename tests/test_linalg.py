@@ -1,7 +1,12 @@
+import random
 from fractions import Fraction
 
-from oracles import rational_feasible
+import pytest
+from conftest import FIXTURES, RP2_TRIANGLES, simplicial_cells
+from oracles import dense_smith_diagonal, rational_feasible
 
+import multicurve as mc
+from multicurve import polytope
 from multicurve.linalg import (
     homology_from_boundaries,
     integer_rank,
@@ -84,3 +89,62 @@ class TestFractionExactness:
         rows = [[Fraction(1, 3), Fraction(1, 7)],
                 [Fraction(2, 3), Fraction(2, 7)]]
         assert integer_rank(rows) == 1
+
+
+def random_matrices(seed, count=300):
+    """Seeded small integer matrices, 0-6 x 1-6, with a zero row and a zero
+    column thrown in about half the time."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(0, 6), rng.randint(1, 6)
+        mat = [[rng.choice((0, 0, 1, -1, 2, -3, 4, 6)) for _ in range(n)]
+               for _ in range(m)]
+        if m and rng.random() < 0.5:
+            mat[rng.randrange(m)] = [0] * n
+            zero = rng.randrange(n)
+            for row in mat:
+                row[zero] = 0
+        out.append(mat)
+    return out
+
+
+def boundary_maps(cpx, monkeypatch):
+    """The boundary maps that ``cpx.homology`` hands to the SNF, as
+    (row dicts, number of columns)."""
+    seen = []
+
+    def record(boundaries, num_cells):
+        seen.extend((rows, num_cells[k]) for k, rows in boundaries.items())
+        return []
+
+    monkeypatch.setattr(polytope, "homology_from_boundaries", record)
+    cpx.homology()
+    return seen
+
+
+class TestSparseMatchesDenseSmith:
+    """The sparse elimination against the dense SNF of tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_lists(self, seed):
+        for mat in random_matrices(seed):
+            assert smith_normal_form_diagonal(mat) == dense_smith_diagonal(mat)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_row_dicts(self, seed):
+        for mat in random_matrices(seed):
+            rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+            assert (smith_normal_form_diagonal(rows)
+                    == dense_smith_diagonal(mat))
+
+    @pytest.mark.parametrize("name", FIXTURES + ["flower:6", "rp2"])
+    def test_boundary_maps(self, name, monkeypatch):
+        cpx = (polytope.PolytopeComplex(*simplicial_cells(RP2_TRIANGLES))
+               if name == "rp2" else mc.relative_complex(mc.fixture(name)))
+        maps = boundary_maps(cpx, monkeypatch)
+        assert maps
+        for rows, n in maps:
+            dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+            assert (smith_normal_form_diagonal(rows)
+                    == dense_smith_diagonal(dense))

@@ -3,7 +3,12 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from conftest import FIXTURES, random_triangulation
+from conftest import (
+    FIXTURES,
+    RP2_TRIANGLES,
+    random_triangulation,
+    simplicial_cells,
+)
 from oracles import (
     num_simplices,
     order_complex_homology,
@@ -15,11 +20,6 @@ import multicurve as mc
 from multicurve import errors
 from multicurve import polytope
 from multicurve.polytope import PolytopeComplex
-
-# the 6-vertex triangulation of the real projective plane
-RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-                 (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
-
 
 def path_complex(edges):
     """1-complex from a list of vertex-pair edges, for counterexamples."""
@@ -33,23 +33,6 @@ def path_complex(edges):
         cells[key] = 1
         facets[key] = frozenset({("v", a), ("v", b)})
     return PolytopeComplex(cells, facets)
-
-
-def simplicial_cells(triangles):
-    """Face poset (cells, facets) of a 2-dimensional simplicial complex."""
-    cells = {}
-    facets = {}
-    for t in map(tuple, map(sorted, triangles)):
-        edges = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-        for v in t:
-            cells[(v,)] = 0
-            facets[(v,)] = frozenset()
-        for e in edges:
-            cells[e] = 1
-            facets[e] = frozenset({(e[0],), (e[1],)})
-        cells[t] = 2
-        facets[t] = frozenset(edges)
-    return cells, facets
 
 
 def polygon_2cell(*cycles):
@@ -113,7 +96,8 @@ FLOWER5_FLIPS = legal_flips(mc.fixture("flower:5"))
 RANDOM_SURFACES = [(4, s) for s in range(6)] + [(6, s) for s in range(3)]
 
 # two seeded surfaces random:<T>:<seed> for each (g, n) with T <= 6 other
-# than (0, 3), where T = 2(2g + n - 2)
+# than (0, 3), where T = 2(2g + n - 2), and one each for (1, 4) and (0, 6)
+# at T = 8
 SPHERE_TABLE = [
     ("random:2:12", (1, 1)), ("random:2:13", (1, 1)),
     ("random:4:2", (0, 4)), ("random:4:8", (0, 4)),
@@ -121,6 +105,7 @@ SPHERE_TABLE = [
     ("random:6:2", (0, 5)), ("random:6:6", (0, 5)),
     ("random:6:0", (1, 3)), ("random:6:1", (1, 3)),
     ("random:6:14", (2, 1)), ("random:6:32", (2, 1)),
+    ("random:8:0", (1, 4)), ("random:8:3", (0, 6)),
 ]
 
 
@@ -214,11 +199,25 @@ class TestRelativeComplex:
         assert cert.betti == (1, 0, 0, 0, 0, 0, 0, 1)
 
     def test_flower8_nine_sphere_shape(self):
-        # 28 rays; the homology is left to a sparse elimination
+        # 28 rays and 5,694 cells
         cpx = mc.relative_complex(mc.flower(8))
         assert cpx.f_vector() == (21, 140, 483, 1017, 1406, 1317, 840, 358,
                                   97, 15)
         assert_sphere_shape(cpx, 9)
+        cert = mc.sphere_certificate(cpx, 9)
+        assert cert.granted
+        assert cert.betti == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+
+    @pytest.mark.slow
+    def test_genus2_two_punctured_nine_sphere(self):
+        # the (2, 2) surface random:8:4: 53,854 cells
+        tri = mc.fixture("random:8:4")
+        assert (tri.genus, tri.punctures) == (2, 2)
+        cpx = mc.relative_complex(tri)
+        assert (cpx.dimension, len(cpx)) == (9, 53854)
+        cert = mc.sphere_certificate(cpx, 9)
+        assert cert.granted
+        assert cert.betti == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
 
     @pytest.mark.parametrize("name", [
         "flower:6", "random:6:0", "random:6:1", "random:6:2"])
@@ -271,8 +270,8 @@ class TestRelativeMatchesRankOracle:
 
 
 class TestSphereTheoremTable:
-    """The relative complex is S^d with d = 6g - 7 + 2n on seeded surfaces
-    of every (g, n) with T <= 6, and on one legal flip of each."""
+    """The relative complex is S^d with d = 6g - 7 + 2n on the seeded
+    surfaces of SPHERE_TABLE, and on one legal flip of each."""
 
     @pytest.mark.parametrize("flipped", [False, True], ids=["base", "flip"])
     @pytest.mark.parametrize("name,gn", SPHERE_TABLE,
@@ -286,8 +285,7 @@ class TestSphereTheoremTable:
         d = 6 * g - 7 + 2 * n
         cpx = mc.relative_complex(tri)
         assert_sphere_shape(cpx, d)
-        if gn != (2, 1):  # (2, 1) homology waits on a sparse elimination
-            assert mc.sphere_certificate(cpx, d).granted
+        assert mc.sphere_certificate(cpx, d).granted
 
 
 class TestHomologyEngine:
