@@ -29,11 +29,11 @@ from .coloring import (
     is_admissible,
     is_interior,
     peripheral_colorings,
-    relative_degree,
 )
 from .tracing import (
     TracedComponent,
     geometric_sum,
+    relative_degree,
     strip_peripheral,
     trace_components,
 )

@@ -112,35 +112,6 @@ def _disjoint_bell_sets(cycles):
     return result
 
 
-def connected(vertex_sets, edge_ends):
-    """Union-find connectivity of a hypergraph: vertex groups + edges."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for group in vertex_sets:
-        group = list(group)
-        for v in group:
-            parent.setdefault(v, v)
-        for v in group[1:]:
-            union(group[0], v)
-    for a, b in edge_ends:
-        union(a, b)
-    roots = {find(x) for x in parent}
-    return len(roots) <= 1
-
-
 def enumerate_barbell_trees(tri):
     """All barbell trees embedded in the trivalent dual graph of ``tri``.
 

@@ -107,15 +107,16 @@ def checkable_triangles(tri):
 
 
 def is_admissible(tri, v):
-    values = as_values(tri, v)
-    if any(x < 0 for x in values):
+    try:
+        require_admissible(tri, v)
+    except NotAdmissible:
         return False
-    return triangles_ok(tri.side_edges, values)
+    return True
 
 
 def require_admissible(tri, v):
     values = as_values(tri, v)
-    if not is_admissible(tri, values):
+    if any(x < 0 for x in values) or not triangles_ok(tri.side_edges, values):
         raise NotAdmissible(f"coloring {values} is not admissible")
     return values
 
@@ -126,12 +127,15 @@ def corner_coords(tri, v):
     Corner theta = (t, k) lies between the sides at slots k+1 and k+2 and
     opposite the side at slot k.  Entries are indexed by corner id 3t+k.
     """
-    values = require_admissible(tri, v)
+    return corners_unchecked(tri, require_admissible(tri, v))
+
+
+def corners_unchecked(tri, values):
+    """corner_coords of values already known to be admissible."""
     u = []
-    for t in range(tri.triangle_count):
-        side = triangle_side_colors(tri, values, t)
-        for k in range(3):
-            u.append((side[(k + 1) % 3] + side[(k + 2) % 3] - side[k]) // 2)
+    for i, j, k in tri.side_edges:
+        a, b, c = values[i], values[j], values[k]
+        u += ((b + c - a) // 2, (c + a - b) // 2, (a + b - c) // 2)
     return tuple(u)
 
 
@@ -186,13 +190,6 @@ def peripheral_colorings(tri):
 def degree(tri, v):
     """Total geometric intersection number with the triangulation's edges."""
     return sum(require_admissible(tri, v))
-
-
-def relative_degree(tri, v):
-    """Degree after stripping all peripheral components."""
-    from .tracing import strip_peripheral
-    stripped, _counts = strip_peripheral(tri, v)
-    return sum(stripped.values)
 
 
 def enumerate_admissible(tri, max_degree):

@@ -67,12 +67,6 @@ class TriangulationMismatch(ColoringError):
     pass
 
 
-# --- dual graph / enumeration ---
-
-class NotTrivalent(MulticurveError):
-    pass
-
-
 # --- polytope complexes ---
 
 class EmptyComplex(MulticurveError):

@@ -24,7 +24,7 @@ regular CW complex read off the facets alone.
 
 from collections import Counter
 
-from .barbell import connected, enumerate_simple
+from .barbell import enumerate_simple
 from .coloring import (
     Coloring,
     corner_coords,
@@ -34,7 +34,7 @@ from .coloring import (
 )
 from .errors import EmptyComplex, EmptyRelativeComplex, NotAdmissible
 from .linalg import homology_from_boundaries, integer_rank
-from .triangulation import flip, flip_square_sides
+from .triangulation import connected, flip, flip_square_sides
 
 
 class ConeFaceLattice:

@@ -192,6 +192,12 @@ class ProjectivePoint:
         return f"[{self.x1} : {self.x2}]"
 
 
+def _check_sl2(m, tol):
+    residual = mat_det(m) - 1
+    if not _is_zero(residual, tol):
+        raise NotUnitDeterminant(f"det - 1 = {residual}")
+
+
 class MobiusMap:
     """Determinant-one 2x2 matrix acting on the projective line."""
 
@@ -199,9 +205,7 @@ class MobiusMap:
 
     def __init__(self, m, tol=FLOAT_TOL):
         self.m = tuple(tuple(row) for row in m)
-        residual = mat_det(self.m) - 1
-        if not _is_zero(residual, tol):
-            raise NotUnitDeterminant(f"det - 1 = {residual}")
+        _check_sl2(self.m, tol)
 
     def apply(self, p):
         (a, b), (c, d) = self.m
@@ -383,12 +387,6 @@ def eta_matrix(p, t):
 
 # ---------------------------------------------------------------------------
 # trace-coordinate identities (negative-trace skein convention)
-
-
-def _check_sl2(m, tol):
-    residual = mat_det(m) - 1
-    if not _is_zero(residual, tol):
-        raise NotUnitDeterminant(f"det - 1 = {residual}")
 
 
 def fricke_trace_coordinates(b1, b2, b3, tol=1e-9):

@@ -6,15 +6,25 @@ the indexings on both triangle sides).  Inside each triangle, the c-th point
 from a corner on one adjacent side connects to the c-th point from that
 corner on the other adjacent side, for c = 1..u_theta.  The resulting arcs
 close up into strand cycles: the components of the multicurve.
+
+The tracer steps through these arcs with the corner counts u alone.  A
+strand sits at (slot s = 3t+k, j), j counting points from the source of
+slot s; slot k meets corner k+1 at its source and corner k+2 at its
+target.  If j < u[3t + (k+1)%3], the arc turns at the source corner and
+leaves through slot k+2 at index v(k+2) - 1 - j; otherwise it turns at the
+target corner and leaves through slot k+1 at index v(k) - 1 - j.  Crossing
+to ``gluing[out]`` reverses the index to v(e) - 1 - index, which gives j
+back after a source turn and j + u[3t+k] - u[3t + (k+1)%3] after a target
+turn.  The point (e, i) is j on the lower slot of e and v(e) - 1 - j on
+the upper one.
 """
 
 from .coloring import (
     Coloring,
-    corner_coords,
+    corners_unchecked,
     peripheral_colorings,
     require_admissible,
 )
-from .triangulation import slot_id
 
 
 class TracedComponent:
@@ -44,38 +54,44 @@ class TracedComponent:
         }
 
 
-def _point_index(tri, values, slot, e, pos_from_source):
-    """Edge-point index of the point at ``pos_from_source`` on a slot
-    carrying edge e.
+def _trace(tri, values):
+    """Yield (cycle, counts, peripheral) for each strand cycle of the
+    admissible ``values``, by the step rule of the module docstring.
 
-    The canonical origin of an edge is the source of its lower slot, which
-    the orientation-reversing gluing identifies with the target of the
-    higher slot.
+    A cycle starts at its lowest (edge, point) crossing, on the edge's
+    lower slot, so cycles come in order of that crossing.
     """
-    if slot == tri.edges[e][0]:
-        return e, pos_from_source
-    return e, values[e] - 1 - pos_from_source
-
-
-def _arcs(tri, values):
-    """Port-to-port matching of strand ends inside all triangles.
-
-    A port is ((edge, point), slot): the end of the strand through that
-    point on the side of the given slot.
-    """
-    u = corner_coords(tri, values)
-    match = {}
-    for t, sides in enumerate(tri.side_edges):
-        for k in range(3):
-            a = slot_id(t, (k + 1) % 3)   # corner at target of a
-            b = slot_id(t, (k + 2) % 3)   # corner at source of b
-            ea, eb = sides[(k + 1) % 3], sides[(k + 2) % 3]
-            for c in range(1, u[slot_id(t, k)] + 1):
-                na = _point_index(tri, values, a, ea, values[ea] - c)
-                nb = _point_index(tri, values, b, eb, c - 1)
-                match[(na, a)] = (nb, b)
-                match[(nb, b)] = (na, a)
-    return match
+    u = corners_unchecked(tri, values)
+    gluing = tri.gluing
+    slot_edge = [e for sides in tri.side_edges for e in sides]
+    peripherals = {p.values: i
+                   for i, p in enumerate(peripheral_colorings(tri))}
+    seen = [[False] * v for v in values]
+    for e0, (lo, _hi) in enumerate(tri.edges):
+        for i0 in range(values[e0]):
+            if seen[e0][i0]:
+                continue
+            cycle = []
+            counts = [0] * len(values)
+            s, j = lo, i0
+            while True:
+                k = s % 3
+                t3 = s - k
+                e = slot_edge[s]
+                i = j if s < gluing[s] else values[e] - 1 - j
+                seen[e][i] = True
+                cycle.append((e, i))
+                counts[e] += 1
+                source = t3 + (k + 1) % 3
+                if j >= u[source]:
+                    j += u[s] - u[source]
+                    s = gluing[source]
+                else:
+                    s = gluing[t3 + (k + 2) % 3]
+                if s == lo and j == i0:
+                    break
+            counts = tuple(counts)
+            yield cycle, counts, peripherals.get(counts)
 
 
 def trace_components(tri, v):
@@ -85,35 +101,8 @@ def trace_components(tri, v):
     crossing, traversal starting through that edge's lower slot.
     """
     values = require_admissible(tri, v)
-    match = _arcs(tri, values)
-    peripherals = {p.values: i for i, p in enumerate(peripheral_colorings(tri))}
-
-    nodes = [(e, i) for e in range(tri.num_edges) for i in range(values[e])]
-    seen = set()
-    components = []
-    for start in nodes:
-        if start in seen:
-            continue
-        cycle = []
-        node = start
-        slot = tri.edges[start[0]][0]
-        while True:
-            seen.add(node)
-            cycle.append(node)
-            node2, slot2 = match[(node, slot)]
-            # cross edge at node2: continue through its other slot
-            lo, hi = tri.edges[node2[0]]
-            slot = hi if slot2 == lo else lo
-            node = node2
-            if node == start and slot == tri.edges[start[0]][0]:
-                break
-        counts = [0] * tri.num_edges
-        for e, _i in cycle:
-            counts[e] += 1
-        comp_coloring = Coloring(tri, counts)
-        components.append(TracedComponent(
-            cycle, comp_coloring, peripherals.get(comp_coloring.values)))
-    return components
+    return [TracedComponent(cycle, Coloring(tri, counts), peripheral)
+            for cycle, counts, peripheral in _trace(tri, values)]
 
 
 def strip_peripheral(tri, v):
@@ -124,13 +113,19 @@ def strip_peripheral(tri, v):
     subtracting its peripheral ones leaves none behind.
     """
     values = require_admissible(tri, v)
+    stripped = list(values)
     counts = [0] * tri.punctures
-    for comp in trace_components(tri, values):
-        if comp.peripheral is not None:
-            counts[comp.peripheral] += 1
-            values = tuple(a - b for a, b in
-                           zip(values, comp.coloring.values))
-    return Coloring(tri, values), counts
+    for _cycle, part, peripheral in _trace(tri, values):
+        if peripheral is not None:
+            counts[peripheral] += 1
+            stripped = [a - b for a, b in zip(stripped, part)]
+    return Coloring(tri, stripped), counts
+
+
+def relative_degree(tri, v):
+    """Degree after stripping all peripheral components."""
+    stripped, _counts = strip_peripheral(tri, v)
+    return sum(stripped.values)
 
 
 def geometric_sum(tri, v, w):

@@ -28,7 +28,6 @@ from .errors import (
     FlowerRequiresNAtLeast4,
     GluingNotInvolution,
     IndexOutOfRange,
-    NotTrivalent,
     SlotGluedToItself,
     TriangulationError,
 )
@@ -199,21 +198,31 @@ def build(triangle_count, gluing_pairs):
     return tri
 
 
+def connected(vertex_sets, edge_ends):
+    """Union-find connectivity of a hypergraph: vertex groups + edges."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for group in vertex_sets:
+        group = list(group)
+        for v in group:
+            parent[find(v)] = find(group[0])
+    for a, b in edge_ends:
+        parent[find(a)] = find(b)
+    return len({find(x) for x in parent}) <= 1
+
+
 def _check_connected(tri):
-    if tri.triangle_count == 0:
-        raise EulerCharacteristicInvalid("no triangles")
-    seen = {0}
-    stack = [0]
-    while stack:
-        t = stack.pop()
-        for k in range(3):
-            t2 = tri.gluing[slot_id(t, k)] // 3
-            if t2 not in seen:
-                seen.add(t2)
-                stack.append(t2)
-    if len(seen) != tri.triangle_count:
+    # every triangle carries an edge, so the edges reach every triangle
+    if not connected((), [(a // 3, b // 3) for a, b in tri.edges]):
         raise DisconnectedSurface(
-            f"only {len(seen)} of {tri.triangle_count} triangles reachable")
+            f"the gluing of {tri.triangle_count} triangles is not connected")
 
 
 class DualGraph:
@@ -232,12 +241,6 @@ class DualGraph:
             ta, tb = a // 3, b // 3
             ends.append((min(ta, tb), max(ta, tb)))
         self.edges = tuple(ends)
-        degrees = [0] * self.num_vertices
-        for a, b in self.edges:
-            degrees[a] += 1
-            degrees[b] += 1
-        if any(d != 3 for d in degrees):
-            raise NotTrivalent(f"degrees {degrees}")
 
     def is_loop(self, i):
         a, b = self.edges[i]

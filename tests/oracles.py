@@ -32,6 +32,11 @@ is contracted, and it tells simple barbells by counting chain degrees.  It
 shares only the cycle and bell-set listing with ``enumerate_barbell_trees``,
 so it checks the Steiner-tree growth and its ``simple`` flag.  It
 costs 2^|E| per bell set, so keep it to about ten triangles.
+
+``port_matching_components`` traces strand cycles by first matching every
+strand end (port) inside every triangle in one dictionary, then walking
+the matching; it checks the corner-count stepping of
+``trace_components``.
 """
 
 from collections import Counter
@@ -39,14 +44,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from multicurve import Coloring, corner_coords, peripheral_colorings
-from multicurve.barbell import (
-    _cycles,
-    _disjoint_bell_sets,
-    _to_barbell,
-    connected,
+from multicurve import (
+    Coloring,
+    TracedComponent,
+    corner_coords,
+    peripheral_colorings,
 )
-from multicurve.triangulation import DualGraph
+from multicurve.barbell import _cycles, _disjoint_bell_sets, _to_barbell
+from multicurve.coloring import require_admissible
+from multicurve.triangulation import DualGraph, connected, slot_id
 from multicurve.linalg import homology_from_boundaries, integer_rank
 
 
@@ -327,3 +333,72 @@ def dense_smith_diagonal(rows):
                 diag[k], diag[k + 1] = g, a * b // g
                 changed = True
     return diag
+
+
+def _point_index(tri, values, slot, e, pos_from_source):
+    """Edge-point index of the point at ``pos_from_source`` on a slot
+    carrying edge e.
+
+    The canonical origin of an edge is the source of its lower slot, which
+    the orientation-reversing gluing identifies with the target of the
+    higher slot.
+    """
+    if slot == tri.edges[e][0]:
+        return e, pos_from_source
+    return e, values[e] - 1 - pos_from_source
+
+
+def _arcs(tri, values):
+    """Port-to-port matching of strand ends inside all triangles.
+
+    A port is ((edge, point), slot): the end of the strand through that
+    point on the side of the given slot.
+    """
+    u = corner_coords(tri, values)
+    match = {}
+    for t, sides in enumerate(tri.side_edges):
+        for k in range(3):
+            a = slot_id(t, (k + 1) % 3)   # corner at target of a
+            b = slot_id(t, (k + 2) % 3)   # corner at source of b
+            ea, eb = sides[(k + 1) % 3], sides[(k + 2) % 3]
+            for c in range(1, u[slot_id(t, k)] + 1):
+                na = _point_index(tri, values, a, ea, values[ea] - c)
+                nb = _point_index(tri, values, b, eb, c - 1)
+                match[(na, a)] = (nb, b)
+                match[(nb, b)] = (na, a)
+    return match
+
+
+def port_matching_components(tri, v):
+    """The strand cycles of an admissible coloring, in the order and form
+    of ``trace_components``, by walking the port matching."""
+    values = require_admissible(tri, v)
+    match = _arcs(tri, values)
+    peripherals = {p.values: i for i, p in enumerate(peripheral_colorings(tri))}
+
+    nodes = [(e, i) for e in range(tri.num_edges) for i in range(values[e])]
+    seen = set()
+    components = []
+    for start in nodes:
+        if start in seen:
+            continue
+        cycle = []
+        node = start
+        slot = tri.edges[start[0]][0]
+        while True:
+            seen.add(node)
+            cycle.append(node)
+            node2, slot2 = match[(node, slot)]
+            # cross edge at node2: continue through its other slot
+            lo, hi = tri.edges[node2[0]]
+            slot = hi if slot2 == lo else lo
+            node = node2
+            if node == start and slot == tri.edges[start[0]][0]:
+                break
+        counts = [0] * tri.num_edges
+        for e, _i in cycle:
+            counts[e] += 1
+        comp_coloring = Coloring(tri, counts)
+        components.append(TracedComponent(
+            cycle, comp_coloring, peripherals.get(comp_coloring.values)))
+    return components
