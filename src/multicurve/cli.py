@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -108,6 +109,7 @@ def cmd_polytope(args):
         kind = "relative"
     else:
         lattice = cone_face_lattice(tri)
+        per_dim = Counter(lattice.face_dim.values())
         _emit({
             "command": "polytope",
             "input": args.source,
@@ -116,8 +118,7 @@ def cmd_polytope(args):
             "num_faces": len(lattice.faces),
             "dimension": lattice.dimension,
             "faces_per_dim": {
-                str(d): len(lattice.faces_of_dim(d))
-                for d in range(lattice.dimension + 1)},
+                str(d): per_dim[d] for d in range(lattice.dimension + 1)},
         })
         return EXIT_OK
 

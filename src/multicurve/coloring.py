@@ -74,11 +74,6 @@ def bind_same(c1, c2):
             "colorings bound to different triangulations")
 
 
-def triangle_side_colors(tri, values, t):
-    """Colors seen by slots 0,1,2 of triangle t (doubled sides repeat)."""
-    return tuple(values[e] for e in tri.side_edges[t])
-
-
 def triangles_ok(triangles, values):
     """Parity and triangle inequalities on each side-index triple.
 

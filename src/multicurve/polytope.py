@@ -6,12 +6,15 @@ subsets.  A face is an int bitmask of the extremal rays (simple barbell
 colorings) it contains, with the bitmask of its vanishing corners beside it
 where needed; the public keys are frozensets of ray ids built in sorted
 order, so they print by content alone.  The lattice is the closure of the
-candidate facets {rays with u_theta = 0} under intersection, graded by rank
-(Kaibel-Pfetsch 2002): a face's dimension is one more than the largest
-dimension of its intersections with the candidates not containing it, and
-the rational rank of all the rays checks the top dimension once.  Slicing
-by the degree hyperplane turns a cone face of dimension k into a polytope
-cell of dimension k-1; a polytope complex stores each cell's facets.
+candidate facets {rays with u_theta = 0} under intersection, graded in the
+same sweep (Kaibel-Pfetsch 2002): faces are cut by the candidates in order
+of decreasing ray count, and F & C has fewer rays than F, so a face's
+codimension (one more than the largest among the faces covering it) is
+final before the face is cut.  Its dimension is the apex's codimension
+minus its own; the rational rank of all the rays checks the top dimension
+once.  Slicing by the degree hyperplane turns a cone face of dimension k
+into a polytope cell of dimension k-1; a polytope complex stores each
+cell's facets.
 
 The relative complex keeps the faces containing no peripheral through-face
 (the smallest face holding a peripheral vector), a down-set walked upward
@@ -51,28 +54,37 @@ class ConeFaceLattice:
     def _build(self):
         if not self.rays:
             return
-        candidates = {_zeros(col) for col in zip(*self.corner_vectors)}
-        faces = {(1 << len(self.rays)) - 1}
-        frontier = list(faces)
-        while frontier:
-            new = []
-            for face in frontier:
-                for cand in candidates:
-                    inter = face & cand
-                    if inter not in faces:
-                        faces.add(inter)
-                        new.append(inter)
-            frontier = new
-        order = sorted(faces, key=lambda f: (f.bit_count(), _bits(f)))
-        # Graded lattice: every facet of F is F & C for a candidate C not
-        # containing F, and every other such F & C lies in a facet of F.
-        dims = {}
-        for face in order:
-            dims[face] = 1 + max((dims[face & cand] for cand in candidates
-                                  if face & cand != face), default=-1)
-        self.faces = [frozenset(_bits(f)) for f in order]
-        self.face_dim = {key: dims[f] for key, f in zip(self.faces, order)}
-        self.candidates = {frozenset(_bits(c)) for c in candidates}
+        cands = [(c, frozenset(_bits(c)))
+                 for c in {_zeros(col) for col in zip(*self.corner_vectors)}]
+        n = len(self.rays)
+        full = (1 << n) - 1
+        keys = {full: frozenset(range(n))}
+        codim = {full: 0}
+        buckets = [[] for _ in range(n)] + [[full]]    # by ray count
+        # Every face F & C is cut from faces with more rays, so once the
+        # larger buckets are swept its codimension is final: one more than
+        # the largest among the faces covering it (the lattice is graded).
+        for bucket in reversed(buckets):
+            for face in bucket:
+                key = keys[face]
+                below = codim[face] + 1
+                for cand, cand_key in cands:
+                    h = face & cand
+                    if h == face:
+                        continue
+                    seen = codim.get(h)
+                    if seen is None:
+                        codim[h] = below
+                        keys[h] = key & cand_key
+                        buckets[h.bit_count()].append(h)
+                    elif below > seen:
+                        codim[h] = below
+        top = max(codim.values())
+        order = [f for bucket in buckets
+                 for f in sorted(bucket, key=lambda g: sorted(keys[g]))]
+        self.faces = [keys[f] for f in order]
+        self.face_dim = {keys[f]: top - codim[f] for f in order}
+        self.candidates = {cand_key for _cand, cand_key in cands}
         rank = integer_rank([ray.values for ray in self.rays])
         if rank != self.dimension:
             raise ValueError(f"graded dimension {self.dimension} differs "
@@ -286,6 +298,7 @@ def relative_complex(tri):
     through = [_rays_on(corner_rays, _zeros(corner_coords(tri, p)), full)
                for p in peripheral_colorings(tri)]
     corners = {0: (1 << len(corner_rays)) - 1}     # ray mask -> corner mask
+    ray_masks = {}                  # corner mask -> ray mask, many rays share
     depth = {0: 0}
     facets = {0: []}
     level = [0]
@@ -295,7 +308,9 @@ def relative_complex(tri):
             hits = {}                       # H_r -> (rays giving it, corners)
             for r in _bits(full & ~face):
                 z = corners[face] & ray_zero[r]
-                h = _rays_on(corner_rays, z, full)
+                h = ray_masks.get(z)
+                if h is None:
+                    h = ray_masks[z] = _rays_on(corner_rays, z, full)
                 hits[h] = (hits[h][0] + 1 if h in hits else 1, z)
             for h, (count, z) in hits.items():
                 if count != (h & ~face).bit_count() or any(

@@ -481,17 +481,6 @@ def random_sl2_rational(rng, span=4):
     return random_mobius_exact(rng, span).m
 
 
-def random_gaussian_point(rng, span=6):
-    """Projective point with Gaussian-rational coordinates."""
-    while True:
-        x1 = GaussianRational(random_rational(rng, span),
-                              random_rational(rng, span))
-        x2 = GaussianRational(random_rational(rng, span),
-                              random_rational(rng, span))
-        if x1 != 0 or x2 != 0:
-            return ProjectivePoint(x1, x2)
-
-
 def complex_array(rng_np, n):
     return (rng_np.standard_normal(n) + 1j * rng_np.standard_normal(n))
 

@@ -64,8 +64,10 @@ def _trace(tri, values):
     u = corners_unchecked(tri, values)
     gluing = tri.gluing
     slot_edge = [e for sides in tri.side_edges for e in sides]
-    peripherals = {p.values: i
-                   for i, p in enumerate(peripheral_colorings(tri))}
+    # the loop a_p crosses the edges once per corner at p, so only a cycle
+    # of that length can be peripheral; the loops are built at the first one
+    valences = {len(corners) for corners in tri.vertices}
+    peripherals = None
     seen = [[False] * v for v in values]
     for e0, (lo, _hi) in enumerate(tri.edges):
         for i0 in range(values[e0]):
@@ -91,7 +93,14 @@ def _trace(tri, values):
                 if s == lo and j == i0:
                     break
             counts = tuple(counts)
-            yield cycle, counts, peripherals.get(counts)
+            peripheral = None
+            if len(cycle) in valences:
+                if peripherals is None:
+                    peripherals = {
+                        p.values: i
+                        for i, p in enumerate(peripheral_colorings(tri))}
+                peripheral = peripherals.get(counts)
+            yield cycle, counts, peripheral
 
 
 def trace_components(tri, v):

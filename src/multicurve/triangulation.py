@@ -124,9 +124,6 @@ class Triangulation:
         b = self.corner_vertex[slot_id(t, (k + 2) % 3)]
         return a, b
 
-    def corners_at_vertex(self, v):
-        return self.vertices[v]
-
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
@@ -241,13 +238,6 @@ class DualGraph:
             ta, tb = a // 3, b // 3
             ends.append((min(ta, tb), max(ta, tb)))
         self.edges = tuple(ends)
-
-    def is_loop(self, i):
-        a, b = self.edges[i]
-        return a == b
-
-    def num_loops(self):
-        return sum(1 for i in range(len(self.edges)) if self.is_loop(i))
 
 
 def dual_graph(tri):

@@ -3,6 +3,8 @@ import random
 import pytest
 
 import multicurve as mc
+from multicurve.exactnum import GaussianRational
+from multicurve.quadric import random_rational
 from multicurve.triangulation import random_triangulation  # noqa: F401
 
 FIXTURES = ["ex11", "n4ex", "n4ex2", "flower:4", "flower:5"]
@@ -15,6 +17,20 @@ RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
 @pytest.fixture(params=FIXTURES)
 def any_fixture(request):
     return mc.fixture(request.param)
+
+
+def triangle_side_colors(tri, values, t):
+    """Colors seen by slots 0,1,2 of triangle t (doubled sides repeat)."""
+    return tuple(values[e] for e in tri.side_edges[t])
+
+
+def is_loop(dual, i):
+    a, b = dual.edges[i]
+    return a == b
+
+
+def num_loops(dual):
+    return sum(1 for i in range(len(dual.edges)) if is_loop(dual, i))
 
 
 def random_admissible(rng, tri, max_degree=8):
@@ -44,6 +60,17 @@ def projectively_equal(m, n, tol=0):
     return scale != 0 and all(
         abs(u[i] * v[j] - u[j] * v[i]) <= tol * scale
         for i in range(5) for j in range(i + 1, 5))
+
+
+def random_gaussian_point(rng, span=6):
+    """Projective point with Gaussian-rational coordinates."""
+    while True:
+        x1 = GaussianRational(random_rational(rng, span),
+                              random_rational(rng, span))
+        x2 = GaussianRational(random_rational(rng, span),
+                              random_rational(rng, span))
+        if x1 != 0 or x2 != 0:
+            return mc.ProjectivePoint(x1, x2)
 
 
 def conjugate_point(p):

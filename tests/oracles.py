@@ -14,6 +14,11 @@ dimensions of ``ConeFaceLattice`` with linear algebra.
 ``rank_relative_complex`` rebuilds the relative complex from it with the
 vanishing-corner filter and covers found by pairwise inclusion, which
 checks the through-face filter and the facets of ``relative_complex``.
+``closure_face_lattice`` is the two-pass build: it closes the candidate
+facets under intersection level by level, then grades the sorted faces
+from the apex up, a face's dimension one more than the largest among its
+intersections with the candidates; it checks the one-sweep codimension
+grading of ``ConeFaceLattice`` face for face and in order.
 
 ``in_rational_cone`` decides membership in the rational cone of the simple
 barbell colorings by an exact phase-one simplex (``rational_feasible``),
@@ -44,6 +49,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from conftest import is_loop
+
 from multicurve import (
     Coloring,
     TracedComponent,
@@ -52,6 +59,7 @@ from multicurve import (
 )
 from multicurve.barbell import _cycles, _disjoint_bell_sets, _to_barbell
 from multicurve.coloring import require_admissible
+from multicurve.polytope import _bits, _zeros
 from multicurve.triangulation import DualGraph, connected, slot_id
 from multicurve.linalg import homology_from_boundaries, integer_rank
 
@@ -120,6 +128,35 @@ def rank_face_lattice(lattice):
     return faces, face_dim, face_corners
 
 
+def closure_face_lattice(rays, corner_vectors):
+    """(faces, face_dim) of the cone with these rays and corner vectors:
+    the faces as frozensets of ray ids in (size, sorted ids) order, each
+    graded by the intersections below it."""
+    if not rays:
+        return [], {}
+    candidates = {_zeros(col) for col in zip(*corner_vectors)}
+    faces = {(1 << len(rays)) - 1}
+    frontier = list(faces)
+    while frontier:
+        new = []
+        for face in frontier:
+            for cand in candidates:
+                inter = face & cand
+                if inter not in faces:
+                    faces.add(inter)
+                    new.append(inter)
+        frontier = new
+    order = sorted(faces, key=lambda f: (f.bit_count(), _bits(f)))
+    # Graded lattice: every facet of F is F & C for a candidate C not
+    # containing F, and every other such F & C lies in a facet of F.
+    dims = {}
+    for face in order:
+        dims[face] = 1 + max((dims[face & cand] for cand in candidates
+                              if face & cand != face), default=-1)
+    keys = [frozenset(_bits(f)) for f in order]
+    return keys, {key: dims[f] for key, f in zip(keys, order)}
+
+
 def rank_relative_complex(tri, lattice):
     """(cells, facets) of the relative complex of ``tri``, rebuilt from
     ``rank_face_lattice``: a face is kept iff every peripheral vector is
@@ -142,7 +179,7 @@ def subset_scan_barbell_trees(tri):
     dual = DualGraph(tri)
     cycles = _cycles(dual)
     nedges = len(dual.edges)
-    loops = {i for i in range(nedges) if dual.is_loop(i)}
+    loops = {i for i in range(nedges) if is_loop(dual, i)}
     results = []
     for bell_ids in _disjoint_bell_sets(cycles):
         bells = [cycles[i] for i in bell_ids]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import multicurve as mc
 from multicurve import errors
 
-from conftest import random_admissible
+from conftest import random_admissible, triangle_side_colors
 
 
 class TestAdmissibility:
@@ -46,7 +46,7 @@ class TestAdmissibility:
             return v
 
         # peripheral loop inside the petal: (1, 0)
-        assert mc.coloring.triangle_side_colors(
+        assert triangle_side_colors(
             tri, tuple(coloring(1, 0)), t).count(1) == 2
         adm = mc.is_admissible
         # 2 | v_beta
@@ -55,7 +55,7 @@ class TestAdmissibility:
         assert not adm(tri, coloring(1, 4))
         # beta edge feeds the inner triangle too, so give it due color
         v = coloring(1, 2)
-        assert mc.coloring.triangle_side_colors(tri, tuple(v), t) in \
+        assert triangle_side_colors(tri, tuple(v), t) in \
             ((1, 1, 2), (1, 2, 1), (2, 1, 1))
 
     def test_length_mismatch(self):

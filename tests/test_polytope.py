@@ -10,6 +10,7 @@ from conftest import (
     simplicial_cells,
 )
 from oracles import (
+    closure_face_lattice,
     num_simplices,
     order_complex_homology,
     rank_face_lattice,
@@ -83,6 +84,13 @@ def assert_matches_rank_oracle(tri):
     assert lat.face_dim == face_dim
 
 
+def assert_matches_closure_oracle(tri):
+    lat = mc.cone_face_lattice(tri)
+    faces, face_dim = closure_face_lattice(lat.rays, lat.corner_vectors)
+    assert lat.faces == faces
+    assert list(lat.face_dim.items()) == list(face_dim.items())
+
+
 def assert_relative_matches_rank_oracle(tri):
     cpx = mc.relative_complex(tri)
     cells, facets = rank_relative_complex(tri, mc.cone_face_lattice(tri))
@@ -153,6 +161,23 @@ class TestConeFaceLattice:
     @pytest.mark.parametrize("triangles,seed", RANDOM_SURFACES)
     def test_grading_on_random_surfaces(self, triangles, seed):
         assert_matches_rank_oracle(
+            random_triangulation(random.Random(seed), triangles))
+
+
+class TestGradingAgainstClosure:
+    # flower:6 with one flip into each of its other neighbour classes, the
+    # flower:6 inputs of the lattice benchmark, and flower:5 with its flips
+    @pytest.mark.parametrize("base,e", [
+        ("flower:6", None), ("flower:6", 0), ("flower:6", 4),
+        ("flower:6", 6), ("flower:5", None),
+        *(("flower:5", e) for e in FLOWER5_FLIPS)])
+    def test_flowers_and_flips(self, base, e):
+        tri = mc.fixture(base)
+        assert_matches_closure_oracle(tri if e is None else mc.flip(tri, e))
+
+    @pytest.mark.parametrize("triangles,seed", RANDOM_SURFACES)
+    def test_random_surfaces(self, triangles, seed):
+        assert_matches_closure_oracle(
             random_triangulation(random.Random(seed), triangles))
 
 

@@ -66,7 +66,7 @@ class TestTraceComponents:
             u = mc.corner_coords(tri, c)
             _, counts = mc.strip_peripheral(tri, c)
             for i in range(tri.punctures):
-                if all(u[theta] > 0 for theta in tri.corners_at_vertex(i)):
+                if all(u[theta] > 0 for theta in tri.vertices[i]):
                     assert counts[i] >= 1
 
 
