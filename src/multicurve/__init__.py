@@ -41,6 +41,7 @@ from .barbell import (
     BarbellTree,
     enumerate_barbell_trees,
     enumerate_simple,
+    indecomposables,
     is_indecomposable,
     monoid_generates,
 )

@@ -14,12 +14,21 @@ inclusion-minimal Steiner trees of the bell nodes.  They are grown path by
 path: start at bell 0, and join each bell not yet reached by every simple
 path to the tree whose inner nodes avoid it.  A tree splits uniquely into
 these paths, so each is emitted once; G/B is connected, so no branch is
-empty.  Brute-force indecomposability and monoid-membership oracles are
-provided to check the enumeration independently.
+empty.
+
+``indecomposables`` checks this up to a degree by a sieve: a nonzero
+admissible c decomposes iff c - g is admissible for an indecomposable g
+of lower degree (a split c = a + b has one with g <= a, and c - g =
+(a - g) + b).  Such g is componentwise, so lexicographically, below c, and
+one pass in lexicographic order decides each c against those kept before
+it.  The triangle inequalities force every side >= 0, so no separate test
+of c >= g is needed.  ``is_indecomposable`` (exhaustive split search) and
+``monoid_generates`` check both by brute force.
 """
 
 from .coloring import (
     Coloring,
+    admissible_values,
     checkable_triangles,
     require_admissible,
     triangles_ok,
@@ -179,6 +188,19 @@ def _to_barbell(tri, dual, bells, chain):
 
 def enumerate_simple(tri):
     return [b for b in enumerate_barbell_trees(tri) if b.simple]
+
+
+def indecomposables(tri, max_degree):
+    """Indecomposable value tuples of degree <= max_degree, in
+    lexicographic order: the sieve of the module docstring."""
+    sides = tri.side_edges
+    found = []
+    for v in admissible_values(tri, max_degree):
+        if any(v) and not any(
+                triangles_ok(sides, [a - b for a, b in zip(v, g)])
+                for g in found):
+            found.append(v)
+    return found
 
 
 # ---------------------------------------------------------------------------

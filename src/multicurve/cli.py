@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``generators``, ``polytope``, ``mutate``, ``git``, ``param``.
-Exit codes: 0 success, 2 validation error, 3 certificate failure, 4 illegal
-operation.  Reports are canonical JSON (sorted keys, fixed formatting) on
-stdout, so identical command lines with identical seeds produce
-byte-identical output; timings go to stderr.  Only errors raised by the
-package (``MulticurveError``) map to exit codes 2 and 4; anything else is
-a bug and propagates.
+Exit codes: 0 success, 2 validation error, 3 certificate failure (sphere,
+generator oracle or parameter sweep), 4 illegal operation.  Reports are
+canonical JSON (sorted keys, fixed formatting) on stdout, so identical
+command lines with identical seeds produce byte-identical output; timings
+go to stderr.  Only errors raised by the package (``MulticurveError``) map
+to exit codes 2 and 4; anything else is a bug and propagates.
 """
 
 import argparse
@@ -22,7 +22,6 @@ from . import (
     classify_partition,
     cone_face_lattice,
     degree,
-    enumerate_admissible,
     enumerate_barbell_trees,
     equivariance_check,
     eta_matrix,
@@ -30,7 +29,7 @@ from . import (
     flip,
     fricke_verify,
     gamma_involution,
-    is_indecomposable,
+    indecomposables,
     is_nondegenerate,
     load,
     mutation_transfer,
@@ -86,18 +85,18 @@ def cmd_generators(args):
         "count": len(barbells),
         "generators": [b.to_json_dict() for b in barbells],
     }
+    code = EXIT_OK
     if args.oracle_depth:
-        values = {b.coloring.values for b in barbells}
-        mismatches = []
-        for c in enumerate_admissible(tri, args.oracle_depth):
-            if not any(c.values):
-                continue
-            if is_indecomposable(tri, c) != (c.values in values):
-                mismatches.append(list(c.values))
+        emitted = {b.coloring.values for b in barbells
+                   if b.degree <= args.oracle_depth}
+        mismatches = [list(v) for v in sorted(
+            set(indecomposables(tri, args.oracle_depth)) ^ emitted)]
         report["oracle"] = {"depth": args.oracle_depth,
                             "mismatches": mismatches}
+        if mismatches:
+            code = EXIT_CERTIFICATE
     _emit(report)
-    return EXIT_OK
+    return code
 
 
 def cmd_polytope(args):
@@ -327,8 +326,9 @@ def build_parser():
     p_gen.add_argument("source", help="fixture name or triangulation JSON")
     p_gen.add_argument("--oracle-depth", type=int, nargs="?", const=12,
                        default=0,
-                       help="also run the indecomposability oracle up to "
-                            "this degree (bare flag means 12)")
+                       help="also list the colorings up to this degree "
+                            "where a sieve for indecomposables disagrees "
+                            "with the generators (bare flag means 12)")
     p_gen.set_defaults(func=cmd_generators)
 
     p_poly = sub.add_parser("polytope", help="cone lattice or relative "

@@ -168,8 +168,8 @@ def is_interior(tri, v):
     return all(x > 0 for x in corner_coords(tri, v))
 
 
-def peripheral_colorings(tri):
-    """Colorings of the small loops around each puncture.
+def peripheral_values(tri):
+    """Value tuples of the small loops around each puncture.
 
     The loop around p_i crosses every edge once per endpoint at p_i, so
     v(a_i)_e counts edge-ends of e at vertex i; their sum over i is the
@@ -179,7 +179,12 @@ def peripheral_colorings(tri):
     for e in range(tri.num_edges):
         for i in tri.edge_endpoints(e):
             vectors[i][e] += 1
-    return [Coloring(tri, values) for values in vectors]
+    return [tuple(values) for values in vectors]
+
+
+def peripheral_colorings(tri):
+    """Colorings of the small loops around each puncture."""
+    return [Coloring(tri, values) for values in peripheral_values(tri)]
 
 
 def degree(tri, v):
@@ -187,24 +192,30 @@ def degree(tri, v):
     return sum(require_admissible(tri, v))
 
 
-def enumerate_admissible(tri, max_degree):
-    """All admissible colorings with degree <= max_degree, in lexicographic
-    order.  Recursive with per-triangle pruning: a triangle is checked as
+def admissible_values(tri, max_degree):
+    """Yield the value tuples of all admissible colorings with degree <=
+    max_degree, in lexicographic order.  A depth-first search assigns the
+    edges in index order (-1 while unassigned) and checks a triangle as
     soon as all three of its sides are assigned."""
     nedges = tri.num_edges
     ready = checkable_triangles(tri)
-    out = []
-    values = [0] * nedges
-
-    def rec(e, budget):
+    values = [-1] * nedges
+    budget = [max_degree] * (nedges + 1)  # degree left for edges e onward
+    e = 0
+    while e >= 0:
         if e == nedges:
-            out.append(Coloring(tri, values))
-            return
-        for x in range(budget + 1):
-            values[e] = x
-            if triangles_ok(ready[e], values):
-                rec(e + 1, budget - x)
-        values[e] = 0
+            yield tuple(values)
+            e -= 1
+            continue
+        values[e] += 1
+        if values[e] > budget[e]:
+            values[e] = -1
+            e -= 1
+        elif triangles_ok(ready[e], values):
+            budget[e + 1] = budget[e] - values[e]
+            e += 1
 
-    rec(0, max_degree)
-    return out
+
+def enumerate_admissible(tri, max_degree):
+    """admissible_values as Colorings, in the same order."""
+    return [Coloring(tri, v) for v in admissible_values(tri, max_degree)]

@@ -22,7 +22,7 @@ the upper one.
 from .coloring import (
     Coloring,
     corners_unchecked,
-    peripheral_colorings,
+    peripheral_values,
     require_admissible,
 )
 
@@ -97,8 +97,7 @@ def _trace(tri, values):
             if len(cycle) in valences:
                 if peripherals is None:
                     peripherals = {
-                        p.values: i
-                        for i, p in enumerate(peripheral_colorings(tri))}
+                        p: i for i, p in enumerate(peripheral_values(tri))}
                 peripheral = peripherals.get(counts)
             yield cycle, counts, peripheral
 

@@ -134,6 +134,29 @@ class TestIndecomposability:
             assert mc.is_indecomposable(tri, c) == (c.values in values)
 
 
+def split_search_indecomposables(tri, max_degree):
+    return {c.values for c in mc.enumerate_admissible(tri, max_degree)
+            if any(c.values) and mc.is_indecomposable(tri, c)}
+
+
+class TestIndecomposables:
+    def test_fixtures(self, any_fixture):
+        assert set(mc.indecomposables(any_fixture, 8)) == \
+            split_search_indecomposables(any_fixture, 8)
+
+    @pytest.mark.parametrize("name, depth", [
+        ("flower:5", 12), *((f"random:6:{s}", 8) for s in range(4))])
+    def test_larger_surfaces(self, name, depth):
+        tri = mc.fixture(name)
+        assert set(mc.indecomposables(tri, depth)) == \
+            split_search_indecomposables(tri, depth)
+
+    def test_lexicographic_and_nonzero(self, any_fixture):
+        found = mc.indecomposables(any_fixture, 8)
+        assert found == sorted(set(found))
+        assert all(any(v) for v in found)
+
+
 class TestMonoidGeneration:
     def test_zero_generated(self):
         tri = mc.fixture("ex11")

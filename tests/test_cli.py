@@ -122,6 +122,32 @@ class TestExitCodes:
         with pytest.raises(KeyError):
             main(["generators", "ex11"])
 
+    def oracle_report(self, monkeypatch, edit):
+        """The n4ex2 sweep to degree 8 against an edited generator list."""
+        gens = mc.enumerate_barbell_trees(mc.fixture("n4ex2"))
+        monkeypatch.setattr(cli, "enumerate_barbell_trees",
+                            lambda tri: edit(list(gens)))
+        code, out, _ = run(["generators", "n4ex2", "--oracle-depth", "8"])
+        return code, json.loads(out), gens
+
+    def test_oracle_reports_missing_generator(self, monkeypatch):
+        code, report, gens = self.oracle_report(
+            monkeypatch, lambda gens: gens[:2] + gens[3:])
+        assert code == 3
+        assert report["count"] == len(gens) - 1
+        assert report["oracle"]["mismatches"] == \
+            [list(gens[2].coloring.values)]
+
+    def test_oracle_reports_decomposable_generator(self, monkeypatch):
+        def add_sum(gens):
+            total = gens[0].coloring + gens[1].coloring
+            return gens + [mc.BarbellTree([], [], total, False)]
+
+        code, report, gens = self.oracle_report(monkeypatch, add_sum)
+        total = gens[0].coloring + gens[1].coloring
+        assert code == 3
+        assert report["oracle"]["mismatches"] == [list(total.values)]
+
 
 class TestReports:
     def test_generators_with_oracle(self):
