@@ -6,7 +6,7 @@ held as a dict of sparse rows plus a column index, which suits cellular
 boundary maps: their entries are +-1 and each column holds only the few
 facets of one cell, so the 53,854-cell complex of a genus-2 surface with
 two punctures is in reach.  ``integer_rank`` cross-checks the dimension of
-a face lattice or a walked complex against the rank of its rays;
+a face lattice or a relative complex against the rank of its rays;
 ``smith_normal_form_diagonal`` feeds ``homology_from_boundaries``.  The
 elimination follows Kaczynski-Mischaikow-Mrozek, Computational Homology
 (2004), ch. 3-4: take the sparsest column and its smallest entry as pivot.

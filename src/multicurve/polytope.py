@@ -3,26 +3,23 @@
 The closure of the coloring cone in R^E is cut out by the corner
 functionals u_theta >= 0, so its faces are exactly the zero sets of corner
 subsets.  A face is an int bitmask of the extremal rays (simple barbell
-colorings) it contains, with the bitmask of its vanishing corners beside it
-where needed; the public keys are frozensets of ray ids built in sorted
-order, so they print by content alone.  The lattice is the closure of the
-candidate facets {rays with u_theta = 0} under intersection, graded in the
-same sweep (Kaibel-Pfetsch 2002): faces are cut by the candidates in order
-of decreasing ray count, and F & C has fewer rays than F, so a face's
-codimension (one more than the largest among the faces covering it) is
-final before the face is cut.  Its dimension is the apex's codimension
-minus its own; the rational rank of all the rays checks the top dimension
-once.  Slicing by the degree hyperplane turns a cone face of dimension k
-into a polytope cell of dimension k-1; a polytope complex stores each
-cell's facets.
+colorings) it contains, or of the corners vanishing on it; the public keys
+are frozensets of ray ids built in sorted order, so they print by content
+alone.  Both face families come from one graded sweep (``_graded_sweep``,
+Kaibel-Pfetsch 2002).  The cone lattice sweeps ray masks from all rays,
+cut by the candidate facets {rays with u_theta = 0}; a face's dimension is
+the apex's codimension minus its own, and the rational rank of all the
+rays checks the top dimension once.  Slicing by the degree hyperplane
+turns a cone face of dimension k into a polytope cell of dimension k-1; a
+polytope complex stores each cell's facets.
 
 The relative complex keeps the faces containing no peripheral through-face
-(the smallest face holding a peripheral vector), a down-set walked upward
-from the apex without the full lattice.  By the structure theory it is a
-sphere, certified here by connectivity + pseudomanifold + integral homology
-(a homology sphere certificate for d >= 3, genuine homeomorphism in
-dimensions <= 2).  The homology is cellular, with the +-1 incidences of a
-regular CW complex read off the facets alone.
+(the smallest face holding a peripheral vector), a down-set swept on the
+corner side from the apex without the full lattice.  By the structure
+theory it is a sphere, certified here by connectivity + pseudomanifold +
+integral homology (a homology sphere certificate for d >= 3, genuine
+homeomorphism in dimensions <= 2).  The homology is cellular, with the +-1
+incidences of a regular CW complex read off the facets alone.
 """
 
 from collections import Counter
@@ -35,7 +32,7 @@ from .coloring import (
     peripheral_colorings,
     require_admissible,
 )
-from .errors import EmptyComplex, EmptyRelativeComplex, NotAdmissible
+from .errors import EmptyComplex, EmptyRelativeComplex
 from .linalg import homology_from_boundaries, integer_rank
 from .triangulation import connected, flip, flip_square_sides
 
@@ -54,37 +51,18 @@ class ConeFaceLattice:
     def _build(self):
         if not self.rays:
             return
-        cands = [(c, frozenset(_bits(c)))
-                 for c in {_zeros(col) for col in zip(*self.corner_vectors)}]
-        n = len(self.rays)
-        full = (1 << n) - 1
-        keys = {full: frozenset(range(n))}
-        codim = {full: 0}
-        buckets = [[] for _ in range(n)] + [[full]]    # by ray count
-        # Every face F & C is cut from faces with more rays, so once the
-        # larger buckets are swept its codimension is final: one more than
-        # the largest among the faces covering it (the lattice is graded).
-        for bucket in reversed(buckets):
-            for face in bucket:
-                key = keys[face]
-                below = codim[face] + 1
-                for cand, cand_key in cands:
-                    h = face & cand
-                    if h == face:
-                        continue
-                    seen = codim.get(h)
-                    if seen is None:
-                        codim[h] = below
-                        keys[h] = key & cand_key
-                        buckets[h.bit_count()].append(h)
-                    elif below > seen:
-                        codim[h] = below
+        cands = {_zeros(col) for col in zip(*self.corner_vectors)}
+        codim = _graded_sweep((1 << len(self.rays)) - 1, cands,
+                              lambda face: True)
         top = max(codim.values())
-        order = [f for bucket in buckets
-                 for f in sorted(bucket, key=lambda g: sorted(keys[g]))]
-        self.faces = [keys[f] for f in order]
-        self.face_dim = {keys[f]: top - codim[f] for f in order}
-        self.candidates = {cand_key for _cand, cand_key in cands}
+        by_rays = [[] for _ in self.rays] + [[]]
+        for face in codim:
+            by_rays[face.bit_count()].append(face)
+        for bucket in by_rays:      # one bucket's ray lists alive at a time
+            for bits, face in sorted((_bits(f), f) for f in bucket):
+                self.faces.append(frozenset(bits))
+                self.face_dim[self.faces[-1]] = top - codim[face]
+        self.candidates = {frozenset(_bits(c)) for c in cands}
         rank = integer_rank([ray.values for ray in self.rays])
         if rank != self.dimension:
             raise ValueError(f"graded dimension {self.dimension} differs "
@@ -100,6 +78,36 @@ class ConeFaceLattice:
     def __repr__(self):
         return (f"ConeFaceLattice(rays={len(self.rays)}, "
                 f"faces={len(self.faces)}, dim={self.dimension})")
+
+
+def _graded_sweep(top, cuts, keep):
+    """Codimension of every mask reached from ``top`` by ``& cut``, cutting
+    on only from the masks that ``keep`` accepts (``top`` is not asked).
+
+    Masks are swept by decreasing bit count: a proper h = F & C has fewer
+    bits than F, so its codimension, one more than the largest among the
+    masks covering it, is final before h is cut.  A rejected mask gets the
+    bucket count as a sentinel codimension, above every real one.
+    """
+    codim = {top: 0}
+    buckets = [[] for _ in range(top.bit_count())] + [[top]]  # by bit count
+    for bucket in reversed(buckets):
+        for mask in bucket:
+            below = codim[mask] + 1
+            for cut in cuts:
+                h = mask & cut
+                if h == mask:
+                    continue
+                seen = codim.get(h)
+                if seen is None:
+                    if keep(h):
+                        codim[h] = below
+                        buckets[h.bit_count()].append(h)
+                    else:
+                        codim[h] = len(buckets)
+                elif below > seen:
+                    codim[h] = below
+    return codim
 
 
 def _bits(mask):
@@ -281,64 +289,51 @@ def relative_complex(tri):
     The through-face of a peripheral vector p is the smallest face holding
     it, and a face holds p iff it contains p's through-face, so the kept
     faces, those containing none of the n through-faces, form a down-set.
-    It is walked up from the apex: of the faces H_r spanned by a face F and
-    one more ray r, the covers of F are those that every ray of H_r - F
-    spans (the minimal ones).  A kept cover's facets are the faces it was
-    reached from and its depth is its cone dimension, checked against the
-    rank of one top cell's rays.  Empty exactly for (g,n) = (0,3).
+    They are swept on the corner side, from the apex (every corner) down:
+    cutting a face's corner mask by a ray's zero set gives the corner mask
+    of the face it spans with that ray, so the codimension of the sweep is
+    the cone dimension, checked against the rank of one top cell's rays.
+    A kept cell's facets are its intersections with the candidate facets
+    one dimension down.  Empty exactly for (g,n) = (0,3).
     """
     if (tri.genus, tri.punctures) == (0, 3):
         raise EmptyRelativeComplex(
             "the relative complex of the three-punctured sphere is empty")
     rays, corner_vectors = _cone_rays(tri)
-    # each ray's mask of vanishing corners, each corner's of vanishing rays
-    ray_zero = [_zeros(u) for u in corner_vectors]
     corner_rays = [_zeros(col) for col in zip(*corner_vectors)]
     full = (1 << len(rays)) - 1
     through = [_rays_on(corner_rays, _zeros(corner_coords(tri, p)), full)
                for p in peripheral_colorings(tri)]
-    corners = {0: (1 << len(corner_rays)) - 1}     # ray mask -> corner mask
-    ray_masks = {}                  # corner mask -> ray mask, many rays share
-    depth = {0: 0}
-    facets = {0: []}
-    level = [0]
-    while level:
-        reached = []
-        for face in level:
-            hits = {}                       # H_r -> (rays giving it, corners)
-            for r in _bits(full & ~face):
-                z = corners[face] & ray_zero[r]
-                h = ray_masks.get(z)
-                if h is None:
-                    h = ray_masks[z] = _rays_on(corner_rays, z, full)
-                hits[h] = (hits[h][0] + 1 if h in hits else 1, z)
-            for h, (count, z) in hits.items():
-                if count != (h & ~face).bit_count() or any(
-                        h & t == t for t in through):
-                    continue
-                if h not in depth:
-                    depth[h] = depth[face] + 1
-                    corners[h] = z
-                    facets[h] = []
-                    reached.append(h)
-                facets[h].append(face)
-        level = reached
-    del depth[0]
-    if not depth:
+    ray_mask = {}               # kept corner mask -> ray mask of its face
+
+    def keep(corners):
+        face = _rays_on(corner_rays, corners, full)
+        if any(face & t == t for t in through):
+            return False
+        ray_mask[corners] = face
+        return True
+
+    depth = _graded_sweep((1 << len(corner_rays)) - 1,
+                          {_zeros(u) for u in corner_vectors}, keep)
+    dims = {ray_mask[z]: d for z, d in depth.items() if z in ray_mask}
+    if not dims:
         raise EmptyRelativeComplex(
             f"relative complex of (g,n)=({tri.genus},{tri.punctures}) "
             "came out empty")
-    keys = {h: frozenset(_bits(h)) for h in depth}
-    top = max(depth, key=depth.get)
+    keys = {h: frozenset(_bits(h)) for h in dims}
+    top = max(dims, key=dims.get)
     rank = integer_rank([rays[i].values for i in _bits(top)])
-    if rank != depth[top]:
-        raise ValueError(f"walked depth {depth[top]} of a top cell differs "
+    if rank != dims[top]:
+        raise ValueError(f"walked depth {dims[top]} of a top cell differs "
                          f"from the rank {rank} of its rays")
+    cands = set(corner_rays)
     return PolytopeComplex(
-        {keys[h]: d - 1 for h, d in depth.items()},
-        {keys[h]: [keys[f] for f in facets[h] if f] for h in depth},
+        {keys[h]: d - 1 for h, d in dims.items()},
+        {keys[h]: frozenset(keys[f] for f in (h & c for c in cands)
+                            if dims.get(f) == d - 1)
+         for h, d in dims.items()},
         {keys[h]: [list(rays[i].values) for i in _bits(h)]
-         for h, d in depth.items() if d == 1})
+         for h, d in dims.items() if d == 1})
 
 
 class SphereCertificate:
@@ -355,7 +350,8 @@ class SphereCertificate:
 
     @property
     def granted(self):
-        return (self.connected and self.pseudomanifold
+        # S^0 is two points; for d >= 1, H_0 = Z already means connected
+        return ((self.connected or self.dim == 0) and self.pseudomanifold
                 and self.homology_matches and self.torsion_free)
 
     @property
@@ -420,5 +416,5 @@ def mutation_transfer(tri, e, v):
     values[e] = max(values[a] + values[c], values[b] + values[d]) - values[e]
     out = Coloring(flipped, values)
     if not is_admissible(flipped, out):
-        raise NotAdmissible("transfer produced an inadmissible coloring")
+        raise ValueError("transfer produced an inadmissible coloring")
     return out

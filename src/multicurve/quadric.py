@@ -19,6 +19,7 @@ arrays (for vectorized sweeps) alike.
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -210,9 +211,6 @@ class MobiusMap:
     def apply(self, p):
         (a, b), (c, d) = self.m
         return ProjectivePoint(a * p.x1 + b * p.x2, c * p.x1 + d * p.x2)
-
-    def inverse(self):
-        return MobiusMap(mat_inv_sl2(self.m))
 
     def __repr__(self):
         return f"MobiusMap({self.m})"
@@ -421,6 +419,17 @@ def _fricke_residual(a, c12, c23, c13):
     rhs = (c12 * c12 + c23 * c23 + c13 * c13
            + f_12_34 * c12 + f_23_14 * c23 + f_13_24 * c13 + f)
     return abs(lhs - rhs)
+
+
+def _fricke_scale(a, c):
+    """max(1, largest |monomial|) of the Fricke cubic at a = (a1..a4) and
+    c = (c12, c23, c13); float rounding in the residual grows with it."""
+    a1, a2, a3, a4, c12, c23, c13 = map(abs, (*a, *c))
+    return reduce(np.maximum, (
+        c12 * c23 * c13, c12 * c12, c23 * c23, c13 * c13,
+        a1 * a2 * c12, a3 * a4 * c12, a2 * a3 * c23, a1 * a4 * c23,
+        a1 * a3 * c13, a2 * a4 * c13, a1 * a2 * a3 * a4,
+        a1 * a1, a2 * a2, a3 * a3, a4 * a4), 1)
 
 
 def fricke_verify(b1, b2, b3, tol=1e-9):

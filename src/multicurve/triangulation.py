@@ -101,10 +101,6 @@ class Triangulation:
     def num_edges(self):
         return len(self.edges)
 
-    @property
-    def corners(self):
-        return range(3 * self.triangle_count)
-
     def edge_of_slot(self, s):
         partner = self.gluing[s]
         return self.edge_index[(min(s, partner), max(s, partner))]
@@ -457,9 +453,6 @@ def fixture(name):
                 f"{name!r}") from None
         return random_triangulation(random.Random(seed), triangles)
     raise KeyError(f"unknown fixture {name!r}")
-
-
-FIXTURE_NAMES = ("ex11", "n4ex", "n4ex2", "flower:4", "flower:5")
 
 
 def from_json_dict(data):

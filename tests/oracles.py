@@ -20,6 +20,12 @@ from the apex up, a face's dimension one more than the largest among its
 intersections with the candidates; it checks the one-sweep codimension
 grading of ``ConeFaceLattice`` face for face and in order.
 
+``walk_relative_complex`` walks the kept faces of the relative complex up
+from the apex, one cover at a time: the covers of a face F are the faces
+H_r spanned by F and one more ray r that every ray of H_r - F spans.  It
+shares only the ray and corner tables with the corner-side sweep of
+``relative_complex`` and checks its cells, facets, labels and order.
+
 ``in_rational_cone`` decides membership in the rational cone of the simple
 barbell colorings by an exact phase-one simplex (``rational_feasible``),
 which checks the generators independently of the lattice.
@@ -59,7 +65,14 @@ from multicurve import (
 )
 from multicurve.barbell import _cycles, _disjoint_bell_sets, _to_barbell
 from multicurve.coloring import require_admissible
-from multicurve.polytope import _bits, _zeros
+from multicurve.errors import EmptyRelativeComplex
+from multicurve.polytope import (
+    PolytopeComplex,
+    _bits,
+    _cone_rays,
+    _rays_on,
+    _zeros,
+)
 from multicurve.triangulation import DualGraph, connected, slot_id
 from multicurve.linalg import homology_from_boundaries, integer_rank
 
@@ -171,6 +184,72 @@ def rank_relative_complex(tri, lattice):
                            if g < f and face_dim[g] == face_dim[f] - 1)
               for f in kept}
     return cells, facets
+
+
+def walk_relative_complex(tri):
+    """Union of the slice-polytope faces avoiding every peripheral vector.
+
+    The through-face of a peripheral vector p is the smallest face holding
+    it, and a face holds p iff it contains p's through-face, so the kept
+    faces, those containing none of the n through-faces, form a down-set.
+    It is walked up from the apex: of the faces H_r spanned by a face F and
+    one more ray r, the covers of F are those that every ray of H_r - F
+    spans (the minimal ones).  A kept cover's facets are the faces it was
+    reached from and its depth is its cone dimension, checked against the
+    rank of one top cell's rays.  Empty exactly for (g,n) = (0,3).
+    """
+    if (tri.genus, tri.punctures) == (0, 3):
+        raise EmptyRelativeComplex(
+            "the relative complex of the three-punctured sphere is empty")
+    rays, corner_vectors = _cone_rays(tri)
+    # each ray's mask of vanishing corners, each corner's of vanishing rays
+    ray_zero = [_zeros(u) for u in corner_vectors]
+    corner_rays = [_zeros(col) for col in zip(*corner_vectors)]
+    full = (1 << len(rays)) - 1
+    through = [_rays_on(corner_rays, _zeros(corner_coords(tri, p)), full)
+               for p in peripheral_colorings(tri)]
+    corners = {0: (1 << len(corner_rays)) - 1}     # ray mask -> corner mask
+    ray_masks = {}                  # corner mask -> ray mask, many rays share
+    depth = {0: 0}
+    facets = {0: []}
+    level = [0]
+    while level:
+        reached = []
+        for face in level:
+            hits = {}                       # H_r -> (rays giving it, corners)
+            for r in _bits(full & ~face):
+                z = corners[face] & ray_zero[r]
+                h = ray_masks.get(z)
+                if h is None:
+                    h = ray_masks[z] = _rays_on(corner_rays, z, full)
+                hits[h] = (hits[h][0] + 1 if h in hits else 1, z)
+            for h, (count, z) in hits.items():
+                if count != (h & ~face).bit_count() or any(
+                        h & t == t for t in through):
+                    continue
+                if h not in depth:
+                    depth[h] = depth[face] + 1
+                    corners[h] = z
+                    facets[h] = []
+                    reached.append(h)
+                facets[h].append(face)
+        level = reached
+    del depth[0]
+    if not depth:
+        raise EmptyRelativeComplex(
+            f"relative complex of (g,n)=({tri.genus},{tri.punctures}) "
+            "came out empty")
+    keys = {h: frozenset(_bits(h)) for h in depth}
+    top = max(depth, key=depth.get)
+    rank = integer_rank([rays[i].values for i in _bits(top)])
+    if rank != depth[top]:
+        raise ValueError(f"walked depth {depth[top]} of a top cell differs "
+                         f"from the rank {rank} of its rays")
+    return PolytopeComplex(
+        {keys[h]: d - 1 for h, d in depth.items()},
+        {keys[h]: [keys[f] for f in facets[h] if f] for h in depth},
+        {keys[h]: [list(rays[i].values) for i in _bits(h)]
+         for h, d in depth.items() if d == 1})
 
 
 def subset_scan_barbell_trees(tri):

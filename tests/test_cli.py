@@ -7,7 +7,8 @@ import pytest
 from oracles import subset_scan_barbell_trees
 
 import multicurve as mc
-from multicurve import cli
+from multicurve import cli, polytope
+from multicurve import quadric as q
 from multicurve.cli import main
 from multicurve.export import complex_to_off, complex_to_svg
 
@@ -61,6 +62,13 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert f"edge {edge} not in 0..5" in err
+
+    def test_broken_exchange_rule_is_a_bug(self, monkeypatch):
+        # an inadmissible transfer is a fault of the exchange rule, not of
+        # the input, so it propagates instead of exiting 2
+        monkeypatch.setattr(polytope, "is_admissible", lambda tri, v: False)
+        with pytest.raises(ValueError, match="inadmissible coloring"):
+            main(["mutate", "n4ex", "0", "--coloring", "1,0,1,0,1,0"])
 
     def test_unwritable_emit_target(self, tmp_path):
         target = tmp_path / "missing" / "x.json"
@@ -211,6 +219,33 @@ class TestReports:
                             "--seed", "5", "--backend", "float"])
         assert code == 0
         assert json.loads(out)["failures"] == 0
+
+    def test_param_fricke_float_large_terms(self):
+        # a residual of 1.041e-09 where the cubic's largest term is 4.5e6
+        # is rounding, not a failure of the relation
+        code, out, _ = run(["param", "fricke", "--samples", "4519",
+                            "--seed", "987918", "--backend", "float"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["max_residual"] == "1.041e-09"
+        assert report["failures"] == 0
+
+    @pytest.mark.parametrize("seed", ["7", "50", "987918"])
+    def test_param_fricke_float_positive_traces_fail(self, monkeypatch,
+                                                     seed):
+        # the cubic fails under the positive-trace convention, by at least
+        # 2e-2 of its largest term on every sample of these seeds
+        negative = q.fricke_trace_coordinates
+
+        def positive(b1, b2, b3, tol=1e-9):
+            a, cs = negative(b1, b2, b3, tol)
+            return [-x for x in a], tuple(-c for c in cs)
+
+        monkeypatch.setattr(q, "fricke_trace_coordinates", positive)
+        code, out, _ = run(["param", "fricke", "--samples", "2000",
+                            "--seed", seed, "--backend", "float"])
+        assert code == 3
+        assert json.loads(out)["failures"] == 2000
 
     def test_param_fricke_exact(self):
         code, out, _ = run(["param", "fricke", "--samples", "30",

@@ -15,6 +15,7 @@ from oracles import (
     order_complex_homology,
     rank_face_lattice,
     rank_relative_complex,
+    walk_relative_complex,
 )
 
 import multicurve as mc
@@ -96,6 +97,15 @@ def assert_relative_matches_rank_oracle(tri):
     cells, facets = rank_relative_complex(tri, mc.cone_face_lattice(tri))
     assert cpx.cells == cells
     assert cpx.facets == facets
+
+
+def assert_matches_walk_oracle(tri):
+    cpx = mc.relative_complex(tri)
+    walked = walk_relative_complex(tri)
+    assert cpx.cells == walked.cells
+    assert cpx.facets == walked.facets
+    assert cpx.labels == walked.labels
+    assert cpx.order == walked.order
 
 
 # the surfaces on which the lattice and the relative complex are checked
@@ -253,7 +263,7 @@ class TestRelativeComplex:
         assert all(str(k) == str(frozenset(sorted(k))) for k in cpx.cells)
 
     def test_depth_checked_against_ray_rank(self, monkeypatch):
-        # the walk reads only the corners; rays all on one line leave the
+        # the sweep reads only the corners; rays all on one line leave the
         # depth of a top cell above the rank of its rays
         rays, corner_vectors = polytope._cone_rays(mc.fixture("n4ex"))
         line = [SimpleNamespace(values=rays[0].values) for _ in rays]
@@ -292,6 +302,32 @@ class TestRelativeMatchesRankOracle:
     def test_random_surfaces(self, triangles, seed):
         assert_relative_matches_rank_oracle(
             random_triangulation(random.Random(seed), triangles))
+
+
+class TestSweepMatchesWalk:
+    """The corner-side sweep of ``relative_complex`` gives the complex of
+    the cover-counting walk: cells, facets, labels and order."""
+
+    def test_fixtures(self, any_fixture):
+        assert_matches_walk_oracle(any_fixture)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_flowers(self, n):
+        assert_matches_walk_oracle(mc.flower(n))
+
+    @pytest.mark.parametrize("base,e", [
+        *(("flower:5", e) for e in FLOWER5_FLIPS),
+        ("flower:6", 0), ("flower:6", 4), ("flower:6", 6)])
+    def test_flower_flips(self, base, e):
+        assert_matches_walk_oracle(mc.flip(mc.fixture(base), e))
+
+    @pytest.mark.parametrize("flipped", [False, True], ids=["base", "flip"])
+    @pytest.mark.parametrize("name", [name for name, _gn in SPHERE_TABLE])
+    def test_sphere_table(self, name, flipped):
+        tri = mc.fixture(name)
+        if flipped:
+            tri = mc.flip(tri, legal_flips(tri)[0])
+        assert_matches_walk_oracle(tri)
 
 
 class TestSphereTheoremTable:
@@ -439,6 +475,16 @@ class TestSphereCertificate:
         cpx = path_complex([(0, 1), (1, 0), (2, 3), (3, 2)])
         cert = mc.sphere_certificate(cpx, 1)
         assert not cert.connected
+        assert not cert.granted
+
+    def test_two_points_are_the_zero_sphere(self):
+        points = PolytopeComplex({"a": 0, "b": 0},
+                                 {"a": frozenset(), "b": frozenset()})
+        cert = mc.sphere_certificate(points, 0)
+        assert not cert.connected
+        assert cert.granted
+        assert cert.statement == "certified 0-sphere"
+        assert not mc.sphere_certificate(points, 1).granted
 
     def test_wrong_dimension_fails(self):
         cpx = mc.relative_complex(mc.fixture("ex11"))
