@@ -75,6 +75,9 @@ def _parse_ints(text, option):
 
 
 def cmd_generators(args):
+    if args.oracle_depth < 0:
+        raise MulticurveError(
+            f"--oracle-depth must be at least 0, got {args.oracle_depth}")
     tri = _load_triangulation(args.source)
     barbells = enumerate_barbell_trees(tri)
     report = {
@@ -103,7 +106,13 @@ def cmd_polytope(args):
     tri = _load_triangulation(args.source)
     if args.emit and not args.out:
         raise MulticurveError("--emit requires --out FILE")
-    if args.relative or args.check_sphere is not None:
+    if args.check_sphere is not None and args.check_sphere < 0:
+        raise MulticurveError(
+            f"--check-sphere must be at least 0, got {args.check_sphere}")
+    relative = args.relative or args.check_sphere is not None
+    if args.emit and not relative:
+        raise MulticurveError("--emit needs --relative or --check-sphere")
+    if relative:
         cpx = relative_complex(tri)
         kind = "relative"
     else:
@@ -329,7 +338,8 @@ def build_parser():
                        default=0,
                        help="also list the colorings up to this degree "
                             "where a sieve for indecomposables disagrees "
-                            "with the generators (bare flag means 12)")
+                            "with the generators (at least 0; 0, the "
+                            "default, is off; the bare flag means 12)")
     p_gen.set_defaults(func=cmd_generators)
 
     p_poly = sub.add_parser("polytope", help="cone lattice or relative "
@@ -337,8 +347,12 @@ def build_parser():
     p_poly.add_argument("source")
     p_poly.add_argument("--relative", action="store_true")
     p_poly.add_argument("--check-sphere", type=int, default=None,
-                        metavar="D")
-    p_poly.add_argument("--emit", choices=["json", "off", "svg"])
+                        metavar="D",
+                        help="certify the relative complex as a D-sphere "
+                             "(D at least 0)")
+    p_poly.add_argument("--emit", choices=["json", "off", "svg"],
+                        help="write the relative complex to --out; needs "
+                             "--relative or --check-sphere")
     p_poly.add_argument("--out", help="file for --emit output")
     p_poly.set_defaults(func=cmd_polytope)
 

@@ -3,8 +3,10 @@
 The closure of the coloring cone in R^E is cut out by the corner
 functionals u_theta >= 0, so its faces are exactly the zero sets of corner
 subsets.  A face is an int bitmask of the extremal rays (simple barbell
-colorings) it contains, or of the corners vanishing on it; the public keys
-are frozensets of ray ids built in sorted order, so they print by content
+colorings) it contains, or of the corners vanishing on it.  The cone
+lattice's faces are ray masks (bit i = ray i), ordered by ray count and
+then by mask value; the cells of a polytope complex are keyed by
+frozensets of ray ids built in sorted order, so they print by content
 alone.  Both face families come from one graded sweep (``_graded_sweep``,
 Kaibel-Pfetsch 2002).  The cone lattice sweeps ray masks from all rays,
 cut by the candidate facets {rays with u_theta = 0}; a face's dimension is
@@ -38,31 +40,26 @@ from .triangulation import connected, flip, flip_square_sides
 
 
 class ConeFaceLattice:
-    """Faces of the coloring cone, each a set of extremal rays."""
+    """Faces of the coloring cone, each an int mask of its extremal rays
+    (bit i = ray i), listed by ray count and then by mask value."""
 
     def __init__(self, rays, corner_vectors):
         self.rays = list(rays)                 # Coloring objects
         self.corner_vectors = [tuple(u) for u in corner_vectors]
-        self.faces = []                        # list of frozenset(ray ids)
+        self.faces = []                        # list of ray masks
         self.candidates = set()                # distinct candidate facets
-        self.face_dim = {}                     # rayset -> integer dimension
+        self.face_dim = {}                     # ray mask -> dimension
         self._build()
 
     def _build(self):
         if not self.rays:
             return
-        cands = {_zeros(col) for col in zip(*self.corner_vectors)}
-        codim = _graded_sweep((1 << len(self.rays)) - 1, cands,
+        self.candidates = {_zeros(col) for col in zip(*self.corner_vectors)}
+        codim = _graded_sweep((1 << len(self.rays)) - 1, self.candidates,
                               lambda face: True)
         top = max(codim.values())
-        by_rays = [[] for _ in self.rays] + [[]]
-        for face in codim:
-            by_rays[face.bit_count()].append(face)
-        for bucket in by_rays:      # one bucket's ray lists alive at a time
-            for bits, face in sorted((_bits(f), f) for f in bucket):
-                self.faces.append(frozenset(bits))
-                self.face_dim[self.faces[-1]] = top - codim[face]
-        self.candidates = {frozenset(_bits(c)) for c in cands}
+        self.faces = sorted(codim, key=lambda f: (f.bit_count(), f))
+        self.face_dim = {f: top - codim[f] for f in self.faces}
         rank = integer_rank([ray.values for ray in self.rays])
         if rank != self.dimension:
             raise ValueError(f"graded dimension {self.dimension} differs "

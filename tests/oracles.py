@@ -10,15 +10,18 @@ it to small complexes.
 
 ``rank_face_lattice`` rebuilds a cone face lattice with the dimension of
 each face taken as the rational rank of its rays, which checks the graded
-dimensions of ``ConeFaceLattice`` with linear algebra.
+dimensions of ``ConeFaceLattice`` with linear algebra.  Its faces are
+frozensets of ray ids, like the cells of a ``PolytopeComplex``; the
+lattice's own faces are int ray masks, so they are compared by content.
 ``rank_relative_complex`` rebuilds the relative complex from it with the
 vanishing-corner filter and covers found by pairwise inclusion, which
 checks the through-face filter and the facets of ``relative_complex``.
-``closure_face_lattice`` is the two-pass build: it closes the candidate
-facets under intersection level by level, then grades the sorted faces
-from the apex up, a face's dimension one more than the largest among its
-intersections with the candidates; it checks the one-sweep codimension
-grading of ``ConeFaceLattice`` face for face and in order.
+``closure_face_lattice`` is the two-pass build on int ray masks: it closes
+the candidate facets under intersection level by level, then grades the
+faces, sorted by (ray count, mask), from the apex up, a face's dimension
+one more than the largest among its intersections with the candidates; it
+checks the one-sweep codimension grading of ``ConeFaceLattice`` face for
+face and in order.
 
 ``walk_relative_complex`` walks the kept faces of the relative complex up
 from the apex, one cover at a time: the covers of a face F are the faces
@@ -143,8 +146,8 @@ def rank_face_lattice(lattice):
 
 def closure_face_lattice(rays, corner_vectors):
     """(faces, face_dim) of the cone with these rays and corner vectors:
-    the faces as frozensets of ray ids in (size, sorted ids) order, each
-    graded by the intersections below it."""
+    the faces as int ray masks in (ray count, mask) order, each graded by
+    the intersections below it."""
     if not rays:
         return [], {}
     candidates = {_zeros(col) for col in zip(*corner_vectors)}
@@ -159,15 +162,14 @@ def closure_face_lattice(rays, corner_vectors):
                     faces.add(inter)
                     new.append(inter)
         frontier = new
-    order = sorted(faces, key=lambda f: (f.bit_count(), _bits(f)))
+    order = sorted(faces, key=lambda f: (f.bit_count(), f))
     # Graded lattice: every facet of F is F & C for a candidate C not
     # containing F, and every other such F & C lies in a facet of F.
     dims = {}
     for face in order:
         dims[face] = 1 + max((dims[face & cand] for cand in candidates
                               if face & cand != face), default=-1)
-    keys = [frozenset(_bits(f)) for f in order]
-    return keys, {key: dims[f] for key, f in zip(keys, order)}
+    return order, dims
 
 
 def rank_relative_complex(tri, lattice):

@@ -101,6 +101,30 @@ class TestExitCodes:
         assert code == 2
         assert "--samples must be at least 1" in err
 
+    def test_oracle_depth_must_not_be_negative(self):
+        code, out, err = run(["generators", "n4ex", "--oracle-depth", "-3"])
+        assert code == 2
+        assert out == ""
+        assert "--oracle-depth must be at least 0, got -3" in err
+
+    def test_check_sphere_must_not_be_negative(self, monkeypatch):
+        def unbuilt(tri):
+            raise AssertionError("complex built for a negative dimension")
+        monkeypatch.setattr(cli, "relative_complex", unbuilt)
+        code, out, err = run(["polytope", "flower:4", "--check-sphere", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "--check-sphere must be at least 0, got -1" in err
+
+    def test_emit_needs_a_complex(self, tmp_path):
+        target = tmp_path / "cone.json"
+        code, out, err = run(["polytope", "n4ex", "--emit", "json",
+                              "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert "--emit needs --relative or --check-sphere" in err
+        assert not target.exists()
+
     @pytest.mark.parametrize("argv", [
         ["mutate", "n4ex", "0", "--coloring", "1,0,x"],
         ["git", "classify", "--weights", "1,a,1"],
@@ -183,6 +207,8 @@ class TestReports:
         ("flower:5", [1, 10, 43, 105, 161, 161, 105, 43, 10, 1]),
         ("flower:6", [1, 15, 95, 346, 819, 1338, 1554, 1296, 771, 319, 87,
                       14, 1]),
+        ("flower:7", [1, 21, 180, 887, 2883, 6633, 11242, 14355, 13959,
+                      10351, 5808, 2421, 725, 147, 18, 1]),
     ])
     def test_flower_cone_faces_per_dim(self, source, per_dim):
         code, out, _ = run(["polytope", source])

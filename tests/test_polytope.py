@@ -21,7 +21,7 @@ from oracles import (
 import multicurve as mc
 from multicurve import errors
 from multicurve import polytope
-from multicurve.polytope import PolytopeComplex
+from multicurve.polytope import PolytopeComplex, _bits
 
 def path_complex(edges):
     """1-complex from a list of vertex-pair edges, for counterexamples."""
@@ -81,8 +81,10 @@ def assert_sphere_shape(cpx, d):
 def assert_matches_rank_oracle(tri):
     lat = mc.cone_face_lattice(tri)
     faces, face_dim, _face_corners = rank_face_lattice(lat)
-    assert lat.faces == faces
-    assert lat.face_dim == face_dim
+    masks = [sum(1 << i for i in f) for f in faces]
+    assert lat.faces == sorted(masks, key=lambda m: (m.bit_count(), m))
+    dims = {frozenset(_bits(f)): d for f, d in lat.face_dim.items()}
+    assert dims == face_dim
 
 
 def assert_matches_closure_oracle(tri):
@@ -136,7 +138,7 @@ class TestConeFaceLattice:
         assert len(lat.faces_of_dim(2)) == 3
         assert len(lat.faces_of_dim(3)) == 1
         for face in lat.faces_of_dim(2):
-            assert len(face) == 2
+            assert face.bit_count() == 2
 
     def test_full_dimensional(self, any_fixture):
         tri = any_fixture
@@ -148,7 +150,7 @@ class TestConeFaceLattice:
         full = lat.faces[-1]
         for face in lat.faces:
             if face != full:
-                assert any(face <= cand for cand in lat.candidates)
+                assert any(face & cand == face for cand in lat.candidates)
 
     def test_no_rays_empty_lattice(self):
         lat = mc.ConeFaceLattice([], [])
