@@ -10,6 +10,7 @@ to exit codes 2 and 4; anything else is a bug and propagates.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -324,6 +325,7 @@ def cmd_param(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="multicurve",

@@ -58,8 +58,11 @@ class ConeFaceLattice:
         codim = _graded_sweep((1 << len(self.rays)) - 1, self.candidates,
                               lambda face: True)
         top = max(codim.values())
-        self.faces = sorted(codim, key=lambda f: (f.bit_count(), f))
-        self.face_dim = {f: top - codim[f] for f in self.faces}
+        self.faces = sorted(codim)
+        self.faces.sort(key=int.bit_count)     # stable: then by mask
+        dims = [top - codim[f] for f in self.faces]
+        del codim                              # freed before face_dim grows
+        self.face_dim = dict(zip(self.faces, dims))
         rank = integer_rank([ray.values for ray in self.rays])
         if rank != self.dimension:
             raise ValueError(f"graded dimension {self.dimension} differs "

@@ -193,10 +193,25 @@ class ProjectivePoint:
         return f"[{self.x1} : {self.x2}]"
 
 
-def _check_sl2(m, tol):
-    residual = mat_det(m) - 1
+def _check_sl2(m, tol, den=1):
+    residual = mat_det(m) - den * den
     if not _is_zero(residual, tol):
-        raise NotUnitDeterminant(f"det - 1 = {residual}")
+        raise NotUnitDeterminant(f"det - 1 = {_over(residual, den * den)}")
+
+
+def _cleared(values):
+    """(ints, den) with values = ints / den for int and Fraction values,
+    (values, 1) for anything else."""
+    if not {int, Fraction}.issuperset(map(type, values)):
+        return values, 1
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _over(x, den):
+    """x / den, as a Fraction for an int x (den is 1 otherwise)."""
+    return Fraction(x, den) if isinstance(x, int) else x
 
 
 class MobiusMap:
@@ -392,33 +407,38 @@ def fricke_trace_coordinates(b1, b2, b3, tol=1e-9):
 
     The skein specialization uses the negative trace throughout: a_i is
     -tr(B_i), a_4 is -tr(B_1 B_2 B_3), c_ij is -tr(B_i B_j).  The cubic
-    relation below fails under the positive-trace convention.
+    relation below fails under the positive-trace convention.  Exact
+    matrices are written B_i = M_i / D with integer M_i and one D.
     """
-    mats = [tuple(tuple(row) for row in b) for b in (b1, b2, b3)]
+    ints, den = _cleared([x for b in (b1, b2, b3) for row in b for x in row])
+    m1, m2, m3 = mats = [(tuple(ints[k:k + 2]), tuple(ints[k + 2:k + 4]))
+                         for k in (0, 4, 8)]
     for m in mats:
-        _check_sl2(m, tol)
-    m1, m2, m3 = mats
-    a = [-mat_trace(m) for m in mats]
-    a.append(-mat_trace(mat_mul(mat_mul(m1, m2), m3)))
-    c12 = -mat_trace(mat_mul(m1, m2))
-    c23 = -mat_trace(mat_mul(m2, m3))
-    c13 = -mat_trace(mat_mul(m1, m3))
+        _check_sl2(m, tol, den)
+    m12 = mat_mul(m1, m2)
+    a = [_over(-mat_trace(m), den) for m in mats]
+    a.append(_over(-mat_trace(mat_mul(m12, m3)), den ** 3))
+    c12, c23, c13 = (_over(-mat_trace(m), den * den)
+                     for m in (m12, mat_mul(m2, m3), mat_mul(m1, m3)))
     return a, (c12, c23, c13)
 
 
 def _fricke_residual(a, c12, c23, c13):
     """|c12 c23 c13 - (c12^2 + c23^2 + c13^2 + f_{12|34} c12
     + f_{23|14} c23 + f_{13|24} c13 + f)|, the Fricke cubic of the
-    four-punctured sphere."""
-    a1, a2, a3, a4 = a
+    four-punctured sphere, homogenized to degree 4 over one common
+    denominator L of exact inputs (a degree-k term times L^(4-k))."""
+    (a1, a2, a3, a4, c12, c23, c13), el = _cleared((*a, c12, c23, c13))
+    el2 = el * el
     f_12_34 = a1 * a2 + a3 * a4
     f_23_14 = a2 * a3 + a1 * a4
     f_13_24 = a1 * a3 + a2 * a4
-    f = a1 * a2 * a3 * a4 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 - 4
-    lhs = c12 * c23 * c13
-    rhs = (c12 * c12 + c23 * c23 + c13 * c13
-           + f_12_34 * c12 + f_23_14 * c23 + f_13_24 * c13 + f)
-    return abs(lhs - rhs)
+    f = (a1 * a2 * a3 * a4 + el2 * a1 * a1 + el2 * a2 * a2
+         + el2 * a3 * a3 + el2 * a4 * a4 - 4 * el2 * el2)
+    lhs = el * c12 * c23 * c13
+    rhs = (el2 * c12 * c12 + el2 * c23 * c23 + el2 * c13 * c13
+           + el * f_12_34 * c12 + el * f_23_14 * c23 + el * f_13_24 * c13 + f)
+    return _over(abs(lhs - rhs), el2 * el2)
 
 
 def _fricke_scale(a, c):

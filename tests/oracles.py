@@ -47,6 +47,14 @@ shares only the cycle and bell-set listing with ``enumerate_barbell_trees``,
 so it checks the Steiner-tree growth and its ``simple`` flag.  It
 costs 2^|E| per bell set, so keep it to about ten triangles.
 
+``fricke_traces`` and ``fricke_cubic`` evaluate the negative traces of
+three 2x2 matrices and the Fricke cubic of the four-punctured sphere by
+plain ring arithmetic on the entries (Fraction, int, complex or numpy
+arrays alike), with no denominators cleared and no determinant check; they
+check the integer evaluation of ``quadric.fricke_trace_coordinates`` and
+``quadric._fricke_residual`` value for value, and their float residual
+arrays bit for bit.
+
 ``port_matching_components`` traces strand cycles by first matching every
 strand end (port) inside every triangle in one dictionary, then walking
 the matching; it checks the corner-count stepping of
@@ -520,3 +528,37 @@ def port_matching_components(tri, v):
         components.append(TracedComponent(
             cycle, comp_coloring, peripherals.get(comp_coloring.values)))
     return components
+
+
+def _mul(m, n):
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return ((a * e + b * g, a * f + b * h),
+            (c * e + d * g, c * f + d * h))
+
+
+def _trace(m):
+    return m[0][0] + m[1][1]
+
+
+def fricke_traces(b1, b2, b3):
+    """(a1..a4, c12, c23, c13) = minus the traces of B_1, B_2, B_3,
+    B_1 B_2 B_3, B_1 B_2, B_2 B_3 and B_1 B_3."""
+    a = [-_trace(b) for b in (b1, b2, b3)]
+    a.append(-_trace(_mul(_mul(b1, b2), b3)))
+    return a, (-_trace(_mul(b1, b2)), -_trace(_mul(b2, b3)),
+               -_trace(_mul(b1, b3)))
+
+
+def fricke_cubic(a, c12, c23, c13):
+    """|c12 c23 c13 - (c12^2 + c23^2 + c13^2 + f_{12|34} c12
+    + f_{23|14} c23 + f_{13|24} c13 + f)|, term for term as written."""
+    a1, a2, a3, a4 = a
+    f_12_34 = a1 * a2 + a3 * a4
+    f_23_14 = a2 * a3 + a1 * a4
+    f_13_24 = a1 * a3 + a2 * a4
+    f = a1 * a2 * a3 * a4 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 - 4
+    lhs = c12 * c23 * c13
+    rhs = (c12 * c12 + c23 * c23 + c13 * c13
+           + f_12_34 * c12 + f_23_14 * c23 + f_13_24 * c13 + f)
+    return abs(lhs - rhs)

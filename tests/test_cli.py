@@ -40,6 +40,26 @@ class TestExitCodes:
         code, _, err = run(["generators", str(bad)])
         assert code == 2
 
+    def test_usage_error_leaves_parser_unchanged(self):
+        # one parser serves every call in a process; an argparse exit 2,
+        # even after some options parsed, must not change the next parse
+        argvs = [["param", "fricke"], ["git", "classify", "--weights", "1,2"],
+                 ["param", "check", "--samples", "30", "--backend", "exact"]]
+        before = [vars(cli.build_parser().parse_args(a)) for a in argvs]
+        for bad in (["param", "fricke", "--samples", "7", "--bogus"],
+                    ["param", "fricke", "--backend", "gpu"],
+                    ["git", "classify"], ["param"]):
+            with pytest.raises(SystemExit) as exit_info:
+                run(bad)
+            assert exit_info.value.code == 2
+        assert cli.build_parser() is cli.build_parser()
+        assert [vars(cli.build_parser().parse_args(a))
+                for a in argvs] == before
+        assert before[0]["samples"] == 1000
+        code, out, _ = run(argvs[2])
+        assert code == 0
+        assert json.loads(out)["samples"] == 30
+
     def test_empty_relative_complex(self):
         code, _, err = run(["polytope", "flower:3", "--relative"])
         assert code == 2
@@ -272,6 +292,23 @@ class TestReports:
                             "--seed", seed, "--backend", "float"])
         assert code == 3
         assert json.loads(out)["failures"] == 2000
+
+    @pytest.mark.parametrize("seed", ["7", "50"])
+    def test_param_fricke_exact_positive_traces_fail(self, monkeypatch,
+                                                     seed):
+        # the exact twin: no positive-trace sample of these seeds lies on
+        # the cubic
+        negative = q.fricke_trace_coordinates
+
+        def positive(b1, b2, b3, tol=1e-9):
+            a, cs = negative(b1, b2, b3, tol)
+            return [-x for x in a], tuple(-c for c in cs)
+
+        monkeypatch.setattr(q, "fricke_trace_coordinates", positive)
+        code, out, _ = run(["param", "fricke", "--samples", "200",
+                            "--seed", seed, "--backend", "exact"])
+        assert code == 3
+        assert json.loads(out)["failures"] == 200
 
     def test_param_fricke_exact(self):
         code, out, _ = run(["param", "fricke", "--samples", "30",

@@ -9,6 +9,7 @@ from conftest import (
     projectively_equal,
     random_gaussian_point,
 )
+from oracles import fricke_cubic, fricke_traces
 
 import multicurve as mc
 from multicurve import errors
@@ -375,6 +376,72 @@ class TestFricke:
         one = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
         with pytest.raises(errors.NotUnitDeterminant):
             mc.fricke_verify(bad, one, one)
+
+
+class TestFrickeOracle:
+    """The integer evaluation against plain ring arithmetic, value for
+    value (exact) and bit for bit (float)."""
+
+    MIXED = [((Fraction(1), 0), (0, Fraction(1))),
+             ((2, 1), (1, 1)),
+             ((Fraction(1, 2), 0), (3, 2)),
+             ((Fraction(-2, 3), Fraction(5, 4)),
+              (Fraction(1, 6), Fraction(-29, 16)))]
+
+    def triples(self, seed, n):
+        rng = random.Random(seed)
+        for _ in range(n):
+            yield [q.random_sl2_rational(rng) for _ in range(3)]
+        for b1 in self.MIXED:
+            for b2 in self.MIXED:
+                yield [b1, b2, q.random_sl2_rational(rng)]
+
+    def test_exact_traces_and_residuals(self):
+        for mats in self.triples(51, 200):
+            a, c = q.fricke_trace_coordinates(*mats)
+            assert (a, c) == fricke_traces(*mats)
+            assert all(type(x) is Fraction for x in (*a, *c))
+            residual = mc.fricke_verify(*mats)
+            assert type(residual) is Fraction
+            assert residual == fricke_cubic(a, *c) == 0
+
+    def test_exact_residual_off_the_surface(self):
+        rng = random.Random(52)
+        nonzero = 0
+        for _ in range(300):
+            a = [q.random_rational(rng) for _ in range(4)]
+            c = [q.random_rational(rng) for _ in range(3)]
+            residual = q._fricke_residual(a, *c)
+            assert type(residual) is Fraction
+            assert residual == fricke_cubic(a, *c)
+            nonzero += residual != 0
+        assert nonzero > 250
+
+    def test_z_relation(self):
+        for mats in self.triples(53, 100):
+            a, (c12, c23, c13) = fricke_traces(*mats)
+            z = c12 * c13 - c23 - (a[0] * a[3] + a[1] * a[2])
+            assert mc.z_relation_verify(*mats) == (
+                z, fricke_cubic(a, c12, z, c13))
+
+    def test_determinant_message(self):
+        one = ((1, 0), (0, 1))
+        bad = ((Fraction(3, 2), 0), (0, 1))
+        with pytest.raises(errors.NotUnitDeterminant, match=r"= 1/2$"):
+            mc.fricke_verify(one, bad, ((Fraction(1, 3), 0), (0, 3)))
+
+    @pytest.mark.parametrize("seed", [17, 303])
+    def test_float_bit_identical(self, seed):
+        rng_np = np.random.default_rng(seed)
+        mats = [q.float_mobius_arrays(rng_np, 3000).m for _ in range(3)]
+        a, c = q.fricke_trace_coordinates(*mats)
+        a_ref, c_ref = fricke_traces(*mats)
+        for x, y in zip((*a, *c), (*a_ref, *c_ref)):
+            assert np.array_equal(x, y)
+        res = mc.fricke_verify(*mats)
+        ref = fricke_cubic(a_ref, *c_ref)
+        assert res.dtype == ref.dtype
+        assert res.tobytes() == ref.tobytes()
 
 
 class TestZRelation:
