@@ -93,16 +93,18 @@ def mat_max_abs(m):
 
 
 class ConicPoint:
-    """A point (t, s) with t^2 - s^2 = 4, optionally born from beta."""
+    """A point (t : s : h), t^2 - s^2 = 4 h^2, optionally born from beta;
+    t, s, beta1, beta2 are stored times h (h = 1 unless given by ints)."""
 
-    __slots__ = ("t", "s", "beta1", "beta2")
+    __slots__ = ("t", "s", "beta1", "beta2", "h")
 
-    def __init__(self, t, s, beta1=None, beta2=None):
+    def __init__(self, t, s, beta1=None, beta2=None, h=1):
         self.t = t
         self.s = s
         self.beta1 = beta1 if beta1 is not None else (t + s) / 2
         self.beta2 = beta2 if beta2 is not None else (t - s) / 2
-        residual = self.t * self.t - self.s * self.s - 4
+        self.h = h
+        residual = self.t * self.t - self.s * self.s - 4 * h * h
         if not _is_zero(residual):
             raise ValueError(f"t^2 - s^2 != 4 (residual {residual})")
 
@@ -113,16 +115,21 @@ class ConicPoint:
         return _is_zero(self.s)
 
     def negate_s(self):
-        return ConicPoint(self.t, -self.s, self.beta2, self.beta1)
+        return ConicPoint(self.t, -self.s, self.beta2, self.beta1, self.h)
 
     def __repr__(self):
         return f"ConicPoint(t={self.t}, s={self.s})"
 
 
-def conic_from_beta(beta):
-    """Rational-friendly parametrization t = beta + 1/beta, s = beta - 1/beta."""
+def conic_from_beta(beta, den=None):
+    """Rational-friendly parametrization t = beta + 1/beta, s = beta - 1/beta;
+    with an integer den, beta/den as the integer point (beta1 : beta2 : s :
+    h) = (beta^2 : den^2 : beta^2 - den^2 : beta den)."""
     if _is_zero(beta, tol=0):
         raise ZeroBeta("beta must be nonzero")
+    if den is not None:
+        b2, d2 = beta * beta, den * den
+        return ConicPoint(b2 + d2, b2 - d2, b2, d2, beta * den)
     inv = 1 / beta
     return ConicPoint(beta + inv, beta - inv, beta, inv)
 
@@ -215,13 +222,15 @@ def _over(x, den):
 
 
 class MobiusMap:
-    """Determinant-one 2x2 matrix acting on the projective line."""
+    """Determinant-one 2x2 matrix m / den acting on the projective line
+    (den = 1 unless m holds integers)."""
 
-    __slots__ = ("m",)
+    __slots__ = ("m", "den")
 
-    def __init__(self, m, tol=FLOAT_TOL):
+    def __init__(self, m, tol=FLOAT_TOL, den=1):
         self.m = tuple(tuple(row) for row in m)
-        _check_sl2(self.m, tol)
+        self.den = den
+        _check_sl2(self.m, tol, den)
 
     def apply(self, p):
         (a, b), (c, d) = self.m
@@ -273,12 +282,13 @@ class QuadricPoint:
 
 
 def quadric_point(p, q, cp):
-    """The matrix family evaluated at points p, q and conic point cp."""
+    """The matrix family evaluated at points p, q and conic point cp (A
+    and e both times cp.h)."""
     b1, b2, s = cp.beta1, cp.beta2, cp.s
     x1, x2, y1, y2 = p.x1, p.x2, q.x1, q.x2
     a = ((b2 * x2 * y1 - b1 * x1 * y2, s * x1 * y1),
          (-s * x2 * y2, b1 * x2 * y1 - b2 * x1 * y2))
-    return QuadricPoint(a, x2 * y1 - x1 * y2)
+    return QuadricPoint(a, (x2 * y1 - x1 * y2) * cp.h)
 
 
 class EquivarianceReport:
@@ -298,17 +308,17 @@ class EquivarianceReport:
 def equivariance_check(rho, p, q, cp, tol=FLOAT_TOL):
     """Moving the points by a Moebius map conjugates the matrix.
 
-    Checks A(rho p, rho q) = rho A(p, q) rho^{-1} and e(rho p, rho q) =
-    e(p, q): exactly over exact scalars; over floats within ``tol``
-    relative to the magnitude of the compared matrices (with the linear
-    representatives rho*x, rho*y the identities hold on the nose, so no
-    projective rescaling enters).
+    Checks A(M p, M q) = M A(p, q) adj(M) and e(M p, M q) = det(M) e(p, q)
+    for rho = M / D, det M = D^2: exactly over exact scalars; over floats
+    (D = 1) within ``tol`` relative to the magnitude of the compared
+    matrices (with the linear representatives M x, M y the identities hold
+    on the nose, so no projective rescaling enters).
     """
     lhs = quadric_point(rho.apply(p), rho.apply(q), cp)
     base = quadric_point(p, q, cp)
     rhs_a = mat_mul(mat_mul(rho.m, base.a), mat_inv_sl2(rho.m))
     diff = mat_sub(lhs.a, rhs_a)
-    e_diff = lhs.e - base.e
+    e_diff = lhs.e - rho.den * rho.den * base.e
     entries = [diff[0][0], diff[0][1], diff[1][0], diff[1][1], e_diff]
     if all(_is_exact(x) for x in entries):
         return EquivarianceReport(all(x == 0 for x in entries), 0)
@@ -319,8 +329,9 @@ def equivariance_check(rho, p, q, cp, tol=FLOAT_TOL):
 
 
 def quadric_identity_residuals(qp, cp):
-    """(det A - e^2, tr A - t e) for reporting."""
-    return (mat_det(qp.a) - qp.e * qp.e, mat_trace(qp.a) - cp.t * qp.e)
+    """(det A - e^2, tr A h - (t h) e) for reporting."""
+    return (mat_det(qp.a) - qp.e * qp.e,
+            mat_trace(qp.a) * cp.h - cp.t * qp.e)
 
 
 def evaluate_F(points, cps, t_last):
@@ -408,27 +419,40 @@ def fricke_trace_coordinates(b1, b2, b3, tol=1e-9):
     The skein specialization uses the negative trace throughout: a_i is
     -tr(B_i), a_4 is -tr(B_1 B_2 B_3), c_ij is -tr(B_i B_j).  The cubic
     relation below fails under the positive-trace convention.  Exact
-    matrices are written B_i = M_i / D with integer M_i and one D.
+    matrices are written B_i = M_i / D with integer M_i and one D.  Integer
+    maps M_i / D_i (``MobiusMap``) are rescaled to D = D_1 D_2 D_3 and give
+    integer numerators over one L = D^3.
     """
-    ints, den = _cleared([x for b in (b1, b2, b3) for row in b for x in row])
-    m1, m2, m3 = mats = [(tuple(ints[k:k + 2]), tuple(ints[k + 2:k + 4]))
-                         for k in (0, 4, 8)]
+    maps = isinstance(b1, MobiusMap)
+    if maps:
+        den = b1.den * b2.den * b3.den
+        ints = [x * (den // b.den) for b in (b1, b2, b3) for row in b.m
+                for x in row]
+    else:
+        ints, den = _cleared([x for b in (b1, b2, b3) for row in b
+                              for x in row])
+    m1, m2, m3 = mats = [(ints[k:k + 2], ints[k + 2:k + 4]) for k in (0, 4, 8)]
     for m in mats:
         _check_sl2(m, tol, den)
     m12 = mat_mul(m1, m2)
-    a = [_over(-mat_trace(m), den) for m in mats]
-    a.append(_over(-mat_trace(mat_mul(m12, m3)), den ** 3))
-    c12, c23, c13 = (_over(-mat_trace(m), den * den)
-                     for m in (m12, mat_mul(m2, m3), mat_mul(m1, m3)))
-    return a, (c12, c23, c13)
+    a = [-mat_trace(m) for m in (m1, m2, m3, mat_mul(m12, m3))]
+    c = [-mat_trace(m) for m in (m12, mat_mul(m2, m3), mat_mul(m1, m3))]
+    if maps:
+        return [x * den * den for x in a[:3]] + a[3:], [x * den for x in c]
+    return ([_over(x, den) for x in a[:3]] + [_over(a[3], den ** 3)],
+            tuple(_over(x, den * den) for x in c))
 
 
 def _fricke_residual(a, c12, c23, c13):
     """|c12 c23 c13 - (c12^2 + c23^2 + c13^2 + f_{12|34} c12
     + f_{23|14} c23 + f_{13|24} c13 + f)|, the Fricke cubic of the
-    four-punctured sphere, homogenized to degree 4 over one common
-    denominator L of exact inputs (a degree-k term times L^(4-k))."""
-    (a1, a2, a3, a4, c12, c23, c13), el = _cleared((*a, c12, c23, c13))
+    four-punctured sphere, over one common denominator L of exact inputs."""
+    ints, el = _cleared((*a, c12, c23, c13))
+    return _over(abs(_cubic(*ints, el)), el ** 4)
+
+
+def _cubic(a1, a2, a3, a4, c12, c23, c13, el):
+    """The Fricke cubic at (a, c) / el times el^4 (as written if el = 1)."""
     el2 = el * el
     f_12_34 = a1 * a2 + a3 * a4
     f_23_14 = a2 * a3 + a1 * a4
@@ -438,7 +462,7 @@ def _fricke_residual(a, c12, c23, c13):
     lhs = el * c12 * c23 * c13
     rhs = (el2 * c12 * c12 + el2 * c23 * c23 + el2 * c13 * c13
            + el * f_12_34 * c12 + el * f_23_14 * c23 + el * f_13_24 * c13 + f)
-    return _over(abs(lhs - rhs), el2 * el2)
+    return lhs - rhs
 
 
 def _fricke_scale(a, c):
@@ -455,8 +479,11 @@ def _fricke_scale(a, c):
 def fricke_verify(b1, b2, b3, tol=1e-9):
     """Residual of the Fricke cubic on the trace coordinates of three SL(2)
     matrices, which vanishes for unit determinant matrices (exactly over
-    exact scalars)."""
+    exact scalars); for integer maps M_i / D_i, the residual times L^4 as
+    an int, L = (D_1 D_2 D_3)^3."""
     a, (c12, c23, c13) = fricke_trace_coordinates(b1, b2, b3, tol)
+    if isinstance(b1, MobiusMap):
+        return abs(_cubic(*a, c12, c23, c13, (b1.den * b2.den * b3.den) ** 3))
     return _fricke_residual(a, c12, c23, c13)
 
 
@@ -478,32 +505,51 @@ def z_relation_verify(b1, b2, b3, tol=1e-9):
 # sample generators (seeded, deterministic)
 
 
+def random_ratio(rng, span=6, nonzero=False):
+    """(num, den) in [-span, span] x [1, span] from two randint calls,
+    drawn again while num = 0 if nonzero."""
+    while True:
+        num, den = rng.randint(-span, span), rng.randint(1, span)
+        if num or not nonzero:
+            return num, den
+
+
 def random_rational(rng, span=6):
-    num = rng.randint(-span, span)
-    den = rng.randint(1, span)
-    return Fraction(num, den)
+    return Fraction(*random_ratio(rng, span))
 
 
 def random_rational_nonzero(rng, span=6):
+    return Fraction(*random_ratio(rng, span, nonzero=True))
+
+
+def random_point_int(rng, span=6):
+    """(P, d1 d2) for a point (n1/d1 : n2/d2) != (0 : 0) drawn by
+    random_ratio, with P = [n1 d2 : n2 d1] its integer representative."""
     while True:
-        x = random_rational(rng, span)
-        if x != 0:
-            return x
+        (n1, d1), (n2, d2) = random_ratio(rng, span), random_ratio(rng, span)
+        if n1 or n2:
+            return ProjectivePoint(n1 * d2, n2 * d1), d1 * d2
 
 
 def random_projective_point_exact(rng, span=6):
-    while True:
-        x1, x2 = random_rational(rng, span), random_rational(rng, span)
-        if x1 != 0 or x2 != 0:
-            return ProjectivePoint(x1, x2)
+    p, den = random_point_int(rng, span)
+    return ProjectivePoint(Fraction(p.x1, den), Fraction(p.x2, den))
+
+
+def random_mobius_int(rng, span=4):
+    """a = an/ad != 0, b = bn/bd, c = cn/cd drawn by random_ratio and d =
+    (1 + bc)/a, as the integer map M / D with D = an ad bd cd."""
+    an, ad = random_ratio(rng, span, nonzero=True)
+    bn, bd = random_ratio(rng, span)
+    cn, cd = random_ratio(rng, span)
+    return MobiusMap(((an * an * bd * cd, bn * an * ad * cd),
+                      (cn * an * ad * bd, ad * ad * (bd * cd + bn * cn))),
+                     0, an * ad * bd * cd)
 
 
 def random_mobius_exact(rng, span=4):
-    a = random_rational_nonzero(rng, span)
-    b = random_rational(rng, span)
-    c = random_rational(rng, span)
-    d = (1 + b * c) / a
-    return MobiusMap(((a, b), (c, d)))
+    rho = random_mobius_int(rng, span)
+    return MobiusMap([[Fraction(x, rho.den) for x in row] for row in rho.m])
 
 
 def random_sl2_rational(rng, span=4):

@@ -55,6 +55,14 @@ check the integer evaluation of ``quadric.fricke_trace_coordinates`` and
 ``quadric._fricke_residual`` value for value, and their float residual
 arrays bit for bit.
 
+``fraction_param_sweep`` and ``fraction_fricke_sweep`` are the exact
+``param check`` and ``param fricke`` sweeps on ``Fraction`` values, drawn
+by their own Fraction samplers (``fraction_rational``, ``fraction_point``,
+``fraction_mobius``: two ``randint`` calls per rational, zeros redrawn);
+their failure counts and the generator state they leave check the
+integer-representative sweeps of ``cli`` and the integer draws of
+``quadric`` behind them.
+
 ``port_matching_components`` traces strand cycles by first matching every
 strand end (port) inside every triangle in one dictionary, then walking
 the matching; it checks the corner-count stepping of
@@ -70,9 +78,17 @@ from conftest import is_loop
 
 from multicurve import (
     Coloring,
+    MobiusMap,
+    ProjectivePoint,
     TracedComponent,
+    conic_from_beta,
     corner_coords,
+    equivariance_check,
+    evaluate_F,
+    fricke_verify,
+    gamma_involution,
     peripheral_colorings,
+    quadric_point,
 )
 from multicurve.barbell import _cycles, _disjoint_bell_sets, _to_barbell
 from multicurve.coloring import require_admissible
@@ -86,6 +102,7 @@ from multicurve.polytope import (
 )
 from multicurve.triangulation import DualGraph, connected, slot_id
 from multicurve.linalg import homology_from_boundaries, integer_rank
+from multicurve.quadric import quadric_identity_residuals
 
 
 def order_complex_chains(cpx):
@@ -562,3 +579,51 @@ def fricke_cubic(a, c12, c23, c13):
     rhs = (c12 * c12 + c23 * c23 + c13 * c13
            + f_12_34 * c12 + f_23_14 * c23 + f_13_24 * c13 + f)
     return abs(lhs - rhs)
+
+
+def fraction_rational(rng, span, nonzero=False):
+    while True:
+        x = Fraction(rng.randint(-span, span), rng.randint(1, span))
+        if x or not nonzero:
+            return x
+
+
+def fraction_point(rng):
+    while True:
+        x1, x2 = fraction_rational(rng, 6), fraction_rational(rng, 6)
+        if x1 or x2:
+            return ProjectivePoint(x1, x2)
+
+
+def fraction_mobius(rng, span=4):
+    a = fraction_rational(rng, span, nonzero=True)
+    b, c = fraction_rational(rng, span), fraction_rational(rng, span)
+    return MobiusMap(((a, b), (c, (1 + b * c) / a)))
+
+
+def fraction_param_sweep(samples, rng):
+    """Failed identities of the exact ``param check`` sweep on Fractions."""
+    failures = 0
+    for _ in range(samples):
+        p, pt = fraction_point(rng), fraction_point(rng)
+        rho = fraction_mobius(rng)
+        cp = conic_from_beta(fraction_rational(rng, 6, nonzero=True))
+        if not equivariance_check(rho, p, pt, cp):
+            failures += 1
+        det_r, tr_r = quadric_identity_residuals(quadric_point(p, pt, cp), cp)
+        if det_r != 0 or tr_r != 0:
+            failures += 1
+        pts, cps = [p, pt], [cp]
+        t_last = fraction_rational(rng, 6)
+        f0 = evaluate_F(pts, cps, t_last)
+        pts2, cps2 = gamma_involution(1, pts, cps)
+        if evaluate_F(pts2, cps2, t_last) != f0:
+            failures += 1
+    return failures
+
+
+def fraction_fricke_sweep(samples, rng):
+    """Fraction matrix triples of the exact ``param fricke`` sweep off the
+    Fricke cubic."""
+    return sum(fricke_verify(*(fraction_mobius(rng).m for _ in range(3))) != 0
+               for _ in range(samples))

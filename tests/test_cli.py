@@ -1,13 +1,19 @@
 import contextlib
 import io
+import itertools
 import json
 import pathlib
+import random
 
 import pytest
-from oracles import subset_scan_barbell_trees
+from oracles import (
+    fraction_fricke_sweep,
+    fraction_param_sweep,
+    subset_scan_barbell_trees,
+)
 
 import multicurve as mc
-from multicurve import cli, polytope
+from multicurve import cli, errors, polytope
 from multicurve import quadric as q
 from multicurve.cli import main
 from multicurve.export import complex_to_off, complex_to_svg
@@ -315,6 +321,90 @@ class TestReports:
                             "--seed", "5", "--backend", "exact"])
         assert code == 0
         assert json.loads(out)["failures"] == 0
+
+
+class TestExactSweeps:
+    """The integer-representative sweeps against the Fraction oracles, and
+    each of their checks broken on purpose."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_check_matches_fraction_sweep(self, seed):
+        ints, fractions = random.Random(seed), random.Random(seed)
+        assert cli._exact_param_sweep(40, ints) == fraction_param_sweep(
+            40, fractions)
+        assert ints.getstate() == fractions.getstate()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fricke_matches_fraction_sweep(self, seed):
+        ints, fractions = random.Random(seed), random.Random(seed)
+        assert cli._exact_fricke_sweep(60, ints) == fraction_fricke_sweep(
+            60, fractions)
+        assert ints.getstate() == fractions.getstate()
+
+    def test_equivariance_with_s_negated_on_one_side(self, monkeypatch):
+        # inside equivariance_check, A(M p, M q) is the first of each pair
+        # of quadric_point calls; the sweep's own calls are not patched
+        real, calls = q.quadric_point, itertools.count()
+
+        def skewed(p, pt, cp):
+            return real(p, pt, cp.negate_s() if next(calls) % 2 == 0 else cp)
+
+        monkeypatch.setattr(q, "quadric_point", skewed)
+        assert cli._exact_param_sweep(50, random.Random(7)) == 42
+
+    def test_gamma_without_negating_p(self, monkeypatch):
+        monkeypatch.setattr(q.ProjectivePoint, "negate", lambda self: self)
+        for seed in (7, 11):
+            failures = cli._exact_param_sweep(50, random.Random(seed))
+            assert failures == fraction_param_sweep(50, random.Random(seed))
+            assert failures >= 48
+
+    def test_sl2_draw_off_the_unit_determinant(self, monkeypatch):
+        class Skewed(q.MobiusMap):
+            __slots__ = ()
+
+            def __init__(self, m, tol=q.FLOAT_TOL, den=1):
+                (a, b), (c, d) = m
+                super().__init__(((a, b), (c, d + 1)), tol, den)
+
+        monkeypatch.setattr(q, "MobiusMap", Skewed)
+        for sweep in (cli._exact_param_sweep, cli._exact_fricke_sweep):
+            with pytest.raises(errors.NotUnitDeterminant):
+                sweep(5, random.Random(7))
+        code, _, err = run(["param", "fricke", "--samples", "5",
+                            "--backend", "exact"])
+        assert code == 2 and "det - 1" in err
+
+    def test_fricke_trace_off_by_one(self, monkeypatch):
+        real = q.fricke_trace_coordinates
+
+        def shifted(b1, b2, b3, tol=1e-9):
+            # a1 + 1: its numerator over L = (D1 D2 D3)^3 moves by L
+            a, c = real(b1, b2, b3, tol)
+            return [a[0] + (b1.den * b2.den * b3.den) ** 3, *a[1:]], c
+
+        monkeypatch.setattr(q, "fricke_trace_coordinates", shifted)
+        code, out, _ = run(["param", "fricke", "--samples", "100",
+                            "--seed", "7", "--backend", "exact"])
+        assert code == 3
+        assert json.loads(out)["failures"] == 100
+
+    def test_float_tau_on_the_lower_branch(self, monkeypatch):
+        # tau_matrix with -iy for +iy: the real representative of
+        # (p, conj p) on the lower conic, ((D, -B), (-C, A)) of the upper
+        real = cli.tau_matrix
+
+        def lower(p, t):
+            tq = real(p, t)
+            (a, b), (c, d) = tq.a
+            return q.QuadricPoint(((d, -b), (-c, a)), tq.e)
+
+        monkeypatch.setattr(cli, "tau_matrix", lower)
+        code, out, _ = run(["param", "check", "--samples", "200",
+                            "--seed", "1", "--backend", "float"])
+        report = json.loads(out)
+        assert code == 3 and report["failures"] == 1
+        assert float(report["max_residuals"]["tau"]) > 1e-3
 
 
 class TestDeterminism:

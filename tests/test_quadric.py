@@ -9,7 +9,13 @@ from conftest import (
     projectively_equal,
     random_gaussian_point,
 )
-from oracles import fricke_cubic, fricke_traces
+from oracles import (
+    fraction_mobius,
+    fraction_point,
+    fraction_rational,
+    fricke_cubic,
+    fricke_traces,
+)
 
 import multicurve as mc
 from multicurve import errors
@@ -458,3 +464,78 @@ class TestZRelation:
             z, residual = mc.z_relation_verify(b1, b2, b3)
             assert residual == 0
             assert mc.fricke_verify(b1, b2, b3) == 0
+
+
+class TestIntegerDraws:
+    """The integer draws take the Fraction oracle's random calls and give
+    integer representatives of its values."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_calls_same_values(self, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            assert q.random_rational(rng) == fraction_rational(ref, 6)
+            assert q.random_rational_nonzero(rng, 2) == fraction_rational(
+                ref, 2, nonzero=True)
+            p, r = q.random_projective_point_exact(rng), fraction_point(ref)
+            assert (p.x1, p.x2) == (r.x1, r.x2)
+            assert q.random_mobius_exact(rng).m == fraction_mobius(ref).m
+            assert q.random_sl2_rational(rng, 3) == fraction_mobius(ref, 3).m
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_integer_representatives(self, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            p, den = q.random_point_int(rng)
+            r = fraction_point(ref)
+            assert (p.x1, p.x2) == (den * r.x1, den * r.x2)
+            rho = q.random_mobius_int(rng)
+            assert rho.m == q.mat_scale(fraction_mobius(ref).m, rho.den)
+            num, d = q.random_ratio(rng, nonzero=True)
+            beta = fraction_rational(ref, 6, nonzero=True)
+            cp, want = q.conic_from_beta(num, d), mc.conic_from_beta(beta)
+            for x, y in ((cp.t, want.t), (cp.s, want.s),
+                         (cp.beta1, want.beta1), (cp.beta2, want.beta2)):
+                assert type(x) is int and x == cp.h * y
+        assert rng.getstate() == ref.getstate()
+
+    def test_zero_ratio(self):
+        with pytest.raises(errors.ZeroBeta):
+            q.conic_from_beta(0, 3)
+
+    def test_integer_quadric_point_is_projectively_equal(self, rng):
+        for _ in range(30):
+            p, den_p = q.random_point_int(rng)
+            pt = q.random_projective_point_exact(rng)
+            num, den = q.random_ratio(rng, nonzero=True)
+            got = mc.quadric_point(p, pt, q.conic_from_beta(num, den))
+            exact = mc.ProjectivePoint(Fraction(p.x1, den_p),
+                                       Fraction(p.x2, den_p))
+            want = mc.quadric_point(exact, pt,
+                                    mc.conic_from_beta(Fraction(num, den)))
+            scale = num * den * den_p
+            assert got.a == q.mat_scale(want.a, scale)
+            assert got.e == scale * want.e
+
+    def test_fricke_verify_on_integer_maps(self, monkeypatch):
+        # residual D^12 |cubic|, D = D1 D2 D3, on the cubic and, with a1
+        # moved by one, off it
+        rng = random.Random(61)
+        real = q.fricke_trace_coordinates
+        for shift in (0, 1):
+            def moved(b1, b2, b3, tol=1e-9):
+                a, c = real(b1, b2, b3, tol)
+                den = b1.den * b2.den * b3.den
+                return [a[0] + shift * den ** 3, *a[1:]], c
+
+            monkeypatch.setattr(q, "fricke_trace_coordinates", moved)
+            for _ in range(50):
+                maps = [q.random_mobius_int(rng) for _ in range(3)]
+                den = maps[0].den * maps[1].den * maps[2].den
+                a, c = fricke_traces(*(q.mat_scale(r.m, Fraction(1, r.den))
+                                       for r in maps))
+                a[0] += shift
+                residual = fricke_cubic(a, *c)
+                assert mc.fricke_verify(*maps) == den ** 12 * residual
+                assert (residual != 0) == bool(shift)
