@@ -19,12 +19,17 @@ empty.
 ``indecomposables`` checks this up to a degree by a sieve: a nonzero
 admissible c decomposes iff c - g is admissible for an indecomposable g
 of lower degree (a split c = a + b has one with g <= a, and c - g =
-(a - g) + b).  Such g is componentwise, so lexicographically, below c, and
-one pass in lexicographic order decides each c against those kept before
-it.  The triangle inequalities force every side >= 0, so no separate test
-of c >= g is needed.  ``is_indecomposable`` (exhaustive split search) and
-``monoid_generates`` check both by brute force.
+(a - g) + b).  Both g and c - g lie componentwise below c, and
+``admissible_values`` yields in an order that extends the componentwise
+one, so both come before c.  One pass keeps the set of tuples yielded so
+far and decides c by looking up c - g for each g kept before it: c - g is
+in the set iff it is admissible, and a c - g with a negative entry never
+is.  The kept tuples are returned sorted.  ``is_indecomposable``
+(exhaustive split search) and ``monoid_generates`` check both by brute
+force.
 """
+
+from operator import sub
 
 from .coloring import (
     Coloring,
@@ -193,14 +198,13 @@ def enumerate_simple(tri):
 def indecomposables(tri, max_degree):
     """Indecomposable value tuples of degree <= max_degree, in
     lexicographic order: the sieve of the module docstring."""
-    sides = tri.side_edges
+    seen = set()
     found = []
     for v in admissible_values(tri, max_degree):
-        if any(v) and not any(
-                triangles_ok(sides, [a - b for a, b in zip(v, g)])
-                for g in found):
+        if any(v) and not any(tuple(map(sub, v, g)) in seen for g in found):
             found.append(v)
-    return found
+        seen.add(v)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +222,7 @@ def is_indecomposable(tri, v):
         raise ZeroColoring("zero coloring has no decomposition status")
 
     nedges = tri.num_edges
-    ready = checkable_triangles(tri)
+    ready = checkable_triangles(tri, range(nedges))
     part = [0] * nedges
     rest = [0] * nedges
 

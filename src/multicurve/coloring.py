@@ -6,6 +6,11 @@ triangle sees an even total and the three side colors satisfy the triangle
 inequalities; folded triangles read their doubled side twice, which reduces
 the conditions to ``2 | v_beta`` and ``v_beta <= 2 v_alpha``.
 
+``admissible_values`` lists the admissible colorings up to a degree by a
+depth-first search that assigns the edges in triangle-walk order
+(``walk_order``), so the tuples come lexicographically ordered in the
+walk-order coordinates, not in the canonical ones.
+
 All arithmetic is over Python ints (arbitrary precision).
 """
 
@@ -89,15 +94,31 @@ def triangles_ok(triangles, values):
     return True
 
 
-def checkable_triangles(tri):
-    """Side triples grouped by the largest edge index they touch.
+def walk_order(tri):
+    """Edges in triangle-walk order, for searches that assign edges one
+    at a time.
 
-    Entry e lists the triangles whose sides are all assigned once edges
-    0..e are: a search assigning edges in index order checks them there.
+    Repeatedly take the triangle with the most sides already ordered (ties
+    to the lowest index) and append its new sides in slot order, so every
+    triangle becomes checkable soon after its first side is assigned.
     """
-    ready = [[] for _ in range(tri.num_edges)]
+    order = []
+    todo = list(tri.side_edges)
+    while todo:
+        sides = max(todo, key=lambda ss: sum(e in order for e in ss))
+        todo.remove(sides)
+        order += [e for e in dict.fromkeys(sides) if e not in order]
+    return order
+
+
+def checkable_triangles(tri, order):
+    """Side triples grouped by the position in ``order`` of their last
+    side: a search assigning edges in that order checks entry i once
+    order[0..i] are assigned."""
+    position = {e: i for i, e in enumerate(order)}
+    ready = [[] for _ in order]
     for sides in tri.side_edges:
-        ready[max(sides)].append(sides)
+        ready[max(position[e] for e in sides)].append(sides)
     return ready
 
 
@@ -168,18 +189,28 @@ def is_interior(tri, v):
     return all(x > 0 for x in corner_coords(tri, v))
 
 
-def peripheral_values(tri):
-    """Value tuples of the small loops around each puncture.
+def peripheral_edges(tri, p):
+    """The edges the small loop a_p around puncture p crosses, once per
+    crossing.
 
-    The loop around p_i crosses every edge once per endpoint at p_i, so
-    v(a_i)_e counts edge-ends of e at vertex i; their sum over i is the
-    all-twos vector.
+    a_p crosses each edge once per edge-end at p.  Corner (t, k) sits at
+    the source of slot (t, k+2), and every edge-end at p is the source of
+    one slot, so the corners at p list each edge-end once: O(valence).
     """
-    vectors = [[0] * tri.num_edges for _ in range(tri.punctures)]
-    for e in range(tri.num_edges):
-        for i in tri.edge_endpoints(e):
-            vectors[i][e] += 1
-    return [tuple(values) for values in vectors]
+    side_edges = tri.side_edges
+    return [side_edges[c // 3][(c + 2) % 3] for c in tri.vertices[p]]
+
+
+def peripheral_values(tri):
+    """Value tuples of the small loops around each puncture; their sum is
+    the all-twos vector."""
+    values = []
+    for p in range(tri.punctures):
+        loop = [0] * tri.num_edges
+        for e in peripheral_edges(tri, p):
+            loop[e] += 1
+        values.append(tuple(loop))
+    return values
 
 
 def peripheral_colorings(tri):
@@ -194,26 +225,30 @@ def degree(tri, v):
 
 def admissible_values(tri, max_degree):
     """Yield the value tuples of all admissible colorings with degree <=
-    max_degree, in lexicographic order.  A depth-first search assigns the
-    edges in index order (-1 while unassigned) and checks a triangle as
-    soon as all three of its sides are assigned."""
-    nedges = tri.num_edges
-    ready = checkable_triangles(tri)
+    max_degree.  A depth-first search assigns the edges in ``walk_order``
+    (-1 while unassigned) and checks a triangle as soon as all three of its
+    sides are assigned, so the tuples come in lexicographic order of their
+    walk-order coordinates: a linear extension of the componentwise order.
+    """
+    order = walk_order(tri)
+    ready = checkable_triangles(tri, order)
+    nedges = len(order)
     values = [-1] * nedges
-    budget = [max_degree] * (nedges + 1)  # degree left for edges e onward
-    e = 0
-    while e >= 0:
-        if e == nedges:
+    budget = [max_degree] * (nedges + 1)  # degree left for positions i on
+    i = 0
+    while i >= 0:
+        if i == nedges:
             yield tuple(values)
-            e -= 1
+            i -= 1
             continue
+        e = order[i]
         values[e] += 1
-        if values[e] > budget[e]:
+        if values[e] > budget[i]:
             values[e] = -1
-            e -= 1
-        elif triangles_ok(ready[e], values):
-            budget[e + 1] = budget[e] - values[e]
-            e += 1
+            i -= 1
+        elif triangles_ok(ready[i], values):
+            budget[i + 1] = budget[i] - values[e]
+            i += 1
 
 
 def enumerate_admissible(tri, max_degree):

@@ -22,7 +22,7 @@ the upper one.
 from .coloring import (
     Coloring,
     corners_unchecked,
-    peripheral_values,
+    peripheral_edges,
     require_admissible,
 )
 
@@ -64,15 +64,17 @@ def _trace(tri, values):
     u = corners_unchecked(tri, values)
     gluing = tri.gluing
     slot_edge = [e for sides in tri.side_edges for e in sides]
-    # the loop a_p crosses the edges once per corner at p, so only a cycle
-    # of that length can be peripheral; the loops are built at the first one
-    valences = {len(corners) for corners in tri.vertices}
-    peripherals = None
     seen = [[False] * v for v in values]
     for e0, (lo, _hi) in enumerate(tri.edges):
         for i0 in range(values[e0]):
             if seen[e0][i0]:
                 continue
+            # a_p turns only at corners of p, so the one puncture whose
+            # loop this cycle can be is that of its first turning corner
+            k = lo % 3
+            source = lo - k + (k + 1) % 3
+            p = tri.corner_vertex[
+                source if i0 < u[source] else lo - k + (k + 2) % 3]
             cycle = []
             counts = [0] * len(values)
             s, j = lo, i0
@@ -92,14 +94,16 @@ def _trace(tri, values):
                     s = gluing[t3 + (k + 2) % 3]
                 if s == lo and j == i0:
                     break
-            counts = tuple(counts)
+            # turning only at corners of p is not enough (ex11's (0, 1, 1)
+            # does), so the counts are compared with a_p itself
             peripheral = None
-            if len(cycle) in valences:
-                if peripherals is None:
-                    peripherals = {
-                        p: i for i, p in enumerate(peripheral_values(tri))}
-                peripheral = peripherals.get(counts)
-            yield cycle, counts, peripheral
+            if len(cycle) == len(tri.vertices[p]):
+                left = counts.copy()
+                for e in peripheral_edges(tri, p):
+                    left[e] -= 1
+                if not any(left):
+                    peripheral = p
+            yield cycle, tuple(counts), peripheral
 
 
 def trace_components(tri, v):

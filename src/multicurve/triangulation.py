@@ -112,14 +112,6 @@ class Triangulation:
     def folded_triangles(self):
         return [t for t in range(self.triangle_count) if self.is_folded(t)]
 
-    def edge_endpoints(self, e):
-        """Vertex indices of the two endpoints of edge e (may coincide)."""
-        s = self.edges[e][0]
-        t, k = slot_pair(s)
-        a = self.corner_vertex[slot_id(t, (k + 1) % 3)]
-        b = self.corner_vertex[slot_id(t, (k + 2) % 3)]
-        return a, b
-
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):

@@ -5,7 +5,11 @@ import pytest
 import multicurve as mc
 from multicurve.exactnum import GaussianRational
 from multicurve.quadric import random_rational
-from multicurve.triangulation import random_triangulation  # noqa: F401
+from multicurve.triangulation import (  # noqa: F401
+    random_triangulation,
+    slot_id,
+    slot_pair,
+)
 
 FIXTURES = ["ex11", "n4ex", "n4ex2", "flower:4", "flower:5"]
 
@@ -22,6 +26,13 @@ def any_fixture(request):
 def triangle_side_colors(tri, values, t):
     """Colors seen by slots 0,1,2 of triangle t (doubled sides repeat)."""
     return tuple(values[e] for e in tri.side_edges[t])
+
+
+def edge_endpoints(tri, e):
+    """Vertex indices of the two endpoints of edge e (may coincide)."""
+    t, k = slot_pair(tri.edges[e][0])
+    return (tri.corner_vertex[slot_id(t, (k + 1) % 3)],
+            tri.corner_vertex[slot_id(t, (k + 2) % 3)])
 
 
 def is_loop(dual, i):

@@ -66,7 +66,17 @@ integer-representative sweeps of ``cli`` and the integer draws of
 ``port_matching_components`` traces strand cycles by first matching every
 strand end (port) inside every triangle in one dictionary, then walking
 the matching; it checks the corner-count stepping of
-``trace_components``.
+``trace_components``.  Both it and ``table_trace`` tag a cycle peripheral
+at p by looking its counts up in a table of the loops a_p, each counting
+the edge-ends at p (``endpoint_peripheral_values``); this checks the
+first-corner test of ``tracing._trace`` and the corner listing of
+``coloring.peripheral_edges``.
+
+``index_order_admissible`` is the depth-first search over admissible
+colorings that assigns the edges in index order, and
+``triangle_check_indecomposables`` is the sieve on it that tests every
+c - g against the triangle conditions; they check the triangle-walk order
+of ``admissible_values`` and the set lookup of ``indecomposables``.
 """
 
 from collections import Counter
@@ -74,7 +84,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from conftest import is_loop
+from conftest import edge_endpoints, is_loop
 
 from multicurve import (
     Coloring,
@@ -89,9 +99,14 @@ from multicurve import (
     gamma_involution,
     peripheral_colorings,
     quadric_point,
+    tracing,
 )
 from multicurve.barbell import _cycles, _disjoint_bell_sets, _to_barbell
-from multicurve.coloring import require_admissible
+from multicurve.coloring import (
+    checkable_triangles,
+    require_admissible,
+    triangles_ok,
+)
 from multicurve.errors import EmptyRelativeComplex
 from multicurve.polytope import (
     PolytopeComplex,
@@ -517,7 +532,8 @@ def port_matching_components(tri, v):
     of ``trace_components``, by walking the port matching."""
     values = require_admissible(tri, v)
     match = _arcs(tri, values)
-    peripherals = {p.values: i for i, p in enumerate(peripheral_colorings(tri))}
+    peripherals = {p: i for i, p in
+                   enumerate(endpoint_peripheral_values(tri))}
 
     nodes = [(e, i) for e in range(tri.num_edges) for i in range(values[e])]
     seen = set()
@@ -545,6 +561,58 @@ def port_matching_components(tri, v):
         components.append(TracedComponent(
             cycle, comp_coloring, peripherals.get(comp_coloring.values)))
     return components
+
+
+def endpoint_peripheral_values(tri):
+    """Value tuples of the loops a_p: a_p crosses each edge once per
+    endpoint at p."""
+    vectors = [[0] * tri.num_edges for _ in range(tri.punctures)]
+    for e in range(tri.num_edges):
+        for p in edge_endpoints(tri, e):
+            vectors[p][e] += 1
+    return [tuple(values) for values in vectors]
+
+
+def table_trace(tri, values):
+    """(cycle, counts, peripheral) of each strand cycle of
+    ``tracing._trace``, tagged by looking the counts up in
+    ``endpoint_peripheral_values``."""
+    table = {loop: p for p, loop in
+             enumerate(endpoint_peripheral_values(tri))}
+    return [(cycle, counts, table.get(counts))
+            for cycle, counts, _tag in tracing._trace(tri, values)]
+
+
+def index_order_admissible(tri, max_degree):
+    """Admissible value tuples of degree <= max_degree, in lexicographic
+    order, by a depth-first search over the edges in index order."""
+    nedges = tri.num_edges
+    ready = checkable_triangles(tri, range(nedges))
+    values = [0] * nedges
+
+    def rec(e, budget):
+        if e == nedges:
+            yield tuple(values)
+            return
+        for x in range(budget + 1):
+            values[e] = x
+            if triangles_ok(ready[e], values):
+                yield from rec(e + 1, budget - x)
+        values[e] = 0
+
+    return rec(0, max_degree)
+
+
+def triangle_check_indecomposables(tri, max_degree):
+    """The sieve over ``index_order_admissible``: c is kept unless c - g
+    passes the triangle conditions for some g kept before it."""
+    found = []
+    for v in index_order_admissible(tri, max_degree):
+        if any(v) and not any(
+                triangles_ok(tri.side_edges, [a - b for a, b in zip(v, g)])
+                for g in found):
+            found.append(v)
+    return found
 
 
 def _mul(m, n):

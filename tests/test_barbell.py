@@ -2,7 +2,11 @@ from collections import Counter
 
 import pytest
 from conftest import FIXTURES
-from oracles import in_rational_cone, subset_scan_barbell_trees
+from oracles import (
+    in_rational_cone,
+    subset_scan_barbell_trees,
+    triangle_check_indecomposables,
+)
 
 import multicurve as mc
 from multicurve import errors
@@ -151,10 +155,29 @@ class TestIndecomposables:
         assert set(mc.indecomposables(tri, depth)) == \
             split_search_indecomposables(tri, depth)
 
+    @pytest.mark.parametrize("name, depth", [
+        *((name, 10) for name in FIXTURES), ("flower:6", 10),
+        ("flower:7", 10), ("random:8:3", 12), ("random:8:4", 12)])
+    def test_matches_triangle_check_sieve(self, name, depth):
+        tri = mc.fixture(name)
+        assert mc.indecomposables(tri, depth) == \
+            triangle_check_indecomposables(tri, depth)
+
     def test_lexicographic_and_nonzero(self, any_fixture):
         found = mc.indecomposables(any_fixture, 8)
         assert found == sorted(set(found))
         assert all(any(v) for v in found)
+
+    @pytest.mark.parametrize("name", ["random:6:2", "random:6:3",
+                                      "random:8:0"])
+    def test_sorted_though_found_in_walk_order(self, name):
+        # on these surfaces the walk order keeps the generators in an
+        # order other than the lexicographic one
+        tri = mc.fixture(name)
+        found = mc.indecomposables(tri, 8)
+        assert found == sorted(set(found))
+        walk = mc.coloring.walk_order(tri)
+        assert sorted(found, key=lambda v: [v[e] for e in walk]) != found
 
 
 class TestMonoidGeneration:

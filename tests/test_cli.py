@@ -214,6 +214,15 @@ class TestReports:
         report = json.loads(out)
         assert report["oracle"] == {"depth": 6, "mismatches": []}
 
+    def test_generators_oracle_on_genus_two(self):
+        code, out, _ = run(["generators", "random:8:4", "--oracle-depth",
+                            "12"])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["genus"], report["punctures"]) == (2, 2)
+        assert report["oracle"] == {"depth": 12, "mismatches": []}
+        assert sum(g["degree"] <= 12 for g in report["generators"]) == 50
+
     def test_generators_random_surface(self):
         code, out, _ = run(["generators", "random:12:0"])
         assert code == 0

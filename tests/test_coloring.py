@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import multicurve as mc
 from multicurve import errors
 
-from conftest import random_admissible, triangle_side_colors
+from conftest import FIXTURES, random_admissible, triangle_side_colors
+from oracles import endpoint_peripheral_values, index_order_admissible
 
 
 class TestAdmissibility:
@@ -202,6 +203,41 @@ class TestPeripheral:
             assert mc.is_admissible(tri, p)
             total = [a + b for a, b in zip(total, p.values)]
         assert total == [2] * tri.num_edges
+
+    @pytest.mark.parametrize("name", [
+        *FIXTURES, "flower:3", *(f"random:8:{s}" for s in range(5))])
+    def test_corners_list_the_edge_ends(self, name):
+        tri = mc.fixture(name)
+        assert mc.coloring.peripheral_values(tri) == \
+            endpoint_peripheral_values(tri)
+
+
+class TestAdmissibleValues:
+    SURFACES = [*((name, 8) for name in FIXTURES), ("flower:6", 8),
+                *((f"random:8:{s}", 8) for s in range(3))]
+
+    @pytest.mark.parametrize("name, depth", SURFACES)
+    def test_same_set_as_index_order(self, name, depth):
+        tri = mc.fixture(name)
+        walked = list(mc.coloring.admissible_values(tri, depth))
+        assert len(walked) == len(set(walked))
+        assert set(walked) == set(index_order_admissible(tri, depth))
+
+    @pytest.mark.parametrize("name, depth", SURFACES)
+    def test_lexicographic_in_walk_order(self, name, depth):
+        tri = mc.fixture(name)
+        order = mc.coloring.walk_order(tri)
+        assert sorted(order) == list(range(tri.num_edges))
+        walked = [tuple(v[e] for e in order)
+                  for v in mc.coloring.admissible_values(tri, depth)]
+        assert all(a < b for a, b in zip(walked, walked[1:]))
+
+    def test_flower6_walk_order(self):
+        # from the first petal the walk alternates between the inner
+        # triangle it touches and the next petal
+        tri = mc.flower(6)
+        assert mc.coloring.walk_order(tri) == \
+            [0, 1, 2, 10, 3, 4, 11, 5, 6, 8, 7, 9]
 
 
 class TestDegrees:

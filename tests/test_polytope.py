@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     FIXTURES,
     RP2_TRIANGLES,
+    edge_endpoints,
     random_triangulation,
     simplicial_cells,
 )
@@ -506,7 +507,7 @@ class TestMutationTransfer:
         from multicurve.triangulation import flip_square_sides
         perips = mc.peripheral_colorings(tri)
         e = next(i for i in range(6)
-                 if set(tri.edge_endpoints(i)) == {0, 1})
+                 if set(edge_endpoints(tri, i)) == {0, 1})
         v = perips[2] + perips[3]
         a, c, b, d = flip_square_sides(tri, e)
         assert [v.values[i] for i in (a, b, c, d)] == [1, 1, 1, 1]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 from conftest import FIXTURES
-from oracles import port_matching_components
+from oracles import port_matching_components, table_trace
 
 import multicurve as mc
 
@@ -60,3 +60,31 @@ def test_flower5_flips_match_port_matching():
         _check_against_oracle(flipped, e)
         flips += 1
     assert flips == 5
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "flower:3",
+                                  *(f"random:8:{s}" for s in range(5))])
+def test_peripheral_tags_match_table(name):
+    """Every generator, every g + a_i, and the seeded sums."""
+    tri = mc.fixture(name)
+    loops = [p.values for p in mc.peripheral_colorings(tri)]
+    colorings = _colorings(tri, name)
+    for g in mc.enumerate_barbell_trees(tri):
+        colorings += [tuple(map(sum, zip(g.coloring.values, loop)))
+                      for loop in loops]
+    for values in colorings:
+        assert list(mc.tracing._trace(tri, values)) == \
+            table_trace(tri, values)
+
+
+@pytest.mark.parametrize("name, values", [
+    ("ex11", (0, 1, 1)), ("flower:5", (0, 0, 0, 0, 2, 1, 2, 1, 0))])
+def test_turns_at_one_puncture_but_not_peripheral(name, values):
+    """These curves turn only at corners of one puncture, yet are not the
+    loop around it: the tag needs the counts, not the turns."""
+    tri = mc.fixture(name)
+    u = mc.corner_coords(tri, values)
+    (p,) = {tri.corner_vertex[c] for c, x in enumerate(u) if x}
+    (comp,) = mc.trace_components(tri, values)
+    assert comp.peripheral is None
+    assert comp.coloring.values != mc.peripheral_colorings(tri)[p].values
