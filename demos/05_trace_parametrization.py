@@ -1,9 +1,10 @@
 """The quadric trace parametrization and its symmetries, exactly.
 
 Pairs of points on the line parametrize the trace-t slice of the matrix
-quadric; the formulas are checked here over exact rationals (equalities on
-the nose) and over a hundred thousand floating samples (residuals near
-machine precision).  The demo ends with the Fricke relation of the
+quadric; the formulas are checked here over exact rationals and the
+integer representatives of seeded rational draws (equalities on the nose),
+and over a hundred thousand floating samples (residuals near machine
+precision).  The demo ends with the Fricke relation of the
 four-punctured sphere under the negative-trace convention.
 """
 
@@ -40,15 +41,18 @@ rep = mc.equivariance_check(q.float_mobius_arrays(rng_np, n),
                             q.float_conic_arrays(rng_np, n))
 print(f"equivariance over {n} float samples: residual {rep.residual:.2e}")
 
-# the invariant section: vanishes on genuine representations
+# the invariant section: vanishes on genuine representations, here drawn
+# as integer points [n1 d2 : n2 d1] and integer conic points
+# (beta1 : beta2 : s : h) = (num^2 : den^2 : num^2 - den^2 : num den)
 rng = random.Random(1)
 pts, cps, mats = [], [], []
 for _ in range(3):
-    pa, pb = (q.random_projective_point_exact(rng) for _ in range(2))
-    c = mc.conic_from_beta(q.random_rational_nonzero(rng))
+    pa, pb = (q.random_point_int(rng)[0] for _ in range(2))
+    c = q.conic_from_beta(*q.random_ratio(rng, nonzero=True))
+    qp = mc.quadric_point(pa, pb, c)
     pts += [pa, pb]
     cps.append(c)
-    mats.append(mc.quadric_point(pa, pb, c).normalized())
+    mats.append(q.mat_scale(qp.a, Fraction(1, qp.e)))  # the SL(2) matrix
 prod = mats[0]
 for m in mats[1:]:
     prod = q.mat_mul(prod, m)
@@ -56,7 +60,7 @@ print("\nF on a constructed representation:",
       mc.evaluate_F(pts, cps, q.mat_trace(prod)))
 
 # swapping a point pair while negating s leaves F untouched
-t_last = q.random_rational(rng)
+t_last = Fraction(*q.random_ratio(rng))
 base = mc.evaluate_F(pts, cps, t_last)
 pts2, cps2 = mc.gamma_involution(2, pts, cps)
 print("F invariant under the pair swap:",
@@ -74,13 +78,12 @@ tq = mc.tau_matrix(p, cp_ell.t)
 print("tau matrix real:", all(isinstance(x, Fraction)
                               for row in tq.a for x in row))
 
-# Fricke: the cubic relation among negative traces, exactly zero
-one = ((Fraction(1), 0), (0, Fraction(1)))
+# Fricke: the cubic relation among negative traces, exactly zero; on
+# integer maps M_i / D_i the residual comes times (D1 D2 D3)^12
+one = mc.MobiusMap(((1, 0), (0, 1)))
 print("\nFricke residual at the identity:", mc.fricke_verify(one, one, one))
-worst = Fraction(0)
+worst = 0
 for _ in range(200):
-    res = mc.fricke_verify(q.random_sl2_rational(rng),
-                           q.random_sl2_rational(rng),
-                           q.random_sl2_rational(rng))
+    res = mc.fricke_verify(*(q.random_mobius_int(rng) for _ in range(3)))
     worst = max(worst, res)
-print("worst residual over 200 exact rational triples:", worst)
+print("worst residual over 200 exact integer triples:", worst)

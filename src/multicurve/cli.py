@@ -307,6 +307,8 @@ def cmd_param(args):
     if args.samples < 1:
         raise MulticurveError(
             f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise MulticurveError(f"--seed must be at least 0, got {args.seed}")
     t0 = time.time()
     report = {"command": f"param {args.action}", "backend": args.backend,
               "samples": args.samples, "seed": args.seed}
@@ -322,10 +324,10 @@ def cmd_param(args):
                                                 random.Random(args.seed))
     elif args.backend == "float":
         rng_np = np.random.default_rng(args.seed)
-        mats = [q.float_mobius_arrays(rng_np, args.samples).m
+        maps = [q.float_mobius_arrays(rng_np, args.samples)
                 for _ in range(3)]
-        a, c = q.fricke_trace_coordinates(*mats)
-        res = q._fricke_residual(a, *c)
+        a, c = q.fricke_trace_coordinates(*maps)
+        res = abs(q._cubic(*a, *c, 1))
         report.update(max_residual=f"{float(np.max(res)):.3e}",
                       failures=int(np.sum(res > 1e-9 * q._fricke_scale(a, c))))
     else:
@@ -392,8 +394,10 @@ def build_parser():
     par_sub = p_par.add_subparsers(dest="action", required=True)
     for action in ("check", "fricke"):
         pp = par_sub.add_parser(action)
-        pp.add_argument("--samples", type=int, default=1000)
-        pp.add_argument("--seed", type=int, default=0)
+        pp.add_argument("--samples", type=int, default=1000,
+                        help="number of samples (at least 1)")
+        pp.add_argument("--seed", type=int, default=0,
+                        help="seed of the sample draws (at least 0)")
         pp.add_argument("--backend", choices=["exact", "float"],
                         default="float")
         pp.set_defaults(func=cmd_param)

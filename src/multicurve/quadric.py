@@ -14,7 +14,9 @@ cuts out the relative character variety.
 
 Every formula below is written with generic ring arithmetic: it accepts
 exact scalars (Fraction, GaussianRational), Python complex, and numpy
-arrays (for vectorized sweeps) alike.
+arrays (for vectorized sweeps) alike.  An SL(2) element is a ``MobiusMap``,
+the homogeneous pair (M : D) with det M = D^2: integer M and D in the exact
+sweeps, D = 1 for Fraction, complex and numpy entries.
 """
 
 import math
@@ -78,7 +80,8 @@ def mat_sub(m, n):
 
 
 def mat_scale(m, z):
-    return tuple(tuple(z * x for x in row) for row in m)
+    (a, b), (c, d) = m
+    return ((z * a, z * b), (z * c, z * d))
 
 
 def mat_max_abs(m):
@@ -123,10 +126,13 @@ class ConicPoint:
 
 def conic_from_beta(beta, den=None):
     """Rational-friendly parametrization t = beta + 1/beta, s = beta - 1/beta;
-    with an integer den, beta/den as the integer point (beta1 : beta2 : s :
-    h) = (beta^2 : den^2 : beta^2 - den^2 : beta den)."""
+    with an integer den != 0, beta/den as the integer point (beta1 : beta2 :
+    s : h) = (beta^2 : den^2 : beta^2 - den^2 : beta den)."""
     if _is_zero(beta, tol=0):
         raise ZeroBeta("beta must be nonzero")
+    if den == 0:
+        raise ZeroBeta("den must be nonzero (h = beta den = 0 is off the "
+                       "affine conic)")
     if den is not None:
         b2, d2 = beta * beta, den * den
         return ConicPoint(b2 + d2, b2 - d2, b2, d2, beta * den)
@@ -200,37 +206,21 @@ class ProjectivePoint:
         return f"[{self.x1} : {self.x2}]"
 
 
-def _check_sl2(m, tol, den=1):
-    residual = mat_det(m) - den * den
-    if not _is_zero(residual, tol):
-        raise NotUnitDeterminant(f"det - 1 = {_over(residual, den * den)}")
-
-
-def _cleared(values):
-    """(ints, den) with values = ints / den for int and Fraction values,
-    (values, 1) for anything else."""
-    if not {int, Fraction}.issuperset(map(type, values)):
-        return values, 1
-    ratios = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios], den
-
-
-def _over(x, den):
-    """x / den, as a Fraction for an int x (den is 1 otherwise)."""
-    return Fraction(x, den) if isinstance(x, int) else x
-
-
 class MobiusMap:
-    """Determinant-one 2x2 matrix m / den acting on the projective line
-    (den = 1 unless m holds integers)."""
+    """An SL(2) element as the homogeneous pair (m : den), det m = den^2,
+    acting on the projective line; den = 1 unless m holds integers.  The
+    determinant is checked here, once (within ``tol`` for floats)."""
 
     __slots__ = ("m", "den")
 
     def __init__(self, m, tol=FLOAT_TOL, den=1):
         self.m = tuple(tuple(row) for row in m)
         self.den = den
-        _check_sl2(self.m, tol, den)
+        residual = mat_det(self.m) - den * den
+        if not _is_zero(residual, tol):
+            if isinstance(residual, int):
+                residual = Fraction(residual, den * den)
+            raise NotUnitDeterminant(f"det - 1 = {residual}")
 
     def apply(self, p):
         (a, b), (c, d) = self.m
@@ -413,46 +403,33 @@ def eta_matrix(p, t):
 # trace-coordinate identities (negative-trace skein convention)
 
 
-def fricke_trace_coordinates(b1, b2, b3, tol=1e-9):
-    """Negative traces (a1..a4, c12, c23, c13) of three SL(2) matrices.
+def fricke_trace_coordinates(r1, r2, r3):
+    """Negative traces (a1..a4, c12, c23, c13) of three ``MobiusMap``s, as
+    numerators over one L.
 
     The skein specialization uses the negative trace throughout: a_i is
     -tr(B_i), a_4 is -tr(B_1 B_2 B_3), c_ij is -tr(B_i B_j).  The cubic
-    relation below fails under the positive-trace convention.  Exact
-    matrices are written B_i = M_i / D with integer M_i and one D.  Integer
-    maps M_i / D_i (``MobiusMap``) are rescaled to D = D_1 D_2 D_3 and give
-    integer numerators over one L = D^3.
+    relation below fails under the positive-trace convention.  The maps
+    B_i = M_i / D_i are rescaled to one D = D_1 D_2 D_3 (a map with D_i = D
+    is taken as it is), and every trace is returned times L = D^3: the
+    traces themselves when D = 1, as for Fraction, complex and numpy maps.
     """
-    maps = isinstance(b1, MobiusMap)
-    if maps:
-        den = b1.den * b2.den * b3.den
-        ints = [x * (den // b.den) for b in (b1, b2, b3) for row in b.m
-                for x in row]
-    else:
-        ints, den = _cleared([x for b in (b1, b2, b3) for row in b
-                              for x in row])
-    m1, m2, m3 = mats = [(ints[k:k + 2], ints[k + 2:k + 4]) for k in (0, 4, 8)]
-    for m in mats:
-        _check_sl2(m, tol, den)
+    den = r1.den * r2.den * r3.den
+    m1, m2, m3 = (r.m if r.den == den else mat_scale(r.m, den // r.den)
+                  for r in (r1, r2, r3))
     m12 = mat_mul(m1, m2)
     a = [-mat_trace(m) for m in (m1, m2, m3, mat_mul(m12, m3))]
     c = [-mat_trace(m) for m in (m12, mat_mul(m2, m3), mat_mul(m1, m3))]
-    if maps:
-        return [x * den * den for x in a[:3]] + a[3:], [x * den for x in c]
-    return ([_over(x, den) for x in a[:3]] + [_over(a[3], den ** 3)],
-            tuple(_over(x, den * den) for x in c))
-
-
-def _fricke_residual(a, c12, c23, c13):
-    """|c12 c23 c13 - (c12^2 + c23^2 + c13^2 + f_{12|34} c12
-    + f_{23|14} c23 + f_{13|24} c13 + f)|, the Fricke cubic of the
-    four-punctured sphere, over one common denominator L of exact inputs."""
-    ints, el = _cleared((*a, c12, c23, c13))
-    return _over(abs(_cubic(*ints, el)), el ** 4)
+    if den != 1:
+        a[:3] = [x * den * den for x in a[:3]]
+        c = [x * den for x in c]
+    return a, tuple(c)
 
 
 def _cubic(a1, a2, a3, a4, c12, c23, c13, el):
-    """The Fricke cubic at (a, c) / el times el^4 (as written if el = 1)."""
+    """c12 c23 c13 - (c12^2 + c23^2 + c13^2 + f_{12|34} c12 + f_{23|14} c23
+    + f_{13|24} c13 + f), the Fricke cubic of the four-punctured sphere, at
+    (a, c) / el times el^4 (as written if el = 1)."""
     el2 = el * el
     f_12_34 = a1 * a2 + a3 * a4
     f_23_14 = a2 * a3 + a1 * a4
@@ -476,29 +453,30 @@ def _fricke_scale(a, c):
         a1 * a1, a2 * a2, a3 * a3, a4 * a4), 1)
 
 
-def fricke_verify(b1, b2, b3, tol=1e-9):
-    """Residual of the Fricke cubic on the trace coordinates of three SL(2)
-    matrices, which vanishes for unit determinant matrices (exactly over
-    exact scalars); for integer maps M_i / D_i, the residual times L^4 as
-    an int, L = (D_1 D_2 D_3)^3."""
-    a, (c12, c23, c13) = fricke_trace_coordinates(b1, b2, b3, tol)
-    if isinstance(b1, MobiusMap):
-        return abs(_cubic(*a, c12, c23, c13, (b1.den * b2.den * b3.den) ** 3))
-    return _fricke_residual(a, c12, c23, c13)
+def fricke_verify(r1, r2, r3):
+    """|Fricke cubic| at the trace coordinates of three ``MobiusMap``s,
+    times L^4 (L = (D_1 D_2 D_3)^3): it vanishes exactly on exact maps and
+    up to rounding on float maps, and is the residual itself when L = 1."""
+    a, c = fricke_trace_coordinates(r1, r2, r3)
+    return abs(_cubic(*a, *c, (r1.den * r2.den * r3.den) ** 3))
 
 
-def z_relation_verify(b1, b2, b3, tol=1e-9):
-    """(z, residual) for the extra generator of the flipped square.
+def z_relation_verify(r1, r2, r3):
+    """(z L^2, residual L^8) for the extra generator of the flipped square.
 
     Read as a quadratic in c23, the Fricke cubic has the roots c23 and, by
-    Vieta, z = c12 c13 - c23 - (a1 a4 + a2 a3); the residual is the cubic
-    with z in place of c23 and vanishes for unit determinant matrices.
-    (The geometric content, namely that z completes the degree data of the
-    flipped triangulation, is checked at the coloring level elsewhere.)
+    Vieta, z = c12 c13 - c23 - (a1 a4 + a2 a3); the residual is |cubic|
+    with z in place of c23 and vanishes for unit determinant maps.  On the
+    numerators over L, z L^2 is as written with c23 times L, and the cubic
+    is evaluated over L^2.  (The geometric content, namely that z completes
+    the degree data of the flipped triangulation, is checked at the
+    coloring level elsewhere.)
     """
-    a, (c12, c23, c13) = fricke_trace_coordinates(b1, b2, b3, tol)
-    z = c12 * c13 - c23 - (a[0] * a[3] + a[1] * a[2])
-    return z, _fricke_residual(a, c12, z, c13)
+    a, (c12, c23, c13) = fricke_trace_coordinates(r1, r2, r3)
+    el = (r1.den * r2.den * r3.den) ** 3
+    z = c12 * c13 - el * c23 - (a[0] * a[3] + a[1] * a[2])
+    return z, abs(_cubic(*(el * x for x in a), el * c12, z, el * c13,
+                         el * el))
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +492,6 @@ def random_ratio(rng, span=6, nonzero=False):
             return num, den
 
 
-def random_rational(rng, span=6):
-    return Fraction(*random_ratio(rng, span))
-
-
-def random_rational_nonzero(rng, span=6):
-    return Fraction(*random_ratio(rng, span, nonzero=True))
-
-
 def random_point_int(rng, span=6):
     """(P, d1 d2) for a point (n1/d1 : n2/d2) != (0 : 0) drawn by
     random_ratio, with P = [n1 d2 : n2 d1] its integer representative."""
@@ -529,11 +499,6 @@ def random_point_int(rng, span=6):
         (n1, d1), (n2, d2) = random_ratio(rng, span), random_ratio(rng, span)
         if n1 or n2:
             return ProjectivePoint(n1 * d2, n2 * d1), d1 * d2
-
-
-def random_projective_point_exact(rng, span=6):
-    p, den = random_point_int(rng, span)
-    return ProjectivePoint(Fraction(p.x1, den), Fraction(p.x2, den))
 
 
 def random_mobius_int(rng, span=4):
@@ -545,15 +510,6 @@ def random_mobius_int(rng, span=4):
     return MobiusMap(((an * an * bd * cd, bn * an * ad * cd),
                       (cn * an * ad * bd, ad * ad * (bd * cd + bn * cn))),
                      0, an * ad * bd * cd)
-
-
-def random_mobius_exact(rng, span=4):
-    rho = random_mobius_int(rng, span)
-    return MobiusMap([[Fraction(x, rho.den) for x in row] for row in rho.m])
-
-
-def random_sl2_rational(rng, span=4):
-    return random_mobius_exact(rng, span).m
 
 
 def complex_array(rng_np, n):

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 import multicurve as mc
 from multicurve.exactnum import GaussianRational
-from multicurve.quadric import random_rational
+from multicurve.quadric import random_ratio
 from multicurve.triangulation import (  # noqa: F401
     random_triangulation,
     slot_id,
@@ -76,10 +77,9 @@ def projectively_equal(m, n, tol=0):
 def random_gaussian_point(rng, span=6):
     """Projective point with Gaussian-rational coordinates."""
     while True:
-        x1 = GaussianRational(random_rational(rng, span),
-                              random_rational(rng, span))
-        x2 = GaussianRational(random_rational(rng, span),
-                              random_rational(rng, span))
+        x1, x2 = (GaussianRational(Fraction(*random_ratio(rng, span)),
+                                   Fraction(*random_ratio(rng, span)))
+                  for _ in range(2))
         if x1 != 0 or x2 != 0:
             return mc.ProjectivePoint(x1, x2)
 

@@ -51,9 +51,9 @@ costs 2^|E| per bell set, so keep it to about ten triangles.
 three 2x2 matrices and the Fricke cubic of the four-punctured sphere by
 plain ring arithmetic on the entries (Fraction, int, complex or numpy
 arrays alike), with no denominators cleared and no determinant check; they
-check the integer evaluation of ``quadric.fricke_trace_coordinates`` and
-``quadric._fricke_residual`` value for value, and their float residual
-arrays bit for bit.
+check ``quadric.fricke_trace_coordinates``, ``fricke_verify`` and
+``z_relation_verify`` value for value on Fraction maps, as numerators over
+L = (D1 D2 D3)^3 on integer maps, and bit for bit on float maps.
 
 ``fraction_param_sweep`` and ``fraction_fricke_sweep`` are the exact
 ``param check`` and ``param fricke`` sweeps on ``Fraction`` values, drawn
@@ -691,7 +691,7 @@ def fraction_param_sweep(samples, rng):
 
 
 def fraction_fricke_sweep(samples, rng):
-    """Fraction matrix triples of the exact ``param fricke`` sweep off the
+    """Fraction map triples of the exact ``param fricke`` sweep off the
     Fricke cubic."""
-    return sum(fricke_verify(*(fraction_mobius(rng).m for _ in range(3))) != 0
+    return sum(fricke_verify(*(fraction_mobius(rng) for _ in range(3))) != 0
                for _ in range(samples))

@@ -173,12 +173,14 @@ def test_criterion_6_git_stability():
 
 def test_criterion_7_parametrization_sweeps():
     t0 = time.time()
+    # on the integer representatives M / D, (n1 d2 : n2 d1) and
+    # (beta1 : beta2 : s : h) of the drawn rationals
     rng = random.Random(101)
     for _ in range(100):
-        p1 = q.random_projective_point_exact(rng)
-        p2 = q.random_projective_point_exact(rng)
-        rho = q.random_mobius_exact(rng)
-        cp = mc.conic_from_beta(q.random_rational_nonzero(rng))
+        p1 = q.random_point_int(rng)[0]
+        p2 = q.random_point_int(rng)[0]
+        rho = q.random_mobius_int(rng)
+        cp = q.conic_from_beta(*q.random_ratio(rng, nonzero=True))
         rep = mc.equivariance_check(rho, p1, p2, cp)
         assert rep and rep.residual == 0
         det_r, tr_r = q.quadric_identity_residuals(
@@ -200,10 +202,10 @@ def test_criterion_7_parametrization_sweeps():
 
     # F invariant under every involution factor
     for _ in range(25):
-        pts = [q.random_projective_point_exact(rng) for _ in range(6)]
-        cps_e = [mc.conic_from_beta(q.random_rational_nonzero(rng))
+        pts = [q.random_point_int(rng)[0] for _ in range(6)]
+        cps_e = [q.conic_from_beta(*q.random_ratio(rng, nonzero=True))
                  for _ in range(3)]
-        t_last = q.random_rational(rng)
+        t_last = Fraction(*q.random_ratio(rng))
         base = mc.evaluate_F(pts, cps_e, t_last)
         for i in (1, 2, 3):
             pts_i, cps_i = mc.gamma_involution(i, pts, cps_e)
@@ -238,28 +240,22 @@ def test_criterion_7_parametrization_sweeps():
 
 
 def test_criterion_8_fricke_relation():
-    one = ((Fraction(1), 0), (0, Fraction(1)))
+    one = mc.MobiusMap(((Fraction(1), 0), (0, Fraction(1))))
     a, (c12, c23, c13) = q.fricke_trace_coordinates(one, one, one)
     assert c12 * c23 * c13 == -8  # the hand value -8 = -8
     assert mc.fricke_verify(one, one, one) == 0
 
+    # integer maps M_i / D_i: the residual times (D1 D2 D3)^12
     rng = random.Random(303)
     for _ in range(100):
-        residual = mc.fricke_verify(q.random_sl2_rational(rng),
-                                    q.random_sl2_rational(rng),
-                                    q.random_sl2_rational(rng))
+        residual = mc.fricke_verify(q.random_mobius_int(rng),
+                                    q.random_mobius_int(rng),
+                                    q.random_mobius_int(rng))
         assert residual == 0
 
     rng_np = np.random.default_rng(303)
-
-    def sl2(k):
-        m_a = q.complex_array(rng_np, k)
-        m_a = np.where(np.abs(m_a) < 0.5, m_a + 1.0, m_a)
-        m_b = q.complex_array(rng_np, k)
-        m_c = q.complex_array(rng_np, k)
-        return ((m_a, m_b), (m_c, (1 + m_b * m_c) / m_a))
-
-    res = mc.fricke_verify(sl2(10000), sl2(10000), sl2(10000))
+    res = mc.fricke_verify(*(q.float_mobius_arrays(rng_np, 10000)
+                             for _ in range(3)))
     worst = float(np.max(res))
     assert worst < 1e-9
     _report(f"criterion 8 PASS: Fricke residual exactly 0 on 100 exact "

@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from oracles import (
@@ -126,6 +127,15 @@ class TestExitCodes:
         code, _, err = run(["param", "check", "--samples", samples])
         assert code == 2
         assert "--samples must be at least 1" in err
+
+    @pytest.mark.parametrize("action,backend", itertools.product(
+        ("check", "fricke"), ("exact", "float")))
+    def test_seed_must_not_be_negative(self, action, backend):
+        code, out, err = run(["param", action, "--seed", "-1",
+                              "--backend", backend])
+        assert code == 2
+        assert out == ""
+        assert "--seed must be at least 0, got -1" in err
 
     def test_oracle_depth_must_not_be_negative(self):
         code, out, err = run(["generators", "n4ex", "--oracle-depth", "-3"])
@@ -298,8 +308,8 @@ class TestReports:
         # 2e-2 of its largest term on every sample of these seeds
         negative = q.fricke_trace_coordinates
 
-        def positive(b1, b2, b3, tol=1e-9):
-            a, cs = negative(b1, b2, b3, tol)
+        def positive(b1, b2, b3):
+            a, cs = negative(b1, b2, b3)
             return [-x for x in a], tuple(-c for c in cs)
 
         monkeypatch.setattr(q, "fricke_trace_coordinates", positive)
@@ -315,8 +325,8 @@ class TestReports:
         # the cubic
         negative = q.fricke_trace_coordinates
 
-        def positive(b1, b2, b3, tol=1e-9):
-            a, cs = negative(b1, b2, b3, tol)
+        def positive(b1, b2, b3):
+            a, cs = negative(b1, b2, b3)
             return [-x for x in a], tuple(-c for c in cs)
 
         monkeypatch.setattr(q, "fricke_trace_coordinates", positive)
@@ -349,6 +359,25 @@ class TestExactSweeps:
         assert cli._exact_fricke_sweep(60, ints) == fraction_fricke_sweep(
             60, fractions)
         assert ints.getstate() == fractions.getstate()
+
+    def test_no_fraction_per_sample(self, monkeypatch):
+        # the integer sweeps build no Fraction; the Fraction oracle, run
+        # under the same counter, builds them
+        made = 0
+        real = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal made
+            made += 1
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        for seed in (1, 7, 123):
+            cli._exact_param_sweep(20, random.Random(seed))
+            cli._exact_fricke_sweep(20, random.Random(seed))
+        assert made == 0
+        fraction_fricke_sweep(1, random.Random(1))
+        assert made > 0
 
     def test_equivariance_with_s_negated_on_one_side(self, monkeypatch):
         # inside equivariance_check, A(M p, M q) is the first of each pair
@@ -387,9 +416,9 @@ class TestExactSweeps:
     def test_fricke_trace_off_by_one(self, monkeypatch):
         real = q.fricke_trace_coordinates
 
-        def shifted(b1, b2, b3, tol=1e-9):
+        def shifted(b1, b2, b3):
             # a1 + 1: its numerator over L = (D1 D2 D3)^3 moves by L
-            a, c = real(b1, b2, b3, tol)
+            a, c = real(b1, b2, b3)
             return [a[0] + (b1.den * b2.den * b3.den) ** 3, *a[1:]], c
 
         monkeypatch.setattr(q, "fricke_trace_coordinates", shifted)

@@ -30,6 +30,10 @@ def exact_point(a, b, c=0, d=0):
     return mc.ProjectivePoint(Fraction(a), Fraction(b))
 
 
+def fraction_conic(rng):
+    return mc.conic_from_beta(fraction_rational(rng, 6, nonzero=True))
+
+
 class TestConic:
     def test_beta_one_branch_point(self):
         cp = mc.conic_from_beta(Fraction(1))
@@ -81,9 +85,9 @@ class TestQuadricPoint:
 
     def test_identities_random_exact(self, rng):
         for _ in range(30):
-            cp = mc.conic_from_beta(q.random_rational_nonzero(rng))
-            p1 = q.random_projective_point_exact(rng)
-            p2 = q.random_projective_point_exact(rng)
+            cp = fraction_conic(rng)
+            p1 = fraction_point(rng)
+            p2 = fraction_point(rng)
             qp = mc.quadric_point(p1, p2, cp)
             det_r, tr_r = q.quadric_identity_residuals(qp, cp)
             assert det_r == 0 and tr_r == 0
@@ -126,10 +130,10 @@ class TestEquivariance:
         rng = random.Random(11)
         for _ in range(100):
             rep = mc.equivariance_check(
-                q.random_mobius_exact(rng),
-                q.random_projective_point_exact(rng),
-                q.random_projective_point_exact(rng),
-                mc.conic_from_beta(q.random_rational_nonzero(rng)))
+                fraction_mobius(rng),
+                fraction_point(rng),
+                fraction_point(rng),
+                fraction_conic(rng))
             assert rep and rep.residual == 0
 
     def test_float_sweep(self):
@@ -144,10 +148,10 @@ class TestEquivariance:
     def test_pulled_back_action_is_mobius(self, rng):
         # the conjugated matrix fixes exactly the moved points
         for _ in range(20):
-            cp = mc.conic_from_beta(q.random_rational_nonzero(rng))
-            p1 = q.random_projective_point_exact(rng)
-            p2 = q.random_projective_point_exact(rng)
-            rho = q.random_mobius_exact(rng)
+            cp = fraction_conic(rng)
+            p1 = fraction_point(rng)
+            p2 = fraction_point(rng)
+            rho = fraction_mobius(rng)
             base = mc.quadric_point(p1, p2, cp)
             conj = q.mat_mul(q.mat_mul(rho.m, base.a),
                              q.mat_inv_sl2(rho.m))
@@ -174,9 +178,9 @@ class TestEvaluateF:
             pts, cps, mats = [], [], []
             degenerate = False
             for _i in range(k):
-                pa = q.random_projective_point_exact(rng)
-                pb = q.random_projective_point_exact(rng)
-                cp = mc.conic_from_beta(q.random_rational_nonzero(rng))
+                pa = fraction_point(rng)
+                pb = fraction_point(rng)
+                cp = fraction_conic(rng)
                 qp = mc.quadric_point(pa, pb, cp)
                 if qp.degenerate:
                     degenerate = True
@@ -194,10 +198,10 @@ class TestEvaluateF:
         assert built >= 30
 
     def test_multihomogeneous(self, rng):
-        pts = [q.random_projective_point_exact(rng) for _ in range(4)]
-        cps = [mc.conic_from_beta(q.random_rational_nonzero(rng))
+        pts = [fraction_point(rng) for _ in range(4)]
+        cps = [fraction_conic(rng)
                for _ in range(2)]
-        t_last = q.random_rational(rng)
+        t_last = fraction_rational(rng, 6)
         base = mc.evaluate_F(pts, cps, t_last)
         lam = Fraction(7, 3)
         for i in range(4):
@@ -214,18 +218,18 @@ class TestEvaluateF:
 class TestGammaInvolution:
     def test_invariance_each_factor(self, rng):
         for _ in range(10):
-            pts = [q.random_projective_point_exact(rng) for _ in range(6)]
-            cps = [mc.conic_from_beta(q.random_rational_nonzero(rng))
+            pts = [fraction_point(rng) for _ in range(6)]
+            cps = [fraction_conic(rng)
                    for _ in range(3)]
-            t_last = q.random_rational(rng)
+            t_last = fraction_rational(rng, 6)
             base = mc.evaluate_F(pts, cps, t_last)
             for i in (1, 2, 3):
                 pts2, cps2 = mc.gamma_involution(i, pts, cps)
                 assert mc.evaluate_F(pts2, cps2, t_last) == base
 
     def test_involution_squares_to_identity(self, rng):
-        pts = [q.random_projective_point_exact(rng) for _ in range(4)]
-        cps = [mc.conic_from_beta(q.random_rational_nonzero(rng))
+        pts = [fraction_point(rng) for _ in range(4)]
+        cps = [fraction_conic(rng)
                for _ in range(2)]
         pts2, cps2 = mc.gamma_involution(1, *mc.gamma_involution(1, pts, cps))
         for before, after in zip(pts, pts2):
@@ -233,10 +237,10 @@ class TestGammaInvolution:
         assert cps2[0].s == cps[0].s
 
     def test_composite_invariance(self, rng):
-        pts = [q.random_projective_point_exact(rng) for _ in range(6)]
-        cps = [mc.conic_from_beta(q.random_rational_nonzero(rng))
+        pts = [fraction_point(rng) for _ in range(6)]
+        cps = [fraction_conic(rng)
                for _ in range(3)]
-        t_last = q.random_rational(rng)
+        t_last = fraction_rational(rng, 6)
         base = mc.evaluate_F(pts, cps, t_last)
         for i in (1, 2, 3):
             pts, cps = mc.gamma_involution(i, pts, cps)
@@ -348,7 +352,8 @@ class TestEta:
 
 class TestFricke:
     def test_identity_matrices_hand_value(self):
-        one = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        one = mc.MobiusMap(((Fraction(1), Fraction(0)),
+                            (Fraction(0), Fraction(1))))
         a, (c12, c23, c13) = q.fricke_trace_coordinates(one, one, one)
         assert a == [Fraction(-2)] * 4
         assert (c12, c23, c13) == (-2, -2, -2)
@@ -359,34 +364,27 @@ class TestFricke:
     def test_exact_sweep(self):
         rng = random.Random(41)
         for _ in range(100):
-            residual = mc.fricke_verify(q.random_sl2_rational(rng),
-                                        q.random_sl2_rational(rng),
-                                        q.random_sl2_rational(rng))
+            residual = mc.fricke_verify(fraction_mobius(rng),
+                                        fraction_mobius(rng),
+                                        fraction_mobius(rng))
             assert residual == 0
 
     def test_float_sweep(self):
         rng_np = np.random.default_rng(17)
-
-        def sl2(n):
-            a = q.complex_array(rng_np, n)
-            a = np.where(np.abs(a) < 0.5, a + 1.0, a)
-            b = q.complex_array(rng_np, n)
-            c = q.complex_array(rng_np, n)
-            return ((a, b), (c, (1 + b * c) / a))
-
-        res = mc.fricke_verify(sl2(5000), sl2(5000), sl2(5000))
+        maps = [q.float_mobius_arrays(rng_np, 5000) for _ in range(3)]
+        res = mc.fricke_verify(*maps)
         assert float(np.max(res)) < 1e-9
 
     def test_not_unit_determinant(self):
         bad = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1)))
-        one = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
         with pytest.raises(errors.NotUnitDeterminant):
-            mc.fricke_verify(bad, one, one)
+            mc.MobiusMap(bad)
 
 
 class TestFrickeOracle:
-    """The integer evaluation against plain ring arithmetic, value for
-    value (exact) and bit for bit (float)."""
+    """The Fricke evaluation against plain ring arithmetic: value for value
+    on Fraction maps (D = 1), as numerators over L on integer maps, and bit
+    for bit on float maps."""
 
     MIXED = [((Fraction(1), 0), (0, Fraction(1))),
              ((2, 1), (1, 1)),
@@ -397,54 +395,88 @@ class TestFrickeOracle:
     def triples(self, seed, n):
         rng = random.Random(seed)
         for _ in range(n):
-            yield [q.random_sl2_rational(rng) for _ in range(3)]
+            yield [fraction_mobius(rng) for _ in range(3)]
         for b1 in self.MIXED:
             for b2 in self.MIXED:
-                yield [b1, b2, q.random_sl2_rational(rng)]
+                yield [mc.MobiusMap(b1), mc.MobiusMap(b2),
+                       fraction_mobius(rng)]
+
+    def integer_triples(self, seed, n):
+        rng = random.Random(seed)
+        unit = [mc.MobiusMap(((2, 1), (1, 1))),
+                mc.MobiusMap(((1, 0), (-3, 1)))]
+        for _ in range(n):
+            maps = [q.random_mobius_int(rng) for _ in range(3)]
+            yield maps
+            # D = D_1 and D = D_2: one map is taken as it is
+            yield [maps[0], *unit]
+            yield [unit[0], maps[1], unit[1]]
 
     def test_exact_traces_and_residuals(self):
-        for mats in self.triples(51, 200):
-            a, c = q.fricke_trace_coordinates(*mats)
-            assert (a, c) == fricke_traces(*mats)
-            assert all(type(x) is Fraction for x in (*a, *c))
-            residual = mc.fricke_verify(*mats)
+        for maps in self.triples(51, 200):
+            a, c = q.fricke_trace_coordinates(*maps)
+            assert (a, c) == fricke_traces(*(r.m for r in maps))
+            residual = mc.fricke_verify(*maps)
             assert type(residual) is Fraction
             assert residual == fricke_cubic(a, *c) == 0
 
     def test_exact_residual_off_the_surface(self):
+        # the cubic at integer numerators over el is el^4 times the cubic
+        # at the Fractions
         rng = random.Random(52)
         nonzero = 0
         for _ in range(300):
-            a = [q.random_rational(rng) for _ in range(4)]
-            c = [q.random_rational(rng) for _ in range(3)]
-            residual = q._fricke_residual(a, *c)
-            assert type(residual) is Fraction
-            assert residual == fricke_cubic(a, *c)
+            nums = [rng.randint(-36, 36) for _ in range(7)]
+            el = rng.randint(1, 36)
+            a, c = ([Fraction(x, el) for x in nums[:4]],
+                    [Fraction(x, el) for x in nums[4:]])
+            residual = fricke_cubic(a, *c)
+            assert abs(q._cubic(*nums, el)) == el ** 4 * residual
             nonzero += residual != 0
         assert nonzero > 250
 
     def test_z_relation(self):
-        for mats in self.triples(53, 100):
-            a, (c12, c23, c13) = fricke_traces(*mats)
+        for maps in self.triples(53, 100):
+            a, (c12, c23, c13) = fricke_traces(*(r.m for r in maps))
             z = c12 * c13 - c23 - (a[0] * a[3] + a[1] * a[2])
-            assert mc.z_relation_verify(*mats) == (
+            assert mc.z_relation_verify(*maps) == (
                 z, fricke_cubic(a, c12, z, c13))
 
+    def test_integer_maps(self):
+        # traces times L = (D1 D2 D3)^3, the residual times L^4 and
+        # (z, residual) times (L^2, L^8), all as ints
+        for maps in self.integer_triples(54, 60):
+            el = (maps[0].den * maps[1].den * maps[2].den) ** 3
+            a, c = fricke_traces(*(q.mat_scale(r.m, Fraction(1, r.den))
+                                   for r in maps))
+            got_a, got_c = q.fricke_trace_coordinates(*maps)
+            assert got_a == [el * x for x in a]
+            assert got_c == tuple(el * x for x in c)
+            assert all(type(x) is int for x in (*got_a, *got_c))
+            residual = mc.fricke_verify(*maps)
+            assert type(residual) is int
+            assert residual == el ** 4 * fricke_cubic(a, *c) == 0
+            c12, c23, c13 = c
+            z = c12 * c13 - c23 - (a[0] * a[3] + a[1] * a[2])
+            assert mc.z_relation_verify(*maps) == (
+                el ** 2 * z, el ** 8 * fricke_cubic(a, c12, z, c13))
+
     def test_determinant_message(self):
-        one = ((1, 0), (0, 1))
-        bad = ((Fraction(3, 2), 0), (0, 1))
-        with pytest.raises(errors.NotUnitDeterminant, match=r"= 1/2$"):
-            mc.fricke_verify(one, bad, ((Fraction(1, 3), 0), (0, 3)))
+        # det(M / D) - 1, one Fraction for integer M
+        for m, den in ((((Fraction(3, 2), 0), (0, 1)), 1),
+                       (((3, 0), (0, 2)), 2)):
+            with pytest.raises(errors.NotUnitDeterminant, match=r"= 1/2$"):
+                mc.MobiusMap(m, den=den)
 
     @pytest.mark.parametrize("seed", [17, 303])
     def test_float_bit_identical(self, seed):
         rng_np = np.random.default_rng(seed)
-        mats = [q.float_mobius_arrays(rng_np, 3000).m for _ in range(3)]
-        a, c = q.fricke_trace_coordinates(*mats)
-        a_ref, c_ref = fricke_traces(*mats)
+        maps = [q.float_mobius_arrays(rng_np, 3000) for _ in range(3)]
+        a, c = q.fricke_trace_coordinates(*maps)
+        a_ref, c_ref = fricke_traces(*(r.m for r in maps))
         for x, y in zip((*a, *c), (*a_ref, *c_ref)):
             assert np.array_equal(x, y)
-        res = mc.fricke_verify(*mats)
+        res = mc.fricke_verify(*maps)
         ref = fricke_cubic(a_ref, *c_ref)
         assert res.dtype == ref.dtype
         assert res.tobytes() == ref.tobytes()
@@ -452,7 +484,8 @@ class TestFrickeOracle:
 
 class TestZRelation:
     def test_identity_matrices(self):
-        one = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        one = mc.MobiusMap(((Fraction(1), Fraction(0)),
+                            (Fraction(0), Fraction(1))))
         z, residual = mc.z_relation_verify(one, one, one)
         assert z == -2        # 4 - (-2) - (4 + 4)
         assert residual == 0
@@ -460,7 +493,7 @@ class TestZRelation:
     def test_exact_sweep_and_fricke_consistency(self):
         rng = random.Random(43)
         for _ in range(50):
-            b1, b2, b3 = (q.random_sl2_rational(rng) for _ in range(3))
+            b1, b2, b3 = (fraction_mobius(rng) for _ in range(3))
             z, residual = mc.z_relation_verify(b1, b2, b3)
             assert residual == 0
             assert mc.fricke_verify(b1, b2, b3) == 0
@@ -472,15 +505,19 @@ class TestIntegerDraws:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_same_calls_same_values(self, seed):
+        # read as Fractions, the integer draws are the oracle's values
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(10):
-            assert q.random_rational(rng) == fraction_rational(ref, 6)
-            assert q.random_rational_nonzero(rng, 2) == fraction_rational(
-                ref, 2, nonzero=True)
-            p, r = q.random_projective_point_exact(rng), fraction_point(ref)
-            assert (p.x1, p.x2) == (r.x1, r.x2)
-            assert q.random_mobius_exact(rng).m == fraction_mobius(ref).m
-            assert q.random_sl2_rational(rng, 3) == fraction_mobius(ref, 3).m
+            assert Fraction(*q.random_ratio(rng)) == fraction_rational(ref, 6)
+            assert Fraction(*q.random_ratio(rng, 2, nonzero=True)) == (
+                fraction_rational(ref, 2, nonzero=True))
+            p, den = q.random_point_int(rng)
+            r = fraction_point(ref)
+            assert (Fraction(p.x1, den), Fraction(p.x2, den)) == (r.x1, r.x2)
+            for span in (4, 3):
+                rho = q.random_mobius_int(rng, span)
+                assert q.mat_scale(rho.m, Fraction(1, rho.den)) == (
+                    fraction_mobius(ref, span).m)
         assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("seed", range(20))
@@ -501,13 +538,16 @@ class TestIntegerDraws:
         assert rng.getstate() == ref.getstate()
 
     def test_zero_ratio(self):
-        with pytest.raises(errors.ZeroBeta):
-            q.conic_from_beta(0, 3)
+        # 0/3, and 3/0: its (t : s : h) = (9 : 9 : 0) has t^2 - s^2 = 4 h^2
+        # but is off the affine conic t^2 - s^2 = 4
+        for num, den in ((0, 3), (3, 0)):
+            with pytest.raises(errors.ZeroBeta):
+                q.conic_from_beta(num, den)
 
     def test_integer_quadric_point_is_projectively_equal(self, rng):
         for _ in range(30):
             p, den_p = q.random_point_int(rng)
-            pt = q.random_projective_point_exact(rng)
+            pt = fraction_point(rng)
             num, den = q.random_ratio(rng, nonzero=True)
             got = mc.quadric_point(p, pt, q.conic_from_beta(num, den))
             exact = mc.ProjectivePoint(Fraction(p.x1, den_p),
@@ -524,8 +564,8 @@ class TestIntegerDraws:
         rng = random.Random(61)
         real = q.fricke_trace_coordinates
         for shift in (0, 1):
-            def moved(b1, b2, b3, tol=1e-9):
-                a, c = real(b1, b2, b3, tol)
+            def moved(b1, b2, b3):
+                a, c = real(b1, b2, b3)
                 den = b1.den * b2.den * b3.den
                 return [a[0] + shift * den ** 3, *a[1:]], c
 
