@@ -11,7 +11,6 @@ to exit codes 2 and 4; anything else is a bug and propagates.
 
 import argparse
 import functools
-import itertools
 import json
 import random
 import sys
@@ -223,7 +222,8 @@ def cmd_git(args):
 
 
 def _float_param_sweep(n, seed):
-    """Largest residual of each identity over one seeded numpy sweep."""
+    """Largest residual of each identity over one seeded numpy sweep; tau
+    and eta run on the same arrays, cut to their first 200 samples."""
     rng = np.random.default_rng(seed)
     p = q.float_point_arrays(rng, n)
     pt = q.float_point_arrays(rng, n)
@@ -239,34 +239,24 @@ def _float_param_sweep(n, seed):
     f1 = evaluate_F(pts2, cps2, t_last)
     scale = np.maximum(1.0, np.abs(f0))
     # tau as the point (p, conj p) of the upper conic; eta unitarity
-    t_ell = rng.uniform(-1.99, 1.99, n)
-    tau_res = 0.0
-    eta_res = 0.0
-    for i in range(min(n, 200)):  # scalar loops kept small
-        pp = q.ProjectivePoint(complex(p.x1[i]), complex(p.x2[i]))
-        t = float(t_ell[i])
-        try:
-            tq = tau_matrix(pp, t)
-        except MulticurveError:
-            continue
-        conj = q.ProjectivePoint(pp.x1.conjugate(), pp.x2.conjugate())
-        u = tq.coords()
-        v = quadric_point(pp, conj, q.conic_from_t_elliptic(t)).coords()
-        tau_res = max(tau_res, max(abs(u[j] * v[k] - u[k] * v[j]) for j, k in
-                                   itertools.combinations(range(5), 2))
-                      / max(map(abs, u)) / max(map(abs, v)))
-        em = eta_matrix(pp, t)
-        ct = ((em[0][0].conjugate(), em[1][0].conjugate()),
-              (em[0][1].conjugate(), em[1][1].conjugate()))
-        prod = q.mat_mul(em, ct)
-        eta_res = max(eta_res, q.mat_max_abs(
-            q.mat_sub(prod, ((1, 0), (0, 1)))))
+    t = rng.uniform(-1.99, 1.99, n)[:200]
+    p = q.ProjectivePoint(p.x1[:200], p.x2[:200])
+    conj = q.ProjectivePoint(p.x1.conjugate(), p.x2.conjugate())
+    u = np.array(tau_matrix(p, t).coords())
+    v = np.array(quadric_point(p, conj, q.conic_from_t_elliptic(t)).coords())
+    j, k = np.triu_indices(5, 1)  # the ten 2x2 minors of (u, v)
+    tau_res = (np.abs(u[j] * v[k] - u[k] * v[j]).max(axis=0)
+               / np.abs(u).max(axis=0) / np.abs(v).max(axis=0))
+    em = eta_matrix(p, t)
+    ct = ((em[0][0].conjugate(), em[1][0].conjugate()),
+          (em[0][1].conjugate(), em[1][1].conjugate()))
+    eta_res = q.mat_max_abs(q.mat_sub(q.mat_mul(em, ct), ((1, 0), (0, 1))))
     return {
         "equivariance": rep.residual,
         "det": float(np.max(np.abs(det_r))),
         "trace": float(np.max(np.abs(tr_r))),
         "gamma": float(np.max(np.abs(f1 - f0) / scale)),
-        "tau": tau_res,
+        "tau": float(np.max(tau_res)),
         "eta_unitary": eta_res,
     }
 
@@ -314,11 +304,11 @@ def cmd_param(args):
               "samples": args.samples, "seed": args.seed}
     if args.action == "check" and args.backend == "float":
         worst = _float_param_sweep(args.samples, args.seed)
-        tol = 1e-12
+        tol = q.FLOAT_TOL
         report.update(
             tolerance=tol,
             max_residuals={k: f"{v:.3e}" for k, v in worst.items()},
-            failures=sum(1 for v in worst.values() if v > tol))
+            failures=sum(1 for v in worst.values() if not v <= tol))
     elif args.action == "check":
         report["failures"] = _exact_param_sweep(args.samples,
                                                 random.Random(args.seed))

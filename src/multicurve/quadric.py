@@ -19,7 +19,6 @@ the homogeneous pair (M : D) with det M = D^2: integer M and D in the exact
 sweeps, D = 1 for Fraction, complex and numpy entries.
 """
 
-import math
 from fractions import Fraction
 from functools import reduce
 
@@ -42,11 +41,9 @@ def _is_exact(x):
 
 
 def _is_zero(x, tol=FLOAT_TOL):
-    if isinstance(x, np.ndarray):
-        return bool(np.all(np.abs(x) <= tol))
     if _is_exact(x):
         return x == 0
-    return abs(x) <= tol
+    return bool(np.all(np.abs(x) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +66,8 @@ def mat_det(m):
 
 
 def mat_inv_sl2(m):
-    """Inverse of a determinant-1 matrix."""
+    """The adjugate: the inverse if det m = 1, det(m) times the inverse
+    otherwise (``equivariance_check`` applies it to maps with det M = D^2)."""
     (a, b), (c, d) = m
     return ((d, -b), (-c, a))
 
@@ -85,10 +83,8 @@ def mat_scale(m, z):
 
 
 def mat_max_abs(m):
-    entries = [m[0][0], m[0][1], m[1][0], m[1][1]]
-    if any(isinstance(x, np.ndarray) for x in entries):
-        return max(float(np.max(np.abs(x))) for x in entries)
-    return max(abs(complex(x)) for x in entries)
+    return max(float(np.max(np.abs(x)))
+               for x in (m[0][0], m[0][1], m[1][0], m[1][1]))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +93,7 @@ def mat_max_abs(m):
 
 class ConicPoint:
     """A point (t : s : h), t^2 - s^2 = 4 h^2, optionally born from beta;
-    t, s, beta1, beta2 are stored times h (h = 1 unless given by ints)."""
+    t, s, beta1, beta2 are stored times h != 0 (h = 1 unless given by ints)."""
 
     __slots__ = ("t", "s", "beta1", "beta2", "h")
 
@@ -107,6 +103,8 @@ class ConicPoint:
         self.beta1 = beta1 if beta1 is not None else (t + s) / 2
         self.beta2 = beta2 if beta2 is not None else (t - s) / 2
         self.h = h
+        if _is_zero(h, tol=0):
+            raise ValueError("h = 0 is off the affine conic t^2 - s^2 = 4")
         residual = self.t * self.t - self.s * self.s - 4 * h * h
         if not _is_zero(residual):
             raise ValueError(f"t^2 - s^2 != 4 (residual {residual})")
@@ -159,20 +157,20 @@ def conic_from_angle_parameter(r):
 def conic_from_t_elliptic(t):
     """Conic point over real t with |t| < 2: s = i*sqrt(4 - t^2).
 
-    Exact input (a real GaussianRational included) requires 4 - t^2 to be a
-    rational square (use conic_from_angle_parameter to generate such t
-    densely).
+    Float t may be an array (ValueError if any |t| >= 2); exact t (a real
+    GaussianRational included) needs 4 - t^2 to be a rational square (use
+    conic_from_angle_parameter to generate such t densely).
     """
     if isinstance(t, GaussianRational):
         if t.im != 0:
             raise ValueError("t must be real")
         t = t.re
     exact = _is_exact(t)
-    t = Fraction(t) if exact else float(t)
-    if abs(t) >= 2:
+    t = Fraction(t) if exact else np.asarray(t, dtype=float)
+    if np.any(abs(t) >= 2):
         raise ValueError("need |t| < 2")
     if not exact:
-        return ConicPoint(complex(t), 1j * math.sqrt(4 - t * t))
+        return ConicPoint(t + 0j, 1j * np.sqrt(4 - t * t))
     y = rational_sqrt(4 - t * t)
     if y is None:
         raise ValueError(f"4 - t^2 = {4 - t * t} is not a rational square; "

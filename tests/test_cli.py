@@ -444,6 +444,34 @@ class TestExactSweeps:
         assert code == 3 and report["failures"] == 1
         assert float(report["max_residuals"]["tau"]) > 1e-3
 
+    def test_float_eta_off_the_unitary_group(self, monkeypatch):
+        # 2 U is not unitary: (2 U)(2 U)^* = 4, so the residual is about 3
+        real = cli.eta_matrix
+        monkeypatch.setattr(cli, "eta_matrix",
+                            lambda p, t: q.mat_scale(real(p, t), 2))
+        code, out, _ = run(["param", "check", "--samples", "200",
+                            "--seed", "1", "--backend", "float"])
+        report = json.loads(out)
+        assert code == 3 and report["failures"] == 1
+        assert float(report["max_residuals"]["eta_unitary"]) > 1e-3
+
+    def test_float_nan_residual_fails(self, monkeypatch):
+        # NaN compares false with the tolerance, yet is no pass
+        real = cli.tau_matrix
+
+        def on_the_circle(p, t):
+            tq = real(p, t)
+            (a, b), (c, d) = tq.a
+            nan = float("nan")
+            return q.QuadricPoint(((a * nan, b), (c, d)), tq.e * nan)
+
+        monkeypatch.setattr(cli, "tau_matrix", on_the_circle)
+        code, out, _ = run(["param", "check", "--samples", "200",
+                            "--seed", "1", "--backend", "float"])
+        report = json.loads(out)
+        assert code == 3 and report["failures"] == 1
+        assert report["max_residuals"]["tau"] == "nan"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [

@@ -55,6 +55,13 @@ class TestConic:
         with pytest.raises(errors.ZeroBeta):
             mc.conic_from_beta(Fraction(0))
 
+    def test_zero_h(self):
+        # (3 : 3 : 0) has t^2 - s^2 = 4 h^2 but is off the affine conic
+        with pytest.raises(ValueError, match="h = 0"):
+            mc.ConicPoint(3, 3, h=0)
+        with pytest.raises(errors.ZeroBeta):
+            q.conic_from_beta(3, 0)
+
     def test_angle_parameter_exact(self):
         for r in (Fraction(1, 3), Fraction(2), Fraction(5, 7)):
             cp = mc.conic_from_angle_parameter(r)
@@ -335,6 +342,34 @@ class TestEta:
                        (em[0][1].conjugate(), em[1][1].conjugate()))
             residual = q.mat_sub(q.mat_mul(em, adjoint), ((1, 0), (0, 1)))
             assert q.mat_max_abs(residual) < 1e-12
+
+    def test_arrays_match_scalars(self):
+        rng = np.random.default_rng(21)
+        p = q.float_point_arrays(rng, 50)
+        t = rng.uniform(-1.99, 1.99, 50)
+        cp = mc.conic_from_t_elliptic(t)
+        tq = mc.tau_matrix(p, t)
+        em = mc.eta_matrix(p, t)
+        for i in range(50):
+            pi = mc.ProjectivePoint(complex(p.x1[i]), complex(p.x2[i]))
+            ti = float(t[i])
+            cpi = mc.conic_from_t_elliptic(ti)
+            tqi = mc.tau_matrix(pi, ti)
+            emi = mc.eta_matrix(pi, ti)
+            for arrays, scalars in (
+                    ((cp.t, cp.s, cp.beta1, cp.beta2),
+                     (cpi.t, cpi.s, cpi.beta1, cpi.beta2)),
+                    (tq.coords(), tqi.coords()),
+                    ([x for row in em for x in row],
+                     [x for row in emi for x in row])):
+                bound = 1e-14 * max(map(abs, scalars))
+                for x, y in zip(arrays, scalars):
+                    assert abs(x[i] - y) <= bound
+
+    def test_array_outside_the_interval(self):
+        # the second entry is out of range, not the first
+        with pytest.raises(ValueError, match=r"need \|t\| < 2"):
+            mc.conic_from_t_elliptic(np.array([0.5, 2.5]))
 
     def test_fixes_p_and_antipode(self, rng):
         cp = mc.conic_from_angle_parameter(Fraction(1, 2))
