@@ -13,7 +13,6 @@ from .triangulation import (
     Triangulation,
     DualGraph,
     build,
-    dual_graph,
     fixture,
     flip,
     flower,

@@ -113,10 +113,7 @@ def cmd_polytope(args):
     relative = args.relative or args.check_sphere is not None
     if args.emit and not relative:
         raise MulticurveError("--emit needs --relative or --check-sphere")
-    if relative:
-        cpx = relative_complex(tri)
-        kind = "relative"
-    else:
+    if not relative:
         lattice = cone_face_lattice(tri)
         per_dim = Counter(lattice.face_dim.values())
         _emit({
@@ -131,10 +128,11 @@ def cmd_polytope(args):
         })
         return EXIT_OK
 
+    cpx = relative_complex(tri)
     report = {
         "command": "polytope",
         "input": args.source,
-        "kind": kind,
+        "kind": "relative",
         "f_vector": list(cpx.f_vector()),
         "homology": [{"betti": b, "torsion": tors}
                      for b, tors in cpx.homology()],
@@ -242,11 +240,9 @@ def _float_param_sweep(n, seed):
     t = rng.uniform(-1.99, 1.99, n)[:200]
     p = q.ProjectivePoint(p.x1[:200], p.x2[:200])
     conj = q.ProjectivePoint(p.x1.conjugate(), p.x2.conjugate())
-    u = np.array(tau_matrix(p, t).coords())
-    v = np.array(quadric_point(p, conj, q.conic_from_t_elliptic(t)).coords())
-    j, k = np.triu_indices(5, 1)  # the ten 2x2 minors of (u, v)
-    tau_res = (np.abs(u[j] * v[k] - u[k] * v[j]).max(axis=0)
-               / np.abs(u).max(axis=0) / np.abs(v).max(axis=0))
+    tau_res = q.projective_residual(
+        tau_matrix(p, t).coords(),
+        quadric_point(p, conj, q.conic_from_t_elliptic(t)).coords())
     em = eta_matrix(p, t)
     ct = ((em[0][0].conjugate(), em[1][0].conjugate()),
           (em[0][1].conjugate(), em[1][1].conjugate()))
@@ -318,8 +314,9 @@ def cmd_param(args):
                 for _ in range(3)]
         a, c = q.fricke_trace_coordinates(*maps)
         res = abs(q._cubic(*a, *c, 1))
+        bound = 1e-9 * q._fricke_scale(a, c)
         report.update(max_residual=f"{float(np.max(res)):.3e}",
-                      failures=int(np.sum(res > 1e-9 * q._fricke_scale(a, c))))
+                      failures=int(np.sum(~(res <= bound))))
     else:
         report["failures"] = _exact_fricke_sweep(args.samples,
                                                  random.Random(args.seed))

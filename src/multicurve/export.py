@@ -20,10 +20,9 @@ def _spring_layout(cpx, dim):
 
     Vertices start on a golden-angle spiral (2d) or sphere (3d) in
     canonical cell order, then relax along the 1-cells.  Purely cosmetic.
+    Vertex v sits at ``pos[cpx.index[v]]``, the 0-cells leading ``order``.
     """
-    vertices = cpx.cells_of_dim(0)
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
+    n = len(cpx.cells_of_dim(0))
     pos = []
     golden = math.pi * (3 - math.sqrt(5))
     for i in range(n):
@@ -36,7 +35,7 @@ def _spring_layout(cpx, dim):
             pos.append([r * math.cos(golden * i), r * math.sin(golden * i), z])
     springs = []
     for edge in cpx.cells_of_dim(1):
-        ends = [index[v] for v in cpx.facets[edge]]
+        ends = [cpx.index[v] for v in cpx.facets[edge]]
         if len(ends) == 2:
             springs.append(tuple(ends))
     for _ in range(300):
@@ -59,13 +58,13 @@ def _spring_layout(cpx, dim):
         for i in range(n):
             for k in range(dim):
                 pos[i][k] += max(-0.1, min(0.1, force[i][k]))
-    return vertices, pos
+    return pos
 
 
-def _polygon_cycle(cpx, face, vertex_order):
+def _polygon_cycle(cpx, face):
     """Vertices of a 2-cell in cyclic order along its boundary edges.
 
-    The cycle starts at the lowest vertex in ``vertex_order`` and steps
+    The cycle starts at the lowest vertex in ``cpx.order`` and steps
     first to its lower neighbour, so it depends on the poset alone.
     """
     adjacency = {}
@@ -77,9 +76,9 @@ def _polygon_cycle(cpx, face, vertex_order):
         adjacency.setdefault(b, []).append(a)
     if any(len(nbrs) != 2 for nbrs in adjacency.values()):
         return None
-    start = min(adjacency, key=vertex_order.__getitem__)
+    start = min(adjacency, key=cpx.index.__getitem__)
     cycle = [start]
-    prev, cur = start, min(adjacency[start], key=vertex_order.__getitem__)
+    prev, cur = start, min(adjacency[start], key=cpx.index.__getitem__)
     while cur != start:
         cycle.append(cur)
         a, b = adjacency[cur]
@@ -89,16 +88,15 @@ def _polygon_cycle(cpx, face, vertex_order):
 
 def complex_to_off(cpx):
     """OFF file of the 2-skeleton (for 3-dimensional complexes)."""
-    vertices, pos = _spring_layout(cpx, 3)
-    order = {v: i for i, v in enumerate(vertices)}
+    pos = _spring_layout(cpx, 3)
     faces = []
     for f in cpx.cells_of_dim(2):
-        cycle = _polygon_cycle(cpx, f, order)
+        cycle = _polygon_cycle(cpx, f)
         if cycle:
-            faces.append([order[v] for v in cycle])
+            faces.append([cpx.index[v] for v in cycle])
     lines = ["OFF",
              "# non-metric spring embedding, display only",
-             f"{len(vertices)} {len(faces)} 0"]
+             f"{len(pos)} {len(faces)} 0"]
     for p in pos:
         lines.append(" ".join(f"{x:.6f}" for x in p))
     for face in faces:
@@ -108,8 +106,7 @@ def complex_to_off(cpx):
 
 def complex_to_svg(cpx):
     """SVG drawing of the 1-skeleton (for 1- and 2-dimensional complexes)."""
-    vertices, pos = _spring_layout(cpx, 2)
-    order = {v: i for i, v in enumerate(vertices)}
+    pos = _spring_layout(cpx, 2)
     scale, margin = 160.0, 40.0
 
     def xy(p):
@@ -120,13 +117,13 @@ def complex_to_svg(cpx):
              f'height="{height}" viewBox="0 0 {width} {height}">',
              "<!-- non-metric spring embedding, display only -->"]
     for e in cpx.cells_of_dim(1):
-        ends = sorted(cpx.facets[e], key=order.__getitem__)
+        ends = sorted(cpx.index[v] for v in cpx.facets[e])
         if len(ends) == 2:
-            (x1, y1), (x2, y2) = xy(pos[order[ends[0]]]), xy(pos[order[ends[1]]])
+            (x1, y1), (x2, y2) = xy(pos[ends[0]]), xy(pos[ends[1]])
             parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" '
                          f'y2="{y2:.1f}" stroke="black" stroke-width="1.5"/>')
-    for v in vertices:
-        x, y = xy(pos[order[v]])
+    for p in pos:
+        x, y = xy(p)
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="crimson"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -13,17 +13,19 @@ cut by the candidate facets {rays with u_theta = 0}; a face's dimension is
 the apex's codimension minus its own, and the rational rank of all the
 rays checks the top dimension once.  Slicing by the degree hyperplane
 turns a cone face of dimension k into a polytope cell of dimension k-1; a
-polytope complex stores each cell's facets.
+polytope complex stores each cell's facets and numbers its cells once, the
+one numbering behind homology columns, JSON ids and exported vertices.
 
 The relative complex keeps the faces containing no peripheral through-face
 (the smallest face holding a peripheral vector), a down-set swept on the
 corner side from the apex without the full lattice.  By the structure
-theory it is a sphere, certified here by connectivity + pseudomanifold +
-integral homology (a homology sphere certificate for d >= 3, genuine
+theory it is a sphere, certified here by pseudomanifold + integral
+homology, connectivity read off b_0 (a homology sphere for d >= 3, genuine
 homeomorphism in dimensions <= 2).  The homology is cellular, with the +-1
 incidences of a regular CW complex read off the facets alone.
 """
 
+from bisect import bisect_left
 from collections import Counter
 
 from .barbell import enumerate_simple
@@ -152,6 +154,9 @@ class PolytopeComplex:
     ``cells`` maps cell key -> dimension; ``facets`` maps cell key -> its
     facets, the frozenset of cells one dimension lower that it covers.
     Vertex labels live in ``labels`` (ray colorings for cone complexes).
+    The cells are numbered once: ``order`` lists them by dimension and then
+    by ``str(key)``, ``index`` maps a cell to its position there (its JSON
+    id), and the cells of dimension d sit at ``order[start[d]:start[d+1]]``.
     """
 
     def __init__(self, cells, facets, labels=None):
@@ -159,29 +164,27 @@ class PolytopeComplex:
         self.facets = {k: frozenset(v) for k, v in facets.items()}
         self.labels = labels or {}
         self.order = sorted(self.cells, key=lambda k: (self.cells[k], str(k)))
+        self.index = {k: i for i, k in enumerate(self.order)}
+        dims = [self.cells[k] for k in self.order]
+        self.start = [bisect_left(dims, d)
+                      for d in range(dims[-1] + 2 if dims else 1)]
+        self.dimension = len(self.start) - 2
         self._homology = None
-
-    @property
-    def dimension(self):
-        return max(self.cells.values()) if self.cells else -1
 
     def __len__(self):
         return len(self.cells)
 
     def cells_of_dim(self, d):
-        return [k for k in self.order if self.cells[k] == d]
+        if not 0 <= d <= self.dimension:
+            return []
+        return self.order[self.start[d]:self.start[d + 1]]
 
     def boundary_cells(self, key):
         """Immediate (codimension-1) faces of a cell."""
         return self.facets[key]
 
     def f_vector(self):
-        if not self.cells:
-            return ()
-        counts = [0] * (self.dimension + 1)
-        for d in self.cells.values():
-            counts[d] += 1
-        return tuple(counts)
+        return tuple(b - a for a, b in zip(self.start, self.start[1:]))
 
     def is_connected(self):
         return bool(self.cells) and connected(
@@ -200,11 +203,10 @@ class PolytopeComplex:
         boundary vanishes.  Raises ``ValueError`` naming the cell when the
         poset is not that of a regular CW complex.
         """
-        rank = {k: i for i, k in enumerate(self.order)}
         incidence = {}
         for c in self.order:
             k = self.cells[c]
-            facets = sorted(self.facets[c], key=rank.__getitem__)
+            facets = sorted(self.facets[c], key=self.index.__getitem__)
             for f in facets:
                 if self.cells[f] != k - 1:
                     raise ValueError(f"facet {f!r} of {k}-cell {c!r} has "
@@ -256,26 +258,23 @@ class PolytopeComplex:
             raise EmptyComplex("homology of an empty complex")
         if self._homology is None:
             incidence = self._incidences()
-            num_cells = [0] * (self.dimension + 1)
-            index = {}
-            for c in self.order:
-                index[c] = num_cells[self.cells[c]]
-                num_cells[self.cells[c]] += 1
+            index, start = self.index, self.start
+            num_cells = list(self.f_vector())
             boundaries = {k: [{} for _ in range(num_cells[k - 1])]
                           for k in range(1, len(num_cells))}
             for c in self.order:
+                k = self.cells[c]
+                col = index[c] - start[k]
                 for f, sign in incidence[c].items():
-                    boundaries[self.cells[c]][index[f]][index[c]] = sign
+                    boundaries[k][index[f] - start[k - 1]][col] = sign
             self._homology = homology_from_boundaries(boundaries, num_cells)
         return [(b, list(tors)) for b, tors in self._homology]
 
     def to_json_dict(self):
-        keys = self.order
-        ids = {k: i for i, k in enumerate(keys)}
         cells = []
-        for k in keys:
-            cell = {"id": ids[k], "dim": self.cells[k],
-                    "boundary": sorted(ids[f] for f in self.facets[k])}
+        for k in self.order:
+            cell = {"id": self.index[k], "dim": self.cells[k],
+                    "boundary": sorted(self.index[f] for f in self.facets[k])}
             if k in self.labels:
                 cell["rays"] = self.labels[k]
             cells.append(cell)
@@ -350,9 +349,10 @@ class SphereCertificate:
 
     @property
     def granted(self):
-        # S^0 is two points; for d >= 1, H_0 = Z already means connected
-        return ((self.connected or self.dim == 0) and self.pseudomanifold
-                and self.homology_matches and self.torsion_free)
+        # the S^d homology fixes b_0: one component for d >= 1, two points
+        # for d = 0, so connectivity needs no term of its own
+        return (self.pseudomanifold and self.homology_matches
+                and self.torsion_free)
 
     @property
     def statement(self):
@@ -378,10 +378,10 @@ class SphereCertificate:
 
 
 def sphere_certificate(cpx, d):
-    """Connectivity, pseudomanifold and S^d-homology checks."""
+    """Connectivity, pseudomanifold and S^d-homology checks; connectivity
+    is read from b_0."""
     if not cpx.cells:
         raise EmptyComplex("no cells to certify")
-    connected = cpx.is_connected()
     pseudo = cpx.dimension == d
     if pseudo:
         cofaces = Counter(f for c in cpx.cells_of_dim(d)
@@ -396,7 +396,7 @@ def sphere_certificate(cpx, d):
         expected = [1] + [0] * (d - 1) + [1]
     matches = betti[:d + 1] == expected and all(
         b == 0 for b in betti[d + 1:])
-    return SphereCertificate(d, connected, pseudo, matches, betti,
+    return SphereCertificate(d, betti[0] == 1, pseudo, matches, betti,
                              torsion_free)
 
 

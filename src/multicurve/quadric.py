@@ -16,7 +16,8 @@ Every formula below is written with generic ring arithmetic: it accepts
 exact scalars (Fraction, GaussianRational), Python complex, and numpy
 arrays (for vectorized sweeps) alike.  An SL(2) element is a ``MobiusMap``,
 the homogeneous pair (M : D) with det M = D^2: integer M and D in the exact
-sweeps, D = 1 for Fraction, complex and numpy entries.
+sweeps, D = 1 for Fraction, complex and numpy entries.  Projective equality,
+of points and of pairs (A, e) alike, is the one test ``projective_residual``.
 """
 
 from fractions import Fraction
@@ -183,7 +184,7 @@ def conic_from_t_elliptic(t):
 
 
 class ProjectivePoint:
-    """Homogeneous pair [x1 : x2]; equality up to scalar."""
+    """Homogeneous pair [x1 : x2]."""
 
     __slots__ = ("x1", "x2")
 
@@ -193,10 +194,6 @@ class ProjectivePoint:
         self.x1 = x1
         self.x2 = x2
 
-    def same_point(self, other, tol=FLOAT_TOL):
-        cross = self.x1 * other.x2 - self.x2 * other.x1
-        return _is_zero(cross, tol)
-
     def negate(self):
         return ProjectivePoint(-self.x1, -self.x2)
 
@@ -204,18 +201,30 @@ class ProjectivePoint:
         return f"[{self.x1} : {self.x2}]"
 
 
+def projective_residual(u, v):
+    """Largest 2x2 minor |u_i v_j - u_j v_i| of two coordinate tuples over
+    max |u| max |v|: exactly 0 on proportional exact tuples, rounding-small
+    on proportional float ones, and entrywise over float array coordinates.
+    """
+    u, v = (np.array(w, dtype=object if all(map(_is_exact, w)) else None)
+            for w in (u, v))
+    j, k = np.triu_indices(len(u), 1)
+    return (np.abs(u[j] * v[k] - u[k] * v[j]).max(axis=0)
+            / np.abs(u).max(axis=0) / np.abs(v).max(axis=0))
+
+
 class MobiusMap:
     """An SL(2) element as the homogeneous pair (m : den), det m = den^2,
     acting on the projective line; den = 1 unless m holds integers.  The
-    determinant is checked here, once (within ``tol`` for floats)."""
+    determinant is checked here, once (within ``FLOAT_TOL`` for floats)."""
 
     __slots__ = ("m", "den")
 
-    def __init__(self, m, tol=FLOAT_TOL, den=1):
+    def __init__(self, m, den=1):
         self.m = tuple(tuple(row) for row in m)
         self.den = den
         residual = mat_det(self.m) - den * den
-        if not _is_zero(residual, tol):
+        if not _is_zero(residual):
             if isinstance(residual, int):
                 residual = Fraction(residual, den * den)
             raise NotUnitDeterminant(f"det - 1 = {residual}")
@@ -249,15 +258,6 @@ class QuadricPoint:
     def coords(self):
         return (self.a[0][0], self.a[0][1], self.a[1][0], self.a[1][1],
                 self.e)
-
-    def projectively_equal(self, other, tol=FLOAT_TOL):
-        mine, theirs = self.coords(), other.coords()
-        for i in range(5):
-            for j in range(i + 1, 5):
-                cross = mine[i] * theirs[j] - mine[j] * theirs[i]
-                if not _is_zero(cross, tol):
-                    return False
-        return True
 
     def normalized(self):
         """The honest SL(2) matrix A/e; requires e != 0."""
@@ -293,12 +293,12 @@ class EquivarianceReport:
         return f"EquivarianceReport(ok={self.ok}, residual={self.residual})"
 
 
-def equivariance_check(rho, p, q, cp, tol=FLOAT_TOL):
+def equivariance_check(rho, p, q, cp):
     """Moving the points by a Moebius map conjugates the matrix.
 
     Checks A(M p, M q) = M A(p, q) adj(M) and e(M p, M q) = det(M) e(p, q)
     for rho = M / D, det M = D^2: exactly over exact scalars; over floats
-    (D = 1) within ``tol`` relative to the magnitude of the compared
+    (D = 1) within ``FLOAT_TOL`` relative to the magnitude of the compared
     matrices (with the linear representatives M x, M y the identities hold
     on the nose, so no projective rescaling enters).
     """
@@ -313,7 +313,7 @@ def equivariance_check(rho, p, q, cp, tol=FLOAT_TOL):
     scale = max(1.0, mat_max_abs(lhs.a), mat_max_abs(rhs_a))
     residual = max(mat_max_abs(diff),
                    float(np.max(np.abs(e_diff)))) / scale
-    return EquivarianceReport(residual <= tol, residual)
+    return EquivarianceReport(residual <= FLOAT_TOL, residual)
 
 
 def quadric_identity_residuals(qp, cp):
@@ -490,11 +490,11 @@ def random_ratio(rng, span=6, nonzero=False):
             return num, den
 
 
-def random_point_int(rng, span=6):
+def random_point_int(rng):
     """(P, d1 d2) for a point (n1/d1 : n2/d2) != (0 : 0) drawn by
     random_ratio, with P = [n1 d2 : n2 d1] its integer representative."""
     while True:
-        (n1, d1), (n2, d2) = random_ratio(rng, span), random_ratio(rng, span)
+        (n1, d1), (n2, d2) = random_ratio(rng), random_ratio(rng)
         if n1 or n2:
             return ProjectivePoint(n1 * d2, n2 * d1), d1 * d2
 
@@ -507,7 +507,7 @@ def random_mobius_int(rng, span=4):
     cn, cd = random_ratio(rng, span)
     return MobiusMap(((an * an * bd * cd, bn * an * ad * cd),
                       (cn * an * ad * bd, ad * ad * (bd * cd + bn * cn))),
-                     0, an * ad * bd * cd)
+                     an * ad * bd * cd)
 
 
 def complex_array(rng_np, n):
@@ -527,7 +527,7 @@ def float_mobius_arrays(rng_np, n):
     b = complex_array(rng_np, n)
     c = complex_array(rng_np, n)
     d = (1 + b * c) / a
-    return MobiusMap(((a, b), (c, d)), tol=1e-9)
+    return MobiusMap(((a, b), (c, d)))
 
 
 def float_conic_arrays(rng_np, n):

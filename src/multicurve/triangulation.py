@@ -228,10 +228,6 @@ class DualGraph:
         self.edges = tuple(ends)
 
 
-def dual_graph(tri):
-    return DualGraph(tri)
-
-
 def flower(n):
     """Genus-zero flower triangulation with n punctures (n >= 4).
 
@@ -281,38 +277,22 @@ def flip(tri, e):
     folded triangle raises FlipOnFoldedEdge.
     """
     (t1, p), (t2, q) = _diagonal_slots(tri, e)
-    s1, s2 = tri.edges[e]
     x1 = slot_id(t1, (p + 1) % 3)
     y1 = slot_id(t1, (p + 2) % 3)
     x2 = slot_id(t2, (q + 1) % 3)
     y2 = slot_id(t2, (q + 2) % 3)
-    # contents of the four outer sides move to these slots
-    relocate = {x1: slot_id(t2, (q + 2) % 3),
-                y1: slot_id(t1, (p + 1) % 3),
-                x2: slot_id(t1, (p + 2) % 3),
-                y2: slot_id(t2, (q + 1) % 3)}
-
-    def new_slot(s):
-        return relocate.get(s, s)
-
+    # contents of the four outer sides move to these slots; the new
+    # diagonal keeps e's slots.  Connectivity needs no re-check: with t1
+    # and t2 merged the gluing joins the same triangles as before, and the
+    # new diagonal joins t1 to t2.
+    relocate = {x1: y2, y1: x1, x2: y1, y2: x2}
     gluing = [-1] * (3 * tri.triangle_count)
-    gluing[s1], gluing[s2] = s2, s1  # the new diagonal reuses e's slots
-    for a, b in tri.edges:
-        if (a, b) == (s1, s2):
-            continue
-        na, nb = new_slot(a), new_slot(b)
-        gluing[na], gluing[nb] = nb, na
-
     edges = []
-    for i, (a, b) in enumerate(tri.edges):
-        if i == e:
-            edges.append((min(s1, s2), max(s1, s2)))
-        else:
-            na, nb = new_slot(a), new_slot(b)
-            edges.append((min(na, nb), max(na, nb)))
-    flipped = Triangulation(tri.triangle_count, gluing, edges)
-    _check_connected(flipped)
-    return flipped
+    for a, b in tri.edges:
+        na, nb = relocate.get(a, a), relocate.get(b, b)
+        gluing[na], gluing[nb] = nb, na
+        edges.append((min(na, nb), max(na, nb)))
+    return Triangulation(tri.triangle_count, gluing, edges)
 
 
 def flip_square_sides(tri, e):

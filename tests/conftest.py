@@ -64,16 +64,6 @@ def rng():
     return random.Random(20240817)
 
 
-def projectively_equal(m, n, tol=0):
-    """(A, e) of m and n agree up to one common nonzero scalar."""
-    u = [*m.a[0], *m.a[1], m.e]
-    v = [*n.a[0], *n.a[1], n.e]
-    scale = max(map(abs, u)) * max(map(abs, v))
-    return scale != 0 and all(
-        abs(u[i] * v[j] - u[j] * v[i]) <= tol * scale
-        for i in range(5) for j in range(i + 1, 5))
-
-
 def random_gaussian_point(rng, span=6):
     """Projective point with Gaussian-rational coordinates."""
     while True:

@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-from conftest import conjugate_point, projectively_equal
+from conftest import conjugate_point
 
 import multicurve as mc
 from multicurve import quadric as q
@@ -224,8 +224,8 @@ def test_criterion_7_parametrization_sweeps():
             pass
         else:
             upper = mc.ConicPoint(complex(t), 1j * math.sqrt(4 - t * t))
-            assert projectively_equal(
-                tq, mc.quadric_point(p, conjugate_point(p), upper), 1e-9)
+            assert q.projective_residual(tq.coords(), mc.quadric_point(
+                p, conjugate_point(p), upper).coords()) <= 1e-9
         em = mc.eta_matrix(p, t)
         adj = ((em[0][0].conjugate(), em[1][0].conjugate()),
                (em[0][1].conjugate(), em[1][1].conjugate()))

@@ -66,7 +66,7 @@ class TestEnumeration:
     def test_barbell_vertex_types(self, any_fixture):
         # allowed color multisets at every dual vertex, loops twice
         tri = any_fixture
-        dual = mc.dual_graph(tri)
+        dual = mc.DualGraph(tri)
         allowed = {(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 1, 2),
                    (2, 2, 2), (0, 0, 2)}
         for b in mc.enumerate_barbell_trees(tri):

@@ -401,9 +401,9 @@ class TestExactSweeps:
         class Skewed(q.MobiusMap):
             __slots__ = ()
 
-            def __init__(self, m, tol=q.FLOAT_TOL, den=1):
+            def __init__(self, m, den=1):
                 (a, b), (c, d) = m
-                super().__init__(((a, b), (c, d + 1)), tol, den)
+                super().__init__(((a, b), (c, d + 1)), den)
 
         monkeypatch.setattr(q, "MobiusMap", Skewed)
         for sweep in (cli._exact_param_sweep, cli._exact_fricke_sweep):
@@ -471,6 +471,15 @@ class TestExactSweeps:
         report = json.loads(out)
         assert code == 3 and report["failures"] == 1
         assert report["max_residuals"]["tau"] == "nan"
+
+    def test_float_fricke_nan_residual_fails(self, monkeypatch):
+        # a NaN residual is not below the bound, so every sample fails
+        monkeypatch.setattr(q, "_cubic", lambda a1, *rest: a1 * float("nan"))
+        code, out, _ = run(["param", "fricke", "--samples", "200",
+                            "--seed", "1", "--backend", "float"])
+        report = json.loads(out)
+        assert code == 3 and report["failures"] == report["samples"] == 200
+        assert report["max_residual"] == "nan"
 
 
 class TestDeterminism:

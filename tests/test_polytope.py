@@ -498,6 +498,64 @@ class TestSphereCertificate:
             mc.sphere_certificate(PolytopeComplex({}, {}), 1)
 
 
+class TestCellNumbering:
+    """The one numbering of ``PolytopeComplex``: ``order``, ``index`` and
+    the per-dimension ``start`` offsets."""
+
+    HAND_BUILT = {
+        "rp2": simplicial_cells(RP2_TRIANGLES),
+        "gap": ({"v": 0, "blob": 2}, {"v": frozenset(), "blob": frozenset()}),
+        "points": ({"a": 0, "b": 0}, {"a": frozenset(), "b": frozenset()}),
+    }
+
+    def test_index_is_the_json_id(self, any_fixture):
+        cpx = mc.relative_complex(any_fixture)
+        cells = cpx.to_json_dict()["cells"]
+        assert [c["id"] for c in cells] == list(range(len(cpx)))
+        for k, cell in zip(cpx.order, cells):
+            assert cpx.index[k] == cell["id"]
+            assert cell["boundary"] == sorted(cpx.index[f]
+                                              for f in cpx.facets[k])
+
+    @pytest.mark.parametrize("name", HAND_BUILT)
+    def test_slices_match_a_scan(self, name):
+        cpx = PolytopeComplex(*self.HAND_BUILT[name])
+        for d in range(-1, cpx.dimension + 2):
+            assert cpx.cells_of_dim(d) == [k for k in cpx.order
+                                           if cpx.cells[k] == d]
+        counts = Counter(cpx.cells.values())
+        assert cpx.f_vector() == tuple(counts[d]
+                                       for d in range(cpx.dimension + 1))
+        assert cpx.dimension == max(counts)
+
+    def test_fixture_slices(self, any_fixture):
+        cpx = mc.relative_complex(any_fixture)
+        assert cpx.cells_of_dim(-1) == []
+        assert cpx.cells_of_dim(cpx.dimension + 1) == []
+        assert [k for d in range(cpx.dimension + 1)
+                for k in cpx.cells_of_dim(d)] == cpx.order
+
+    def test_empty(self):
+        cpx = PolytopeComplex({}, {})
+        assert cpx.f_vector() == ()
+        assert cpx.dimension == -1
+        assert cpx.cells_of_dim(-1) == [] and cpx.cells_of_dim(0) == []
+
+    @pytest.mark.parametrize("name", ["rp2", "points", "two-circles",
+                                      *FIXTURES])
+    def test_certificate_reads_connectivity_off_b0(self, name):
+        # the union-find of is_connected cross-checks the b_0 reading
+        if name in self.HAND_BUILT:
+            cpx = PolytopeComplex(*self.HAND_BUILT[name])
+        elif name == "two-circles":
+            cpx = path_complex([(0, 1), (1, 0), (2, 3), (3, 2)])
+        else:
+            cpx = mc.relative_complex(mc.fixture(name))
+        cert = mc.sphere_certificate(cpx, cpx.dimension)
+        assert cert.connected == cpx.is_connected()
+        assert cert.connected == (name not in ("points", "two-circles"))
+
+
 class TestMutationTransfer:
     def test_symmetric_square(self):
         # the symmetric case of the exchange rule: all four square sides

@@ -4,11 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import (
-    conjugate_point,
-    projectively_equal,
-    random_gaussian_point,
-)
+from conftest import conjugate_point, random_gaussian_point
 from oracles import (
     fraction_mobius,
     fraction_point,
@@ -21,6 +17,10 @@ import multicurve as mc
 from multicurve import errors
 from multicurve import quadric as q
 from multicurve.exactnum import GaussianRational, rational_sqrt
+
+
+def same_point(p, r):
+    return q.projective_residual((p.x1, p.x2), (r.x1, r.x2)) == 0
 
 
 def exact_point(a, b, c=0, d=0):
@@ -113,9 +113,33 @@ class TestQuadricPoint:
         cp = mc.conic_from_beta(Fraction(2))
         qp1 = mc.quadric_point(exact_point(1, 2), exact_point(3, 1), cp)
         qp2 = mc.quadric_point(exact_point(2, 4), exact_point(3, 1), cp)
-        assert qp1.projectively_equal(qp2)
+        assert q.projective_residual(qp1.coords(), qp2.coords()) == 0
         qp3 = mc.quadric_point(exact_point(1, 3), exact_point(3, 1), cp)
-        assert not qp1.projectively_equal(qp3)
+        assert q.projective_residual(qp1.coords(), qp3.coords()) != 0
+
+
+class TestProjectiveResidual:
+    def test_exact_tuples(self):
+        u = (Fraction(1, 2), 3, GaussianRational(1, 2), 0, -5)
+        v = tuple(Fraction(-7, 3) * x for x in u)
+        assert q.projective_residual(u, v) == 0
+        assert q.projective_residual(u, (*v[:4], v[4] + 1)) != 0
+        # integers beyond 64 bits stay exact
+        assert q.projective_residual((10 ** 30, 3), (10 ** 31, 30)) == 0
+        assert q.projective_residual((10 ** 30, 3), (10 ** 30 + 1, 3)) != 0
+
+    def test_float_arrays_entrywise(self):
+        rng = np.random.default_rng(3)
+        u = tuple(q.complex_array(rng, 50) for _ in range(5))
+        z = q.complex_array(rng, 50)
+        v = [x * z for x in u]
+        v[2] = v[2] + np.where(np.arange(50) == 7, 1, 0)
+        res = q.projective_residual(u, v)
+        assert res.shape == (50,)
+        assert res[7] > 1e-3 and np.max(np.delete(res, 7)) < 1e-14
+        for i in (3, 7):
+            one = q.projective_residual([x[i] for x in u], [x[i] for x in v])
+            assert one == pytest.approx(res[i], rel=1e-12, abs=1e-15)
 
 
 class TestEquivariance:
@@ -168,7 +192,7 @@ class TestEquivariance:
                     conj[1][0] * moved.x1 + conj[1][1] * moved.x2)
                 if base.degenerate:
                     continue
-                assert img.same_point(moved)
+                assert same_point(img, moved)
 
 
 class TestEvaluateF:
@@ -240,7 +264,7 @@ class TestGammaInvolution:
                for _ in range(2)]
         pts2, cps2 = mc.gamma_involution(1, *mc.gamma_involution(1, pts, cps))
         for before, after in zip(pts, pts2):
-            assert before.same_point(after)
+            assert same_point(before, after)
         assert cps2[0].s == cps[0].s
 
     def test_composite_invariance(self, rng):
@@ -274,10 +298,10 @@ class TestTau:
             except errors.TauDegenerate:
                 continue
             # tau is the real representative of (p, conj p) at s = +iy
-            assert projectively_equal(
-                tq, mc.quadric_point(p, conjugate_point(p), upper))
-            assert not projectively_equal(
-                tq, mc.quadric_point(p, conjugate_point(p), lower))
+            assert q.projective_residual(tq.coords(), mc.quadric_point(
+                p, conjugate_point(p), upper).coords()) == 0
+            assert q.projective_residual(tq.coords(), mc.quadric_point(
+                p, conjugate_point(p), lower).coords()) != 0
             for row in tq.a:
                 for x in row:
                     assert isinstance(x, Fraction)
@@ -300,8 +324,8 @@ class TestTau:
                        if isinstance(x, complex))
             upper = mc.ConicPoint(complex(t), 1j * math.sqrt(4 - t * t))
             p = mc.ProjectivePoint(x1, x2)
-            assert projectively_equal(
-                tq, mc.quadric_point(p, conjugate_point(p), upper), 1e-9)
+            assert q.projective_residual(tq.coords(), mc.quadric_point(
+                p, conjugate_point(p), upper).coords()) <= 1e-9
             det_r = q.mat_det(tq.a) - tq.e ** 2
             assert abs(det_r) < 1e-9
 
@@ -382,7 +406,7 @@ class TestEta:
                 img = mc.ProjectivePoint(
                     em[0][0] * fixed.x1 + em[0][1] * fixed.x2,
                     em[1][0] * fixed.x1 + em[1][1] * fixed.x2)
-                assert img.same_point(fixed)
+                assert same_point(img, fixed)
 
 
 class TestFricke:

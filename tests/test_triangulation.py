@@ -5,7 +5,7 @@ import pytest
 
 import multicurve as mc
 from multicurve import errors
-from multicurve.triangulation import canonical_form
+from multicurve.triangulation import canonical_form, connected
 
 from conftest import num_loops, random_triangulation
 
@@ -79,25 +79,25 @@ class TestBuild:
 
 class TestDualGraph:
     def test_ex11_theta_graph(self):
-        dual = mc.dual_graph(mc.fixture("ex11"))
+        dual = mc.DualGraph(mc.fixture("ex11"))
         assert dual.num_vertices == 2
         assert dual.edges == ((0, 1), (0, 1), (0, 1))
 
     def test_n4ex_is_k4(self):
-        dual = mc.dual_graph(mc.fixture("n4ex"))
+        dual = mc.DualGraph(mc.fixture("n4ex"))
         assert dual.num_vertices == 4
         assert sorted(dual.edges) == [(0, 1), (0, 2), (0, 3),
                                       (1, 2), (1, 3), (2, 3)]
 
     def test_flower4_loops_on_star(self):
-        dual = mc.dual_graph(mc.flower(4))
+        dual = mc.DualGraph(mc.flower(4))
         assert num_loops(dual) == 3
         non_loops = [e for e in dual.edges if e[0] != e[1]]
         center = set(non_loops[0]) & set(non_loops[1]) & set(non_loops[2])
         assert len(center) == 1  # three leaves hang off one center
 
     def test_always_trivalent(self, any_fixture):
-        dual = mc.dual_graph(any_fixture)
+        dual = mc.DualGraph(any_fixture)
         degrees = [0] * dual.num_vertices
         for a, b in dual.edges:
             degrees[a] += 1
@@ -118,7 +118,7 @@ class TestFlower:
         assert tri.num_edges == edges
         assert len(tri.folded_triangles()) == folded
         assert tri.triangle_count == triangles
-        assert num_loops(mc.dual_graph(tri)) == n - 1
+        assert num_loops(mc.DualGraph(tri)) == n - 1
 
     def test_requires_at_least_4(self):
         with pytest.raises(errors.FlowerRequiresNAtLeast4):
@@ -156,6 +156,19 @@ class TestFlip:
             if s1 // 3 == s2 // 3:
                 continue
             assert mc.is_isomorphic(mc.flip(mc.flip(tri, e), e), tri)
+
+    @pytest.mark.parametrize("name", [
+        "ex11", "n4ex", "n4ex2", *(f"flower:{n}" for n in range(4, 8)),
+        *(f"random:{t}:{s}" for t in (6, 8) for s in range(10))])
+    def test_flips_stay_connected(self, name):
+        # flip itself runs no connectivity check
+        tri = mc.fixture(name)
+        for e, (s1, s2) in enumerate(tri.edges):
+            if s1 // 3 != s2 // 3:
+                flipped = mc.flip(tri, e)
+                assert connected(
+                    [{t} for t in range(flipped.triangle_count)],
+                    [(a // 3, b // 3) for a, b in flipped.edges])
 
     def test_folded_edge_rejected(self):
         tri = mc.flower(5)
