@@ -6,7 +6,8 @@ generator oracle or parameter sweep), 4 illegal operation.  Reports are
 canonical JSON (sorted keys, fixed formatting) on stdout, so identical
 command lines with identical seeds produce byte-identical output; timings
 go to stderr.  Only errors raised by the package (``MulticurveError``) map
-to exit codes 2 and 4; anything else is a bug and propagates.
+to exit codes 2 and 4; anything else is a bug and propagates.  numpy is
+imported only by the float ``param`` sweeps, never by an exact command.
 """
 
 import argparse
@@ -15,9 +16,6 @@ import json
 import random
 import sys
 import time
-from collections import Counter
-
-import numpy as np
 
 from . import (
     classify_partition,
@@ -105,8 +103,9 @@ def cmd_generators(args):
 
 def cmd_polytope(args):
     tri = _load_triangulation(args.source)
-    if args.emit and not args.out:
-        raise MulticurveError("--emit requires --out FILE")
+    if bool(args.emit) != bool(args.out):
+        raise MulticurveError("--emit requires --out FILE" if args.emit
+                              else "--out needs --emit")
     if args.check_sphere is not None and args.check_sphere < 0:
         raise MulticurveError(
             f"--check-sphere must be at least 0, got {args.check_sphere}")
@@ -115,7 +114,6 @@ def cmd_polytope(args):
         raise MulticurveError("--emit needs --relative or --check-sphere")
     if not relative:
         lattice = cone_face_lattice(tri)
-        per_dim = Counter(lattice.face_dim.values())
         _emit({
             "command": "polytope",
             "input": args.source,
@@ -123,8 +121,8 @@ def cmd_polytope(args):
             "rays": [list(r.values) for r in lattice.rays],
             "num_faces": len(lattice.faces),
             "dimension": lattice.dimension,
-            "faces_per_dim": {
-                str(d): per_dim[d] for d in range(lattice.dimension + 1)},
+            "faces_per_dim": {str(d): len(faces) for d, faces
+                              in enumerate(lattice.faces_by_dim)},
         })
         return EXIT_OK
 
@@ -222,6 +220,7 @@ def cmd_git(args):
 def _float_param_sweep(n, seed):
     """Largest residual of each identity over one seeded numpy sweep; tau
     and eta run on the same arrays, cut to their first 200 samples."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     p = q.float_point_arrays(rng, n)
     pt = q.float_point_arrays(rng, n)
@@ -309,6 +308,7 @@ def cmd_param(args):
         report["failures"] = _exact_param_sweep(args.samples,
                                                 random.Random(args.seed))
     elif args.backend == "float":
+        import numpy as np
         rng_np = np.random.default_rng(args.seed)
         maps = [q.float_mobius_arrays(rng_np, args.samples)
                 for _ in range(3)]

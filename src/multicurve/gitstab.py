@@ -37,12 +37,7 @@ def _check_partition(m, blocks):
     blocks = [frozenset(int(i) for i in block) for block in blocks]
     if any(not block for block in blocks):
         raise BadPartition("empty block")
-    union = set()
-    total = 0
-    for block in blocks:
-        total += len(block)
-        union |= block
-    if union != set(range(m)) or total != m:
+    if sorted(i for block in blocks for i in block) != list(range(m)):
         raise BadPartition(f"blocks do not partition range({m})")
     return blocks
 

@@ -51,6 +51,7 @@ class ConeFaceLattice:
         self.faces = []                        # list of ray masks
         self.candidates = set()                # distinct candidate facets
         self.face_dim = {}                     # ray mask -> dimension
+        self.faces_by_dim = [[]]               # dimension -> ray masks
         self._build()
 
     def _build(self):
@@ -65,6 +66,9 @@ class ConeFaceLattice:
         dims = [top - codim[f] for f in self.faces]
         del codim                              # freed before face_dim grows
         self.face_dim = dict(zip(self.faces, dims))
+        self.faces_by_dim = [[] for _ in range(top + 1)]
+        for f, d in self.face_dim.items():
+            self.faces_by_dim[d].append(f)
         rank = integer_rank([ray.values for ray in self.rays])
         if rank != self.dimension:
             raise ValueError(f"graded dimension {self.dimension} differs "
@@ -75,7 +79,7 @@ class ConeFaceLattice:
         return self.face_dim[self.faces[-1]] if self.faces else 0
 
     def faces_of_dim(self, d):
-        return [f for f in self.faces if self.face_dim[f] == d]
+        return list(self.faces_by_dim[d]) if 0 <= d <= self.dimension else []
 
     def __repr__(self):
         return (f"ConeFaceLattice(rays={len(self.rays)}, "
@@ -390,10 +394,7 @@ def sphere_certificate(cpx, d):
     hom = cpx.homology()
     betti = [b for b, _tors in hom]
     torsion_free = all(not tors for _b, tors in hom)
-    if d == 0:
-        expected = [2]
-    else:
-        expected = [1] + [0] * (d - 1) + [1]
+    expected = [2] if d == 0 else [1] + [0] * (d - 1) + [1]
     matches = betti[:d + 1] == expected and all(
         b == 0 for b in betti[d + 1:])
     return SphereCertificate(d, betti[0] == 1, pseudo, matches, betti,

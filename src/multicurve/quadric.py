@@ -14,16 +14,16 @@ cuts out the relative character variety.
 
 Every formula below is written with generic ring arithmetic: it accepts
 exact scalars (Fraction, GaussianRational), Python complex, and numpy
-arrays (for vectorized sweeps) alike.  An SL(2) element is a ``MobiusMap``,
-the homogeneous pair (M : D) with det M = D^2: integer M and D in the exact
-sweeps, D = 1 for Fraction, complex and numpy entries.  Projective equality,
-of points and of pairs (A, e) alike, is the one test ``projective_residual``.
+arrays (for vectorized sweeps) alike.  numpy is imported inside the float
+and array branches only, so exact input never loads it.  An SL(2) element
+is a ``MobiusMap``, the homogeneous pair (M : D) with det M = D^2: integer
+M and D in the exact sweeps, D = 1 for Fraction, complex and numpy entries.
+Projective equality, of points and of pairs (A, e) alike, is the one test
+``projective_residual``.
 """
 
 from fractions import Fraction
 from functools import reduce
-
-import numpy as np
 
 from .errors import (
     IndexOutOfRange,
@@ -44,6 +44,7 @@ def _is_exact(x):
 def _is_zero(x, tol=FLOAT_TOL):
     if _is_exact(x):
         return x == 0
+    import numpy as np
     return bool(np.all(np.abs(x) <= tol))
 
 
@@ -84,8 +85,9 @@ def mat_scale(m, z):
 
 
 def mat_max_abs(m):
-    return max(float(np.max(np.abs(x)))
-               for x in (m[0][0], m[0][1], m[1][0], m[1][1]))
+    """Largest |entry| over the rows of m (scalars or arrays), a float."""
+    import numpy as np
+    return max(float(np.max(np.abs(x))) for row in m for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +168,15 @@ def conic_from_t_elliptic(t):
         if t.im != 0:
             raise ValueError("t must be real")
         t = t.re
-    exact = _is_exact(t)
-    t = Fraction(t) if exact else np.asarray(t, dtype=float)
-    if np.any(abs(t) >= 2):
-        raise ValueError("need |t| < 2")
-    if not exact:
+    if not _is_exact(t):
+        import numpy as np
+        t = np.asarray(t, dtype=float)
+        if np.any(abs(t) >= 2):
+            raise ValueError("need |t| < 2")
         return ConicPoint(t + 0j, 1j * np.sqrt(4 - t * t))
+    t = Fraction(t)
+    if abs(t) >= 2:
+        raise ValueError("need |t| < 2")
     y = rational_sqrt(4 - t * t)
     if y is None:
         raise ValueError(f"4 - t^2 = {4 - t * t} is not a rational square; "
@@ -206,6 +211,7 @@ def projective_residual(u, v):
     max |u| max |v|: exactly 0 on proportional exact tuples, rounding-small
     on proportional float ones, and entrywise over float array coordinates.
     """
+    import numpy as np
     u, v = (np.array(w, dtype=object if all(map(_is_exact, w)) else None)
             for w in (u, v))
     j, k = np.triu_indices(len(u), 1)
@@ -311,8 +317,7 @@ def equivariance_check(rho, p, q, cp):
     if all(_is_exact(x) for x in entries):
         return EquivarianceReport(all(x == 0 for x in entries), 0)
     scale = max(1.0, mat_max_abs(lhs.a), mat_max_abs(rhs_a))
-    residual = max(mat_max_abs(diff),
-                   float(np.max(np.abs(e_diff)))) / scale
+    residual = mat_max_abs((entries,)) / scale
     return EquivarianceReport(residual <= FLOAT_TOL, residual)
 
 
@@ -443,6 +448,7 @@ def _cubic(a1, a2, a3, a4, c12, c23, c13, el):
 def _fricke_scale(a, c):
     """max(1, largest |monomial|) of the Fricke cubic at a = (a1..a4) and
     c = (c12, c23, c13); float rounding in the residual grows with it."""
+    import numpy as np
     a1, a2, a3, a4, c12, c23, c13 = map(abs, (*a, *c))
     return reduce(np.maximum, (
         c12 * c23 * c13, c12 * c12, c23 * c23, c13 * c13,
@@ -516,12 +522,14 @@ def complex_array(rng_np, n):
 
 def float_point_arrays(rng_np, n):
     """Unit-normalized homogeneous pairs (projectively no restriction)."""
+    import numpy as np
     x1, x2 = complex_array(rng_np, n), complex_array(rng_np, n)
     norm = np.sqrt(np.abs(x1) ** 2 + np.abs(x2) ** 2)
     return ProjectivePoint(x1 / norm, x2 / norm)
 
 
 def float_mobius_arrays(rng_np, n):
+    import numpy as np
     a = complex_array(rng_np, n)
     a = np.where(np.abs(a) < 0.5, a + 1.0, a)
     b = complex_array(rng_np, n)
@@ -531,6 +539,7 @@ def float_mobius_arrays(rng_np, n):
 
 
 def float_conic_arrays(rng_np, n):
+    import numpy as np
     # moduli kept in [1/2, 2] so the conic identity stays well-conditioned
     radius = rng_np.uniform(0.5, 2.0, n)
     angle = rng_np.uniform(0.0, 2.0 * np.pi, n)

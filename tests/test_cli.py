@@ -2,8 +2,11 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,6 +162,14 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "--emit needs --relative or --check-sphere" in err
+        assert not target.exists()
+
+    def test_out_needs_emit(self, tmp_path):
+        target = tmp_path / "cone.json"
+        code, out, err = run(["polytope", "flower:5", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert "--out needs --emit" in err
         assert not target.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -515,6 +526,45 @@ class TestGolden:
                 drifted.append(name)
         assert not drifted, \
             f"drifted from their recorded command lines: {drifted}"
+
+
+# run in a fresh interpreter: the exit code, the stdout and whether numpy
+# has been imported, after each command line of the JSON list argv[1]
+COLD_RUN = """
+import contextlib, io, json, sys
+import multicurve, multicurve.cli
+sys.stderr = io.StringIO()
+steps = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = multicurve.cli.main(argv)
+    steps.append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+class TestNumpyOnlyForFloatSweeps:
+    def test_exact_commands_never_import_numpy(self):
+        manifest = json.loads((GOLDEN / "manifest.json").read_text())
+        float_golden = "param_fricke_float.json"
+        goldens = sorted(n for n in manifest if n != float_golden)
+        goldens.append(float_golden)
+        exact_fricke = ["param", "fricke", "--samples", "20", "--seed", "3",
+                        "--backend", "exact"]
+        argvs = [manifest[n] for n in goldens]
+        argvs.insert(-1, exact_fricke)
+        src = pathlib.Path(mc.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_RUN, json.dumps(argvs)], env=env,
+            capture_output=True, text=True, timeout=300, check=True)
+        codes, outs, numpy_loaded = zip(*json.loads(proc.stdout))
+        assert codes == (0,) * len(argvs)
+        assert numpy_loaded == (False,) * (len(argvs) - 1) + (True,)
+        assert outs[:-2] + outs[-1:] == tuple(
+            (GOLDEN / n).read_text() for n in goldens)
 
 
 class TestEmit:

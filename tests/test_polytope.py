@@ -93,6 +93,9 @@ def assert_matches_closure_oracle(tri):
     faces, face_dim = closure_face_lattice(lat.rays, lat.corner_vectors)
     assert lat.faces == faces
     assert list(lat.face_dim.items()) == list(face_dim.items())
+    for d in range(-1, lat.dimension + 2):
+        assert lat.faces_of_dim(d) == [f for f in lat.faces
+                                       if lat.face_dim[f] == d]
 
 
 def assert_relative_matches_rank_oracle(tri):
