@@ -20,7 +20,7 @@ def _spring_layout(cpx, dim):
 
     Vertices start on a golden-angle spiral (2d) or sphere (3d) in
     canonical cell order, then relax along the 1-cells.  Purely cosmetic.
-    Vertex v sits at ``pos[cpx.index[v]]``, the 0-cells leading ``order``.
+    Vertex v sits at ``pos[v]``, its cell number: the 0-cells come first.
     """
     n = len(cpx.cells_of_dim(0))
     pos = []
@@ -33,11 +33,8 @@ def _spring_layout(cpx, dim):
             z = 1 - 2 * (i + 0.5) / n
             r = math.sqrt(max(0.0, 1 - z * z))
             pos.append([r * math.cos(golden * i), r * math.sin(golden * i), z])
-    springs = []
-    for edge in cpx.cells_of_dim(1):
-        ends = [cpx.index[v] for v in cpx.facets[edge]]
-        if len(ends) == 2:
-            springs.append(tuple(ends))
+    springs = [cpx.facets[e] for e in cpx.cells_of_dim(1)
+               if len(cpx.facets[e]) == 2]
     for _ in range(300):
         force = [[0.0] * dim for _ in range(n)]
         for i in range(n):
@@ -64,8 +61,8 @@ def _spring_layout(cpx, dim):
 def _polygon_cycle(cpx, face):
     """Vertices of a 2-cell in cyclic order along its boundary edges.
 
-    The cycle starts at the lowest vertex in ``cpx.order`` and steps
-    first to its lower neighbour, so it depends on the poset alone.
+    The cycle starts at the lowest-numbered vertex and steps first to its
+    lower neighbour, so it depends on the poset alone.
     """
     adjacency = {}
     for e in cpx.facets[face]:
@@ -76,9 +73,9 @@ def _polygon_cycle(cpx, face):
         adjacency.setdefault(b, []).append(a)
     if any(len(nbrs) != 2 for nbrs in adjacency.values()):
         return None
-    start = min(adjacency, key=cpx.index.__getitem__)
+    start = min(adjacency)
     cycle = [start]
-    prev, cur = start, min(adjacency[start], key=cpx.index.__getitem__)
+    prev, cur = start, min(adjacency[start])
     while cur != start:
         cycle.append(cur)
         a, b = adjacency[cur]
@@ -89,11 +86,8 @@ def _polygon_cycle(cpx, face):
 def complex_to_off(cpx):
     """OFF file of the 2-skeleton (for 3-dimensional complexes)."""
     pos = _spring_layout(cpx, 3)
-    faces = []
-    for f in cpx.cells_of_dim(2):
-        cycle = _polygon_cycle(cpx, f)
-        if cycle:
-            faces.append([cpx.index[v] for v in cycle])
+    faces = [cycle for f in cpx.cells_of_dim(2)
+             if (cycle := _polygon_cycle(cpx, f))]
     lines = ["OFF",
              "# non-metric spring embedding, display only",
              f"{len(pos)} {len(faces)} 0"]
@@ -117,7 +111,7 @@ def complex_to_svg(cpx):
              f'height="{height}" viewBox="0 0 {width} {height}">',
              "<!-- non-metric spring embedding, display only -->"]
     for e in cpx.cells_of_dim(1):
-        ends = sorted(cpx.index[v] for v in cpx.facets[e])
+        ends = cpx.facets[e]
         if len(ends) == 2:
             (x1, y1), (x2, y2) = xy(pos[ends[0]]), xy(pos[ends[1]])
             parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" '

@@ -5,16 +5,17 @@ functionals u_theta >= 0, so its faces are exactly the zero sets of corner
 subsets.  A face is an int bitmask of the extremal rays (simple barbell
 colorings) it contains, or of the corners vanishing on it.  The cone
 lattice's faces are ray masks (bit i = ray i), ordered by ray count and
-then by mask value; the cells of a polytope complex are keyed by
-frozensets of ray ids built in sorted order, so they print by content
-alone.  Both face families come from one graded sweep (``_graded_sweep``,
-Kaibel-Pfetsch 2002).  The cone lattice sweeps ray masks from all rays,
-cut by the candidate facets {rays with u_theta = 0}; a face's dimension is
-the apex's codimension minus its own, and the rational rank of all the
-rays checks the top dimension once.  Slicing by the degree hyperplane
-turns a cone face of dimension k into a polytope cell of dimension k-1; a
-polytope complex stores each cell's facets and numbers its cells once, the
-one numbering behind homology columns, JSON ids and exported vertices.
+then by mask value; a polytope cell is keyed by the frozenset of its ray
+ids, built in sorted order, so it prints by content alone.  Both face
+families come from one graded sweep (``_graded_sweep``, Kaibel-Pfetsch
+2002).  The cone lattice sweeps ray masks from all rays, cut by the
+candidate facets {rays with u_theta = 0}; a face's dimension is the apex's
+codimension minus its own, and the rational rank of all the rays checks
+the top dimension once.  Slicing by the degree hyperplane turns a cone
+face of dimension k into a polytope cell of dimension k-1.  A polytope
+complex numbers its cells once, by dimension and then by key text, and
+holds dimensions, facets and labels by number, the one handle behind
+homology columns, JSON ids and exported vertices.
 
 The relative complex keeps the faces containing no peripheral through-face
 (the smallest face holding a peripheral vector), a down-set swept on the
@@ -155,23 +156,27 @@ def cone_face_lattice(tri):
 class PolytopeComplex:
     """Ranked face poset of a polytope complex, stored as its Hasse diagram.
 
-    ``cells`` maps cell key -> dimension; ``facets`` maps cell key -> its
-    facets, the frozenset of cells one dimension lower that it covers.
-    Vertex labels live in ``labels`` (ray colorings for cone complexes).
-    The cells are numbered once: ``order`` lists them by dimension and then
-    by ``str(key)``, ``index`` maps a cell to its position there (its JSON
-    id), and the cells of dimension d sit at ``order[start[d]:start[d+1]]``.
+    Built from ``cells`` (key -> dimension), ``facets`` (key -> the keys
+    one dimension lower that it covers, none if absent) and vertex
+    ``labels`` (ray colorings for cone complexes).  The cells are numbered
+    once, by dimension and then by ``str(key)``; from then on cell c has
+    dimension ``cells[c]``, facets ``facets[c]`` (increasing), label
+    ``labels[c]`` and key ``order[c]``, and c is its homology column, JSON
+    id and exported vertex.  ``cells_of_dim(d)`` runs from ``start[d]``.
     """
 
     def __init__(self, cells, facets, labels=None):
-        self.cells = dict(cells)
-        self.facets = {k: frozenset(v) for k, v in facets.items()}
-        self.labels = labels or {}
-        self.order = sorted(self.cells, key=lambda k: (self.cells[k], str(k)))
-        self.index = {k: i for i, k in enumerate(self.order)}
-        dims = [self.cells[k] for k in self.order]
-        self.start = [bisect_left(dims, d)
-                      for d in range(dims[-1] + 2 if dims else 1)]
+        self.order = sorted(cells, key=lambda k: (cells[k], str(k)))
+        number = {k: c for c, k in enumerate(self.order)}
+        try:
+            self.facets = [sorted(number[f] for f in facets.get(k, ()))
+                           for k in self.order]
+        except KeyError as err:
+            raise ValueError(f"facet {err.args[0]!r} is not a cell") from None
+        self.cells = [cells[k] for k in self.order]
+        self.labels = {number[k]: v for k, v in (labels or {}).items()}
+        self.start = [bisect_left(self.cells, d)
+                      for d in range(self.cells[-1] + 2 if self.cells else 1)]
         self.dimension = len(self.start) - 2
         self._homology = None
 
@@ -180,54 +185,56 @@ class PolytopeComplex:
 
     def cells_of_dim(self, d):
         if not 0 <= d <= self.dimension:
-            return []
-        return self.order[self.start[d]:self.start[d + 1]]
+            return range(0)
+        return range(self.start[d], self.start[d + 1])
 
-    def boundary_cells(self, key):
+    def boundary_cells(self, c):
         """Immediate (codimension-1) faces of a cell."""
-        return self.facets[key]
+        return self.facets[c]
 
     def f_vector(self):
         return tuple(b - a for a, b in zip(self.start, self.start[1:]))
 
     def is_connected(self):
         return bool(self.cells) and connected(
-            [{k} for k in self.cells],
-            [(k, f) for k, facets in self.facets.items() for f in facets])
+            [{c} for c in range(len(self.cells))],
+            [(c, f) for c, facets in enumerate(self.facets) for f in facets])
 
     # -- cellular homology from the face poset ------------------------------
 
     def _incidences(self):
-        """Incidence numbers [c:f] = +-1 of every cell on its facets.
+        """Incidence numbers [c:f] = +-1, one dict {f: sign} per cell c.
 
         Cells are oriented dimension by dimension: an edge runs from its
         first vertex to its second; a k-cell (k >= 2) gives its first facet
         +1 and crosses each ridge r from a facet f to the other facet g with
         the diamond rule [c:g] = -[c:f][f:r][g:r], so the boundary of a
-        boundary vanishes.  Raises ``ValueError`` naming the cell when the
-        poset is not that of a regular CW complex.
+        boundary vanishes.  Raises ``ValueError`` naming the cell by its key
+        when the poset is not that of a regular CW complex.
         """
-        incidence = {}
-        for c in self.order:
-            k = self.cells[c]
-            facets = sorted(self.facets[c], key=self.index.__getitem__)
+        key = self.order
+        incidence = []
+        for c, k in enumerate(self.cells):
+            facets = self.facets[c]
             for f in facets:
                 if self.cells[f] != k - 1:
-                    raise ValueError(f"facet {f!r} of {k}-cell {c!r} has "
-                                     f"dimension {self.cells[f]}, not {k - 1}")
+                    raise ValueError(
+                        f"facet {key[f]!r} of {k}-cell {key[c]!r} has "
+                        f"dimension {self.cells[f]}, not {k - 1}")
             if k == 1 and len(facets) != 2:
                 raise ValueError(
-                    f"edge {c!r} has {len(facets)} vertices, not 2")
+                    f"edge {key[c]!r} has {len(facets)} vertices, not 2")
             if k >= 2 and not facets:
-                raise ValueError(f"{k}-cell {c!r} has no facets")
+                raise ValueError(f"{k}-cell {key[c]!r} has no facets")
             owners = {}
             for f in facets:
                 for r in incidence[f]:
                     owners.setdefault(r, []).append(f)
             for r, fs in owners.items():
                 if len(fs) != 2:
-                    raise ValueError(f"ridge {r!r} of {k}-cell {c!r} lies "
-                                     f"in {len(fs)} of its facets, not 2")
+                    raise ValueError(
+                        f"ridge {key[r]!r} of {k}-cell {key[c]!r} lies in "
+                        f"{len(fs)} of its facets, not 2")
             signs = dict(zip(facets, (1, -1) if k == 1 else (1,)))
             stack = list(signs)
             while stack:
@@ -239,13 +246,13 @@ class PolytopeComplex:
                         signs[g] = sign
                         stack.append(g)
                     elif signs[g] != sign:
-                        raise ValueError(f"{k}-cell {c!r} is not orientable "
-                                         f"across ridge {r!r}")
+                        raise ValueError(f"{k}-cell {key[c]!r} is not "
+                                         f"orientable across ridge {key[r]!r}")
             for f in facets:
                 if f not in signs:
-                    raise ValueError(f"facet {f!r} of {k}-cell {c!r} is not "
-                                     "reached across its ridges")
-            incidence[c] = signs
+                    raise ValueError(f"facet {key[f]!r} of {k}-cell {key[c]!r}"
+                                     " is not reached across its ridges")
+            incidence.append(signs)
         return incidence
 
     def homology(self):
@@ -254,33 +261,30 @@ class PolytopeComplex:
 
         The chain groups are spanned by the cells and the boundary maps
         carry the incidence numbers of ``_incidences``, as one sparse row
-        {k-cell index: sign} per (k-1)-cell.  Computed once per
-        complex (complexes are not mutated after construction); every call
-        returns a fresh copy of the result.
+        {column: sign} per row, where a k-cell c is row or column
+        ``c - start[k]``.  Computed once per complex (complexes are not
+        mutated after construction); every call returns a fresh copy.
         """
         if not self.cells:
             raise EmptyComplex("homology of an empty complex")
         if self._homology is None:
             incidence = self._incidences()
-            index, start = self.index, self.start
+            start = self.start
             num_cells = list(self.f_vector())
             boundaries = {k: [{} for _ in range(num_cells[k - 1])]
                           for k in range(1, len(num_cells))}
-            for c in self.order:
-                k = self.cells[c]
-                col = index[c] - start[k]
+            for c, k in enumerate(self.cells):
                 for f, sign in incidence[c].items():
-                    boundaries[k][index[f] - start[k - 1]][col] = sign
+                    boundaries[k][f - start[k - 1]][c - start[k]] = sign
             self._homology = homology_from_boundaries(boundaries, num_cells)
         return [(b, list(tors)) for b, tors in self._homology]
 
     def to_json_dict(self):
         cells = []
-        for k in self.order:
-            cell = {"id": self.index[k], "dim": self.cells[k],
-                    "boundary": sorted(self.index[f] for f in self.facets[k])}
-            if k in self.labels:
-                cell["rays"] = self.labels[k]
+        for c, k in enumerate(self.cells):
+            cell = {"id": c, "dim": k, "boundary": self.facets[c]}
+            if c in self.labels:
+                cell["rays"] = self.labels[c]
             cells.append(cell)
         return {"dimension": self.dimension, "f_vector": list(self.f_vector()),
                 "cells": cells}
@@ -394,9 +398,10 @@ def sphere_certificate(cpx, d):
     hom = cpx.homology()
     betti = [b for b, _tors in hom]
     torsion_free = all(not tors for _b, tors in hom)
-    expected = [2] if d == 0 else [1] + [0] * (d - 1) + [1]
-    matches = betti[:d + 1] == expected and all(
-        b == 0 for b in betti[d + 1:])
+    # S^d has b_0 = 1 + [d = 0], b_d = 1 and no other homology; a d above
+    # the complex's dimension is refused without a d-long list
+    matches = 0 <= d <= cpx.dimension and betti == [
+        (i == 0) + (i == d) for i in range(len(betti))]
     return SphereCertificate(d, betti[0] == 1, pseudo, matches, betti,
                              torsion_free)
 

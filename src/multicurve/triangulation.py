@@ -430,7 +430,7 @@ def fixture(name):
 def from_json_dict(data):
     """Build from ``{"triangles": T, "gluing": [[[t, s], [t', s']], ...]}``.
 
-    Data of any other shape raises TriangulationError.
+    Any other shape, JSON booleans for integers too, raises TriangulationError.
     """
     try:
         count = data["triangles"]
@@ -438,8 +438,8 @@ def from_json_dict(data):
     except (KeyError, TypeError, ValueError):
         pairs = None
     if pairs is None or not (
-            isinstance(count, int) and 2 * len(pairs) == 3 * count
-            and all(len(s) == 2 and all(isinstance(x, int) for x in s)
+            type(count) is int and 2 * len(pairs) == 3 * count
+            and all(len(s) == 2 and all(type(x) is int for x in s)
                     for pair in pairs for s in pair)):
         raise TriangulationError(
             "malformed gluing data: need an integer triangle count T and "

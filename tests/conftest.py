@@ -93,3 +93,12 @@ def simplicial_cells(triangles):
         cells[t] = 2
         facets[t] = frozenset(edges)
     return cells, facets
+
+
+def keyed_view(cpx):
+    """({key: dimension}, {key: frozenset of facet keys}) of a polytope
+    complex, its numbered cells read back through ``order``."""
+    key = cpx.order
+    return ({key[c]: d for c, d in enumerate(cpx.cells)},
+            {key[c]: frozenset(key[f] for f in facets)
+             for c, facets in enumerate(cpx.facets)})

@@ -11,7 +11,7 @@ it to small complexes.
 ``rank_face_lattice`` rebuilds a cone face lattice with the dimension of
 each face taken as the rational rank of its rays, which checks the graded
 dimensions of ``ConeFaceLattice`` with linear algebra.  Its faces are
-frozensets of ray ids, like the cells of a ``PolytopeComplex``; the
+frozensets of ray ids, like the cell keys of a ``PolytopeComplex``; the
 lattice's own faces are int ray masks, so they are compared by content.
 ``rank_relative_complex`` rebuilds the relative complex from it with the
 vanishing-corner filter and covers found by pairwise inclusion, which
@@ -120,15 +120,17 @@ from multicurve.linalg import homology_from_boundaries, integer_rank
 from multicurve.quadric import quadric_identity_residuals
 
 
-def order_complex_chains(cpx):
-    """All chains of the face poset of ``cpx``, grouped by length - 1."""
+def order_complex_chains(cells, facets):
+    """All chains of the face poset with ``cells`` (key -> dimension) and
+    ``facets`` (key -> facet keys), grouped by length - 1."""
+    order = sorted(cells, key=cells.get)    # facets before their cofaces
     below = {}
-    above = {k: [] for k in cpx.order}
-    for k in cpx.order:
-        below[k] = set(cpx.facets[k]).union(*(below[f] for f in cpx.facets[k]))
+    above = {k: [] for k in order}
+    for k in order:
+        below[k] = set(facets[k]).union(*(below[f] for f in facets[k]))
         for b in below[k]:
             above[b].append(k)
-    chains = {0: [(k,) for k in cpx.order]}
+    chains = {0: [(k,) for k in order]}
     level = 0
     while chains[level]:
         chains[level + 1] = [chain + (k,) for chain in chains[level]
@@ -138,10 +140,10 @@ def order_complex_chains(cpx):
     return chains
 
 
-def order_complex_homology(cpx):
-    """(betti, torsion) per dimension 0..cpx.dimension, via the order
-    complex."""
-    chains = order_complex_chains(cpx)
+def order_complex_homology(cells, facets):
+    """(betti, torsion) per dimension 0..top of a keyed face poset, via the
+    order complex."""
+    chains = order_complex_chains(cells, facets)
     top = max(chains)
     index = {k: {c: i for i, c in enumerate(chains[k])} for k in chains}
     boundaries = {}
@@ -154,13 +156,13 @@ def order_complex_homology(cpx):
         boundaries[k] = rows
     result = homology_from_boundaries(
         boundaries, [len(chains[k]) for k in range(top + 1)])
-    while len(result) < cpx.dimension + 1:
+    while len(result) < max(cells.values()) + 1:
         result.append((0, []))
     return result
 
 
-def num_simplices(cpx):
-    return sum(len(c) for c in order_complex_chains(cpx).values())
+def num_simplices(cells, facets):
+    return sum(len(c) for c in order_complex_chains(cells, facets).values())
 
 
 def rank_face_lattice(lattice):

@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import keyed_view
 from oracles import (
     fraction_fricke_sweep,
     fraction_param_sweep,
@@ -119,6 +120,9 @@ class TestExitCodes:
         '{"triangles":"2","gluing":[]}',
         '{"gluing":[]}',
         '{"triangles":2,',
+        # JSON true is not the slot index 1
+        '{"triangles":2,"gluing":[[[0,0],[true,0]],[[0,1],[1,1]],'
+        '[[0,2],[1,2]]]}',
     ])
     def test_malformed_json_source(self, text):
         code, _, err = run(["generators", text])
@@ -581,12 +585,12 @@ class TestEmit:
 
     @pytest.mark.parametrize("writer", [complex_to_off, complex_to_svg])
     def test_export_ignores_set_order(self, writer):
-        # polygons and edges come from the poset, not from how its sets
-        # iterate
+        # polygons and edges come from the poset, not from the order in
+        # which its facets are given
         cpx = mc.relative_complex(mc.flower(5))
+        cells, facets = keyed_view(cpx)
         rebuilt = mc.PolytopeComplex(
-            cpx.cells, {k: frozenset(reversed(list(fs)))
-                        for k, fs in cpx.facets.items()}, cpx.labels)
+            cells, {k: list(fs)[::-1] for k, fs in facets.items()})
         assert writer(rebuilt) == writer(cpx)
 
     def test_svg_export(self, tmp_path):

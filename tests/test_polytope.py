@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ from conftest import (
     FIXTURES,
     RP2_TRIANGLES,
     edge_endpoints,
+    keyed_view,
     random_triangulation,
     simplicial_cells,
 )
@@ -101,8 +103,9 @@ def assert_matches_closure_oracle(tri):
 def assert_relative_matches_rank_oracle(tri):
     cpx = mc.relative_complex(tri)
     cells, facets = rank_relative_complex(tri, mc.cone_face_lattice(tri))
-    assert cpx.cells == cells
-    assert cpx.facets == facets
+    keyed_cells, keyed_facets = keyed_view(cpx)
+    assert keyed_cells == cells
+    assert keyed_facets == facets
 
 
 def assert_matches_walk_oracle(tri):
@@ -265,8 +268,8 @@ class TestRelativeComplex:
     def test_cell_keys_print_by_content(self, name):
         # cells of one dimension are ordered by str(key), which must not
         # depend on how the key's set was built
-        cpx = mc.relative_complex(mc.fixture(name))
-        assert all(str(k) == str(frozenset(sorted(k))) for k in cpx.cells)
+        cells, _facets = keyed_view(mc.relative_complex(mc.fixture(name)))
+        assert all(str(k) == str(frozenset(sorted(k))) for k in cells)
 
     def test_depth_checked_against_ray_rank(self, monkeypatch):
         # the sweep reads only the corners; rays all on one line leave the
@@ -279,10 +282,10 @@ class TestRelativeComplex:
             mc.relative_complex(mc.fixture("n4ex"))
 
     def test_closed_under_faces(self, any_fixture):
-        cpx = mc.relative_complex(any_fixture)
-        for cell, facets in cpx.facets.items():
-            for f in facets:
-                assert cpx.cells.get(f) == cpx.cells[cell] - 1
+        cells, facets = keyed_view(mc.relative_complex(any_fixture))
+        for cell, fs in facets.items():
+            for f in fs:
+                assert cells.get(f) == cells[cell] - 1
                 assert f < cell
 
     def test_euler_matches_homology(self, any_fixture):
@@ -380,7 +383,7 @@ class TestCellularMatchesOrderComplex:
 
     def test_fixtures(self, any_fixture):
         cpx = mc.relative_complex(any_fixture)
-        assert cpx.homology() == order_complex_homology(cpx)
+        assert cpx.homology() == order_complex_homology(*keyed_view(cpx))
 
     @pytest.mark.parametrize("poset", [
         simplicial_cells(RP2_TRIANGLES),
@@ -391,7 +394,8 @@ class TestCellularMatchesOrderComplex:
     ], ids=["rp2", "tetrahedron", "bowtie", "pentagon", "digon"])
     def test_hand_built(self, poset):
         cpx = PolytopeComplex(*poset)
-        assert cpx.homology() == order_complex_homology(cpx)
+        assert keyed_view(cpx) == poset
+        assert cpx.homology() == order_complex_homology(*keyed_view(cpx))
 
     @pytest.mark.parametrize("edges", [
         [(0, 1), (1, 2), (2, 0)],
@@ -401,14 +405,15 @@ class TestCellularMatchesOrderComplex:
     ], ids=["circle", "dangling", "two-circles", "figure-eight"])
     def test_path_complexes(self, edges):
         cpx = path_complex(edges)
-        assert cpx.homology() == order_complex_homology(cpx)
+        assert cpx.homology() == order_complex_homology(*keyed_view(cpx))
 
     def test_random_surfaces(self):
         compared = set()
         for tri in random_surfaces(6):
             cpx = mc.relative_complex(tri)
-            if num_simplices(cpx) <= 1000:
-                assert cpx.homology() == order_complex_homology(cpx)
+            poset = keyed_view(cpx)
+            if num_simplices(*poset) <= 1000:
+                assert cpx.homology() == order_complex_homology(*poset)
                 compared.add(tri.genus)
         assert compared == {0, 1}
 
@@ -447,6 +452,18 @@ class TestNonRegularPoset:
                               {"v": frozenset(), "blob": frozenset()})
         with pytest.raises(ValueError, match="2-cell 'blob' has no facets"):
             cpx.homology()
+
+    def test_facet_that_is_not_a_cell(self):
+        with pytest.raises(ValueError, match="facet 'z' is not a cell"):
+            PolytopeComplex({"a": 0, "b": 0, "e": 1},
+                            {"a": [], "b": [], "e": ["a", "z"]})
+
+    def test_cell_without_a_facets_entry_has_none(self):
+        assert PolytopeComplex({"a": 0}, {}).homology() == [(1, [])]
+        with pytest.raises(ValueError, match="edge 'e' has 0 vertices"):
+            PolytopeComplex({"a": 0, "e": 1}, {}).homology()
+        with pytest.raises(ValueError, match="2-cell 'blob' has no facets"):
+            PolytopeComplex({"v": 0, "blob": 2}, {"v": []}).homology()
 
     def test_facet_of_wrong_dimension(self):
         cells, facets = polygon_2cell([0, 1, 2])
@@ -500,10 +517,24 @@ class TestSphereCertificate:
         with pytest.raises(errors.EmptyComplex):
             mc.sphere_certificate(PolytopeComplex({}, {}), 1)
 
+    def test_dimension_above_the_complex_is_refused_in_small_memory(self):
+        cpx = mc.relative_complex(mc.fixture("ex11"))
+        cpx.homology()          # cached, so only the comparison is traced
+        tracemalloc.start()
+        try:
+            cert = mc.sphere_certificate(cpx, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not cert.homology_matches and not cert.granted
+        assert peak < 1 << 20
+        assert not mc.sphere_certificate(cpx, 10 ** 12).granted
+
 
 class TestCellNumbering:
-    """The one numbering of ``PolytopeComplex``: ``order``, ``index`` and
-    the per-dimension ``start`` offsets."""
+    """The one numbering of ``PolytopeComplex``: cells by dimension and then
+    by key text, facets as increasing numbers one dimension down, and the
+    per-dimension ``start`` offsets."""
 
     HAND_BUILT = {
         "rp2": simplicial_cells(RP2_TRIANGLES),
@@ -515,34 +546,44 @@ class TestCellNumbering:
         cpx = mc.relative_complex(any_fixture)
         cells = cpx.to_json_dict()["cells"]
         assert [c["id"] for c in cells] == list(range(len(cpx)))
-        for k, cell in zip(cpx.order, cells):
-            assert cpx.index[k] == cell["id"]
-            assert cell["boundary"] == sorted(cpx.index[f]
-                                              for f in cpx.facets[k])
+        for c, cell in enumerate(cells):
+            assert cell["dim"] == cpx.cells[c]
+            assert cell["boundary"] == cpx.facets[c]
+
+    @pytest.mark.parametrize("name", ["rp2", *FIXTURES])
+    def test_facets_increase_one_dimension_down(self, name):
+        cpx = (PolytopeComplex(*self.HAND_BUILT[name]) if name == "rp2"
+               else mc.relative_complex(mc.fixture(name)))
+        for c, facets in enumerate(cpx.facets):
+            assert facets == sorted(set(facets))
+            assert all(cpx.cells[f] == cpx.cells[c] - 1 for f in facets)
 
     @pytest.mark.parametrize("name", HAND_BUILT)
     def test_slices_match_a_scan(self, name):
         cpx = PolytopeComplex(*self.HAND_BUILT[name])
+        assert keyed_view(cpx) == self.HAND_BUILT[name]
         for d in range(-1, cpx.dimension + 2):
-            assert cpx.cells_of_dim(d) == [k for k in cpx.order
-                                           if cpx.cells[k] == d]
-        counts = Counter(cpx.cells.values())
+            assert list(cpx.cells_of_dim(d)) == [c for c in range(len(cpx))
+                                                 if cpx.cells[c] == d]
+        counts = Counter(cpx.cells)
         assert cpx.f_vector() == tuple(counts[d]
                                        for d in range(cpx.dimension + 1))
         assert cpx.dimension == max(counts)
 
     def test_fixture_slices(self, any_fixture):
         cpx = mc.relative_complex(any_fixture)
-        assert cpx.cells_of_dim(-1) == []
-        assert cpx.cells_of_dim(cpx.dimension + 1) == []
-        assert [k for d in range(cpx.dimension + 1)
-                for k in cpx.cells_of_dim(d)] == cpx.order
+        assert not cpx.cells_of_dim(-1)
+        assert not cpx.cells_of_dim(cpx.dimension + 1)
+        assert [c for d in range(cpx.dimension + 1)
+                for c in cpx.cells_of_dim(d)] == list(range(len(cpx)))
+        keys = [(cpx.cells[c], str(cpx.order[c])) for c in range(len(cpx))]
+        assert keys == sorted(keys)
 
     def test_empty(self):
         cpx = PolytopeComplex({}, {})
         assert cpx.f_vector() == ()
         assert cpx.dimension == -1
-        assert cpx.cells_of_dim(-1) == [] and cpx.cells_of_dim(0) == []
+        assert not cpx.cells_of_dim(-1) and not cpx.cells_of_dim(0)
 
     @pytest.mark.parametrize("name", ["rp2", "points", "two-circles",
                                       *FIXTURES])
@@ -697,5 +738,5 @@ class TestFaceSliceConversion:
             rays = [b.coloring.values for b in mc.enumerate_simple(tri)]
             assert set(cpx.labels) == set(cpx.cells_of_dim(0))
             for v in cpx.cells_of_dim(0):
-                (i,) = v
+                (i,) = cpx.order[v]
                 assert cpx.labels[v] == [list(rays[i])]
