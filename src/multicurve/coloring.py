@@ -14,6 +14,8 @@ walk-order coordinates, not in the canonical ones.
 All arithmetic is over Python ints (arbitrary precision).
 """
 
+import operator
+
 from .errors import (
     EdgeBalanceViolated,
     LengthMismatch,
@@ -24,17 +26,17 @@ from .triangulation import slot_id, slot_pair
 
 
 class Coloring:
-    """Integer vector bound to a specific triangulation."""
+    """Exact integer vector bound to a triangulation (else TypeError)."""
 
     __slots__ = ("tri", "values")
 
     def __init__(self, tri, values):
-        values = tuple(int(v) for v in values)
+        values = tuple(map(operator.index, values))
         if len(values) != tri.num_edges:
             raise LengthMismatch(
                 f"coloring has {len(values)} entries, triangulation has "
                 f"{tri.num_edges} edges")
-        if any(v < 0 for v in values):
+        if min(values, default=0) < 0:
             raise NotAdmissible("negative entries")
         self.tri = tri
         self.values = values
@@ -60,13 +62,14 @@ class Coloring:
 
 
 def as_values(tri, v):
-    """Accept a Coloring or raw sequence; return a checked tuple."""
+    """Accept a Coloring or raw sequence; return a length-checked tuple.
+    Raw entries must be exact integers, otherwise ``TypeError``."""
     if isinstance(v, Coloring):
         if v.tri != tri:
             raise TriangulationMismatch(
                 "coloring is bound to a different triangulation")
         return v.values
-    values = tuple(int(x) for x in v)
+    values = tuple(map(operator.index, v))
     if len(values) != tri.num_edges:
         raise LengthMismatch(
             f"expected {tri.num_edges} entries, got {len(values)}")
@@ -131,8 +134,9 @@ def is_admissible(tri, v):
 
 
 def require_admissible(tri, v):
+    # no sign pass: x <= y + z and y <= x + z give z >= 0 on every side
     values = as_values(tri, v)
-    if any(x < 0 for x in values) or not triangles_ok(tri.side_edges, values):
+    if not triangles_ok(tri.side_edges, values):
         raise NotAdmissible(f"coloring {values} is not admissible")
     return values
 
@@ -151,7 +155,8 @@ def corners_unchecked(tri, values):
     u = []
     for i, j, k in tri.side_edges:
         a, b, c = values[i], values[j], values[k]
-        u += ((b + c - a) // 2, (c + a - b) // 2, (a + b - c) // 2)
+        h = (a + b + c) // 2  # exact: admissible sums are even
+        u += (h - a, h - b, h - c)
     return tuple(u)
 
 
@@ -161,11 +166,11 @@ def from_corners(tri, u):
     Each edge must see the same sum of adjacent corner values from both of
     its slots (L_e(u) = 0); otherwise EdgeBalanceViolated is raised.
     """
-    u = tuple(int(x) for x in u)
+    u = tuple(map(operator.index, u))
     if len(u) != 3 * tri.triangle_count:
         raise LengthMismatch(
             f"expected {3 * tri.triangle_count} corners, got {len(u)}")
-    if any(x < 0 for x in u):
+    if min(u, default=0) < 0:
         raise EdgeBalanceViolated("negative corner values")
     values = [None] * tri.num_edges
 

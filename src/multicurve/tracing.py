@@ -17,6 +17,9 @@ to ``gluing[out]`` reverses the index to v(e) - 1 - index, which gives j
 back after a source turn and j + u[3t+k] - u[3t + (k+1)%3] after a target
 turn.  The point (e, i) is j on the lower slot of e and v(e) - 1 - j on
 the upper one.
+
+Stripping traces nothing: the k-th innermost arcs at p's corners close up
+into a copy of the loop a_p iff every corner of p carries k arcs or more.
 """
 
 from .coloring import (
@@ -59,12 +62,14 @@ def _trace(tri, values):
     admissible ``values``, by the step rule of the module docstring.
 
     A cycle starts at its lowest (edge, point) crossing, on the edge's
-    lower slot, so cycles come in order of that crossing.
+    lower slot, so cycles come in order of that crossing; the search for
+    starts ends with the last unvisited crossing.
     """
     u = corners_unchecked(tri, values)
     gluing = tri.gluing
     slot_edge = [e for sides in tri.side_edges for e in sides]
     seen = [[False] * v for v in values]
+    unvisited = sum(values)
     for e0, (lo, _hi) in enumerate(tri.edges):
         for i0 in range(values[e0]):
             if seen[e0][i0]:
@@ -104,6 +109,9 @@ def _trace(tri, values):
                 if not any(left):
                     peripheral = p
             yield cycle, tuple(counts), peripheral
+            unvisited -= len(cycle)
+            if not unvisited:
+                return
 
 
 def trace_components(tri, v):
@@ -121,16 +129,17 @@ def strip_peripheral(tri, v):
     """Remove all peripheral components; return (coloring, counts).
 
     counts[i] is the number of parallel copies of the loop around puncture
-    p_i that were removed.  One trace pass finds every component, so
-    subtracting its peripheral ones leaves none behind.
+    p_i that were removed: the least corner coordinate at p_i, read off
+    without tracing (module docstring).
     """
     values = require_admissible(tri, v)
+    u = corners_unchecked(tri, values)
     stripped = list(values)
-    counts = [0] * tri.punctures
-    for _cycle, part, peripheral in _trace(tri, values):
-        if peripheral is not None:
-            counts[peripheral] += 1
-            stripped = [a - b for a, b in zip(stripped, part)]
+    counts = [min([u[c] for c in corners]) for corners in tri.vertices]
+    for p, k in enumerate(counts):
+        if k:
+            for e in peripheral_edges(tri, p):
+                stripped[e] -= k
     return Coloring(tri, stripped), counts
 
 

@@ -70,6 +70,41 @@ class TestAdmissibility:
             mc.degree(mc.fixture("flower:3"), c)
 
 
+class TestExactEntries:
+    """Entries pass through operator.index: inexact ones raise TypeError
+    instead of being truncated to ints."""
+
+    def test_floats_raise(self):
+        tri = mc.fixture("ex11")
+        with pytest.raises(TypeError):
+            mc.is_admissible(tri, [0.5, 0.5, 0.5])
+        with pytest.raises(TypeError):
+            mc.degree(tri, [2.7, 2.2, 2.9])
+        with pytest.raises(TypeError):
+            mc.Coloring(tri, [1.5] * 3)
+        with pytest.raises(TypeError):
+            mc.from_corners(tri, [0.5] * 6)
+
+    def test_numpy_integers_accepted(self):
+        np = pytest.importorskip("numpy")
+        tri = mc.fixture("ex11")
+        v = np.array([2, 2, 2], dtype=np.int64)
+        assert mc.is_admissible(tri, v) and mc.degree(tri, v) == 6
+        c = mc.Coloring(tri, v)
+        assert c.values == (2, 2, 2)
+        assert {type(x) for x in c.values} == {int}
+        assert mc.from_corners(tri, np.ones(6, dtype=np.int64)) == c
+
+    def test_negative_entry_rejected(self, any_fixture):
+        # require_admissible has no sign pass of its own: the triangle
+        # inequalities reject a negative side
+        tri = any_fixture
+        for e in range(tri.num_edges):
+            v = [2] * tri.num_edges
+            v[e] = -2
+            assert not mc.is_admissible(tri, v)
+
+
 class TestCornerCoords:
     def test_422_triangle(self):
         # triangle with side colors (4,2,2): corner opposite the 4-side is

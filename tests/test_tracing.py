@@ -58,16 +58,25 @@ class TestTraceComponents:
             mc.trace_components(tri, (1, 0, 0))
 
     def test_corner_positive_implies_peripheral(self, any_fixture, rng):
-        # if every corner around a puncture is crossed, the peripheral
-        # loop splits off
+        # strip_peripheral reads its counts off the corner minima, so the
+        # traced components are the check: the tracer tags a cycle by
+        # comparing its counts with a_p, which is independent code
         tri = any_fixture
+        loops = mc.peripheral_colorings(tri)
+        copies = 0
         for _ in range(15):
             c = random_admissible(rng, tri)
+            for loop in rng.sample(loops, rng.randint(0, len(loops))):
+                c = c + loop
             u = mc.corner_coords(tri, c)
             _, counts = mc.strip_peripheral(tri, c)
-            for i in range(tri.punctures):
-                if all(u[theta] > 0 for theta in tri.vertices[i]):
-                    assert counts[i] >= 1
+            tags = [comp.peripheral for comp in mc.trace_components(tri, c)]
+            assert counts == [tags.count(p) for p in range(tri.punctures)]
+            for p, corners in enumerate(tri.vertices):
+                if all(u[theta] > 0 for theta in corners):
+                    assert p in tags
+            copies += sum(counts)
+        assert copies
 
 
 class TestStripPeripheral:
