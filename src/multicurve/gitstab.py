@@ -9,6 +9,7 @@ varieties themselves are out of scope, except for the explicit box-slice
 moment polytope available when one symmetric weight pair dominates.
 """
 
+import operator
 from enum import Enum
 from itertools import combinations
 
@@ -25,7 +26,7 @@ class Stability(Enum):
 
 
 def _check_weights(a):
-    a = tuple(int(x) for x in a)
+    a = tuple(map(operator.index, a))
     if len(a) < 3:
         raise BadWeights("need at least 3 weights")
     if any(x <= 0 for x in a):
@@ -34,7 +35,7 @@ def _check_weights(a):
 
 
 def _check_partition(m, blocks):
-    blocks = [frozenset(int(i) for i in block) for block in blocks]
+    blocks = [frozenset(map(operator.index, block)) for block in blocks]
     if any(not block for block in blocks):
         raise BadPartition("empty block")
     if sorted(i for block in blocks for i in block) != list(range(m)):

@@ -8,20 +8,23 @@ lattice's faces are ray masks (bit i = ray i), ordered by ray count and
 then by mask value; a polytope cell is keyed by the frozenset of its ray
 ids, built in sorted order, so it prints by content alone.  Both face
 families come from one graded sweep (``_graded_sweep``, Kaibel-Pfetsch
-2002).  The cone lattice sweeps ray masks from all rays, cut by the
-candidate facets {rays with u_theta = 0}; a face's dimension is the apex's
-codimension minus its own, and the rational rank of all the rays checks
-the top dimension once.  Slicing by the degree hyperplane turns a cone
-face of dimension k into a polytope cell of dimension k-1.  A polytope
-complex numbers its cells once, by dimension and then by key text, and
-holds dimensions, facets and labels by number, the one handle behind
-homology columns, JSON ids and exported vertices.
+2002).  The cone lattice sweeps ray masks cut by the candidate facets
+{rays with u_theta = 0} block by block: rays share a block when some
+candidate misses both, so the lattice is the product of the blocks'
+lattices (Ziegler 1995), codimensions adding.  A face's dimension is the
+apex's codimension minus its own, and the rational rank of all the rays
+checks the top dimension once.  Slicing by the degree hyperplane turns a
+cone face of dimension k into a polytope cell of dimension k-1.  A
+polytope complex numbers its cells once, by dimension and then by key
+text, and holds dimensions, facets and labels by number, the one handle
+behind homology columns, JSON ids and exported vertices.
 
 The relative complex keeps the faces containing no peripheral through-face
 (the smallest face holding a peripheral vector), a down-set swept on the
-corner side from the apex without the full lattice.  By the structure
-theory it is a sphere, certified here by pseudomanifold + integral
-homology, connectivity read off b_0 (a homology sphere for d >= 3, genuine
+corner side from the apex without the full lattice or the cuts of rays
+that are through-faces themselves.  By the structure theory it is a
+sphere, certified here by pseudomanifold + integral homology,
+connectivity read off b_0 (a homology sphere for d >= 3, genuine
 homeomorphism in dimensions <= 2).  The homology is cellular, with the +-1
 incidences of a regular CW complex read off the facets alone.
 """
@@ -59,13 +62,25 @@ class ConeFaceLattice:
         if not self.rays:
             return
         self.candidates = {_zeros(col) for col in zip(*self.corner_vectors)}
-        codim = _graded_sweep((1 << len(self.rays)) - 1, self.candidates,
-                              lambda face: True)
+        full = (1 << len(self.rays)) - 1
+        blocks = []                            # disjoint ray masks
+        for miss in {full & ~cand for cand in self.candidates}:
+            for block in [b for b in blocks if b & miss]:
+                blocks.remove(block)
+                miss |= block
+            blocks.append(miss)
+        codim = {full & ~sum(blocks): 0}       # rays on every candidate
+        for block in sorted(blocks, key=int.bit_count):  # small ones first
+            part = _graded_sweep(block, {c & block for c in self.candidates},
+                                 lambda face: True)
+            codim = part if codim == {0: 0} else {  # {0: 0}: no copy
+                f | g: d + e for f, d in codim.items()
+                for g, e in part.items()}
         top = max(codim.values())
         self.faces = sorted(codim)
         self.faces.sort(key=int.bit_count)     # stable: then by mask
         dims = [top - codim[f] for f in self.faces]
-        del codim                              # freed before face_dim grows
+        codim = part = None                    # freed before face_dim grows
         self.face_dim = dict(zip(self.faces, dims))
         self.faces_by_dim = [[] for _ in range(top + 1)]
         for f, d in self.face_dim.items():
@@ -94,7 +109,8 @@ def _graded_sweep(top, cuts, keep):
     Masks are swept by decreasing bit count: a proper h = F & C has fewer
     bits than F, so its codimension, one more than the largest among the
     masks covering it, is final before h is cut.  A rejected mask gets the
-    bucket count as a sentinel codimension, above every real one.
+    bucket count as a sentinel codimension, above every real one.  The
+    cost is masks reached times cuts, hence blocks and skipped cuts.
     """
     codim = {top: 0}
     buckets = [[] for _ in range(top.bit_count())] + [[top]]  # by bit count
@@ -300,8 +316,10 @@ def relative_complex(tri):
     cutting a face's corner mask by a ray's zero set gives the corner mask
     of the face it spans with that ray, so the codimension of the sweep is
     the cone dimension, checked against the rank of one top cell's rays.
-    A kept cell's facets are its intersections with the candidate facets
-    one dimension down.  Empty exactly for (g,n) = (0,3).
+    A ray that is a through-face itself is no cut: a chain of joins from
+    the apex to a kept face joins rays of that face only.  A kept cell's
+    facets are its intersections with the candidate facets one dimension
+    down.  Empty exactly for (g,n) = (0,3).
     """
     if (tri.genus, tri.punctures) == (0, 3):
         raise EmptyRelativeComplex(
@@ -321,7 +339,8 @@ def relative_complex(tri):
         return True
 
     depth = _graded_sweep((1 << len(corner_rays)) - 1,
-                          {_zeros(u) for u in corner_vectors}, keep)
+                          {_zeros(u) for i, u in enumerate(corner_vectors)
+                           if 1 << i not in through}, keep)
     dims = {ray_mask[z]: d for z, d in depth.items() if z in ray_mask}
     if not dims:
         raise EmptyRelativeComplex(

@@ -20,8 +20,8 @@ checks the through-face filter and the facets of ``relative_complex``.
 the candidate facets under intersection level by level, then grades the
 faces, sorted by (ray count, mask), from the apex up, a face's dimension
 one more than the largest among its intersections with the candidates; it
-checks the one-sweep codimension grading of ``ConeFaceLattice`` face for
-face and in order.
+sees no blocks, so it checks the block-by-block sweep and product of
+``ConeFaceLattice`` face for face and in order.
 
 ``walk_relative_complex`` walks the kept faces of the relative complex up
 from the apex, one cover at a time: the covers of a face F are the faces

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,23 @@ class TestClassify:
         with pytest.raises(errors.BadPartition):
             mc.classify_partition((1, 1, 1), [{0, 1, 2}, set()])
 
+    def test_float_weights_raise(self):
+        # truncated to (1, 1, 1) they would read Stable
+        with pytest.raises(TypeError):
+            mc.classify_partition([1.5, 1.9, 1.2], [[0], [1], [2]])
+
+    def test_float_block_indices_raise(self):
+        # truncated to blocks 0, 1, 2 they would read Stable
+        with pytest.raises(TypeError):
+            mc.classify_partition([1, 1, 1], [[0.7], [1.2], [2.9]])
+
+    def test_numpy_integers_pass(self):
+        a = np.array([1, 1, 1, 1], dtype=np.int64)
+        blocks = [np.array([0, 1]), [np.int64(2)], [3]]
+        assert (mc.classify_partition(a, blocks)
+                is Stability.STRICTLY_SEMISTABLE)
+        assert mc.polystable_splits(a) == mc.polystable_splits((1, 1, 1, 1))
+
     def test_coarsening_keeps_unstable(self):
         # merging the violating block with anything keeps it violating
         a = (3, 3, 1, 1, 1, 1)
@@ -62,6 +80,11 @@ class TestPolystableSplits:
 
     def test_odd_total_empty(self):
         assert mc.polystable_splits((1, 1, 1)) == []
+
+    def test_float_weights_raise(self):
+        # truncated to (1, 1, 1, 1) they would give its three splits
+        with pytest.raises(TypeError):
+            mc.polystable_splits([1.5, 1.5, 1.9, 1.2])
 
     def test_exhaustive_against_brute_force(self):
         a = (3, 3, 1, 1, 1, 1)

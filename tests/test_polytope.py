@@ -185,11 +185,12 @@ class TestConeFaceLattice:
 
 class TestGradingAgainstClosure:
     # flower:6 with one flip into each of its other neighbour classes, the
-    # flower:6 inputs of the lattice benchmark, and flower:5 with its flips
+    # flower:6 inputs of the lattice benchmark, flower:5 with its flips,
+    # and random:8:0, whose rays split into blocks of 24, 1, 1 and 1
     @pytest.mark.parametrize("base,e", [
         ("flower:6", None), ("flower:6", 0), ("flower:6", 4),
         ("flower:6", 6), ("flower:5", None),
-        *(("flower:5", e) for e in FLOWER5_FLIPS)])
+        *(("flower:5", e) for e in FLOWER5_FLIPS), ("random:8:0", None)])
     def test_flowers_and_flips(self, base, e):
         tri = mc.fixture(base)
         assert_matches_closure_oracle(tri if e is None else mc.flip(tri, e))
@@ -198,6 +199,34 @@ class TestGradingAgainstClosure:
     def test_random_surfaces(self, triangles, seed):
         assert_matches_closure_oracle(
             random_triangulation(random.Random(seed), triangles))
+
+
+class TestBlockProduct:
+    def test_direct_sum_of_two_fixture_cones(self):
+        # n4ex's rays form one block of 7, flower:4's blocks of 3, 1, 1, 1:
+        # the direct sum has two blocks of more than one ray
+        a = mc.cone_face_lattice(mc.fixture("n4ex"))
+        b = mc.cone_face_lattice(mc.fixture("flower:4"))
+        pad_a, pad_b = len(a.rays[0].values), len(b.rays[0].values)
+        rays = ([SimpleNamespace(values=r.values + (0,) * pad_b)
+                 for r in a.rays]
+                + [SimpleNamespace(values=(0,) * pad_a + r.values)
+                   for r in b.rays])
+        zeros_a = (0,) * len(a.corner_vectors[0])
+        zeros_b = (0,) * len(b.corner_vectors[0])
+        corner_vectors = ([u + zeros_b for u in a.corner_vectors]
+                          + [zeros_a + u for u in b.corner_vectors])
+        lat = mc.ConeFaceLattice(rays, corner_vectors)
+        faces, face_dim = closure_face_lattice(rays, corner_vectors)
+        assert lat.faces == faces
+        assert list(lat.face_dim.items()) == list(face_dim.items())
+        f_a = [len(fs) for fs in a.faces_by_dim]
+        f_b = [len(fs) for fs in b.faces_by_dim]
+        assert [len(fs) for fs in lat.faces_by_dim] == [
+            sum(f_a[i] * f_b[k - i] for i in range(len(f_a))
+                if 0 <= k - i < len(f_b))
+            for k in range(len(f_a) + len(f_b) - 1)]
+        assert len(lat.faces) == 106 * 64 == 6784
 
 
 class TestRelativeComplex:
