@@ -73,7 +73,7 @@ class ConeFaceLattice:
         for block in sorted(blocks, key=int.bit_count):  # small ones first
             part = _graded_sweep(block, {c & block for c in self.candidates},
                                  lambda face: True)
-            codim = part if codim == {0: 0} else {  # {0: 0}: no copy
+            codim = part if codim == {0: 0} else {  # the unit: no copy
                 f | g: d + e for f, d in codim.items()
                 for g, e in part.items()}
         top = max(codim.values())
