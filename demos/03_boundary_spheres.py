@@ -19,7 +19,7 @@ daisy = mc.flower(5)
 cpx = mc.relative_complex(daisy)
 print(f"\nflower:5: f-vector {cpx.f_vector()}")
 print("  top cells by vertex count:",
-      sorted(len(cpx.order[c]) for c in cpx.cells_of_dim(3)))
+      sorted(cpx.order[c].bit_count() for c in cpx.cells_of_dim(3)))
 cert = mc.sphere_certificate(cpx, 3)
 print("  connected:", cert.connected,
       "| pseudomanifold:", cert.pseudomanifold,

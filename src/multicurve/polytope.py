@@ -5,19 +5,18 @@ functionals u_theta >= 0, so its faces are exactly the zero sets of corner
 subsets.  A face is an int bitmask of the extremal rays (simple barbell
 colorings) it contains, or of the corners vanishing on it.  The cone
 lattice's faces are ray masks (bit i = ray i), ordered by ray count and
-then by mask value; a polytope cell is keyed by the frozenset of its ray
-ids, built in sorted order, so it prints by content alone.  Both face
-families come from one graded sweep (``_graded_sweep``, Kaibel-Pfetsch
-2002).  The cone lattice sweeps ray masks cut by the candidate facets
-{rays with u_theta = 0} block by block: rays share a block when some
-candidate misses both, so the lattice is the product of the blocks'
-lattices (Ziegler 1995), codimensions adding.  A face's dimension is the
-apex's codimension minus its own, and the rational rank of all the rays
-checks the top dimension once.  Slicing by the degree hyperplane turns a
-cone face of dimension k into a polytope cell of dimension k-1.  A
-polytope complex numbers its cells once, by dimension and then by key
-text, and holds dimensions, facets and labels by number, the one handle
-behind homology columns, JSON ids and exported vertices.
+then by mask value, and a relative-complex cell keeps its ray mask as its
+key.  Both face families come from one graded sweep (``_graded_sweep``,
+Kaibel-Pfetsch 2002).  The cone lattice sweeps ray masks cut by the
+candidate facets {rays with u_theta = 0} block by block: rays share a
+block when some candidate misses both, so the lattice is the product of
+the blocks' lattices (Ziegler 1995), codimensions adding.  A face's
+dimension is the apex's codimension minus its own, and the rational rank
+of all the rays checks the top dimension once.  Slicing by the degree
+hyperplane turns a cone face of dimension k into a polytope cell of
+dimension k-1.  A polytope complex numbers its cells once, by dimension
+and then by key, and holds dimensions, facets and labels by number, the
+one handle behind homology columns, JSON ids and exported vertices.
 
 The relative complex keeps the faces containing no peripheral through-face
 (the smallest face holding a peripheral vector), a down-set swept on the
@@ -133,16 +132,6 @@ def _graded_sweep(top, cuts, keep):
     return codim
 
 
-def _bits(mask):
-    """Positions of the set bits of ``mask``, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _zeros(values):
     """Bitmask of the zero entries of ``values``."""
     return sum(1 << i for i, x in enumerate(values) if x == 0)
@@ -174,23 +163,26 @@ class PolytopeComplex:
 
     Built from ``cells`` (key -> dimension), ``facets`` (key -> the keys
     one dimension lower that it covers, none if absent) and vertex
-    ``labels`` (ray colorings for cone complexes).  The cells are numbered
-    once, by dimension and then by ``str(key)``; from then on cell c has
+    ``labels`` (ray colorings for cone complexes), all keyed by cells.
+    The cells are numbered once, by dimension and then by key, so keys of
+    one dimension must be mutually orderable; from then on cell c has
     dimension ``cells[c]``, facets ``facets[c]`` (increasing), label
     ``labels[c]`` and key ``order[c]``, and c is its homology column, JSON
     id and exported vertex.  ``cells_of_dim(d)`` runs from ``start[d]``.
     """
 
     def __init__(self, cells, facets, labels=None):
-        self.order = sorted(cells, key=lambda k: (cells[k], str(k)))
+        self.order = sorted(cells, key=lambda k: (cells[k], k))
         number = {k: c for c, k in enumerate(self.order)}
+        self.facets = [[] for _ in self.order]
         try:
-            self.facets = [sorted(number[f] for f in facets.get(k, ()))
-                           for k in self.order]
+            for k, fs in facets.items():
+                self.facets[number[k]] = sorted(number[f] for f in fs)
+            self.labels = {number[k]: v for k, v in (labels or {}).items()}
         except KeyError as err:
-            raise ValueError(f"facet {err.args[0]!r} is not a cell") from None
+            raise ValueError(
+                f"key or facet {err.args[0]!r} is not a cell") from None
         self.cells = [cells[k] for k in self.order]
-        self.labels = {number[k]: v for k, v in (labels or {}).items()}
         self.start = [bisect_left(self.cells, d)
                       for d in range(self.cells[-1] + 2 if self.cells else 1)]
         self.dimension = len(self.start) - 2
@@ -341,25 +333,23 @@ def relative_complex(tri):
     depth = _graded_sweep((1 << len(corner_rays)) - 1,
                           {_zeros(u) for i, u in enumerate(corner_vectors)
                            if 1 << i not in through}, keep)
-    dims = {ray_mask[z]: d for z, d in depth.items() if z in ray_mask}
-    if not dims:
+    cells = {ray_mask[z]: d - 1 for z, d in depth.items() if z in ray_mask}
+    if not cells:
         raise EmptyRelativeComplex(
             f"relative complex of (g,n)=({tri.genus},{tri.punctures}) "
             "came out empty")
-    keys = {h: frozenset(_bits(h)) for h in dims}
-    top = max(dims, key=dims.get)
-    rank = integer_rank([rays[i].values for i in _bits(top)])
-    if rank != dims[top]:
-        raise ValueError(f"walked depth {dims[top]} of a top cell differs "
-                         f"from the rank {rank} of its rays")
+    top = max(cells, key=cells.get)
+    rank = integer_rank([r.values for i, r in enumerate(rays) if top >> i & 1])
+    if rank != cells[top] + 1:
+        raise ValueError(f"walked depth {cells[top] + 1} of a top cell "
+                         f"differs from the rank {rank} of its rays")
     cands = set(corner_rays)
     return PolytopeComplex(
-        {keys[h]: d - 1 for h, d in dims.items()},
-        {keys[h]: frozenset(keys[f] for f in (h & c for c in cands)
-                            if dims.get(f) == d - 1)
-         for h, d in dims.items()},
-        {keys[h]: [list(rays[i].values) for i in _bits(h)]
-         for h, d in dims.items() if d == 1})
+        cells,
+        {h: [f for f in {h & c for c in cands} if cells.get(f) == d - 1]
+         for h, d in cells.items()},
+        {h: [list(rays[h.bit_length() - 1].values)]
+         for h, d in cells.items() if d == 0})
 
 
 class SphereCertificate:

@@ -11,11 +11,12 @@ it to small complexes.
 ``rank_face_lattice`` rebuilds a cone face lattice with the dimension of
 each face taken as the rational rank of its rays, which checks the graded
 dimensions of ``ConeFaceLattice`` with linear algebra.  Its faces are
-frozensets of ray ids, like the cell keys of a ``PolytopeComplex``; the
-lattice's own faces are int ray masks, so they are compared by content.
+frozensets of ray ids, while the lattice's faces and the cell keys of
+``relative_complex`` are int ray masks, so they are compared by content.
 ``rank_relative_complex`` rebuilds the relative complex from it with the
-vanishing-corner filter and covers found by pairwise inclusion, which
-checks the through-face filter and the facets of ``relative_complex``.
+vanishing-corner filter and covers found by pairwise inclusion, and hands
+back its cells and facets keyed by ray mask; it checks the through-face
+filter and the facets of ``relative_complex``.
 ``closure_face_lattice`` is the two-pass build on int ray masks: it closes
 the candidate facets under intersection level by level, then grades the
 faces, sorted by (ray count, mask), from the apex up, a face's dimension
@@ -108,16 +109,20 @@ from multicurve.coloring import (
     triangles_ok,
 )
 from multicurve.errors import EmptyRelativeComplex
-from multicurve.polytope import (
-    PolytopeComplex,
-    _bits,
-    _cone_rays,
-    _rays_on,
-    _zeros,
-)
+from multicurve.polytope import PolytopeComplex, _cone_rays, _rays_on, _zeros
 from multicurve.triangulation import DualGraph, connected, slot_id
 from multicurve.linalg import homology_from_boundaries, integer_rank
 from multicurve.quadric import quadric_identity_residuals
+
+
+def _bits(mask):
+    """Positions of the set bits of ``mask``, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def mask_of(ray_ids):
+    """Int ray mask (bit i = ray i) of a collection of ray ids."""
+    return sum(1 << i for i in ray_ids)
 
 
 def order_complex_chains(cells, facets):
@@ -218,15 +223,16 @@ def rank_relative_complex(tri, lattice):
     """(cells, facets) of the relative complex of ``tri``, rebuilt from
     ``rank_face_lattice``: a face is kept iff every peripheral vector is
     positive on one of its vanishing corners, and the facets of a kept face
-    are the kept faces inside it one dimension down."""
+    are the kept faces inside it one dimension down.  Both are keyed by
+    ray mask, as ``relative_complex`` keys its cells."""
     faces, face_dim, face_corners = rank_face_lattice(lattice)
     peripheral_u = [corner_coords(tri, p) for p in peripheral_colorings(tri)]
     kept = [f for f in faces if face_dim[f] >= 1 and all(
         any(u[theta] > 0 for theta in face_corners[f]) for u in peripheral_u)]
-    cells = {f: face_dim[f] - 1 for f in kept}
-    facets = {f: frozenset(g for g in kept
-                           if g < f and face_dim[g] == face_dim[f] - 1)
-              for f in kept}
+    cells = {mask_of(f): face_dim[f] - 1 for f in kept}
+    facets = {mask_of(f): frozenset(
+        mask_of(g) for g in kept if g < f and face_dim[g] == face_dim[f] - 1)
+        for f in kept}
     return cells, facets
 
 
@@ -283,16 +289,15 @@ def walk_relative_complex(tri):
         raise EmptyRelativeComplex(
             f"relative complex of (g,n)=({tri.genus},{tri.punctures}) "
             "came out empty")
-    keys = {h: frozenset(_bits(h)) for h in depth}
     top = max(depth, key=depth.get)
     rank = integer_rank([rays[i].values for i in _bits(top)])
     if rank != depth[top]:
         raise ValueError(f"walked depth {depth[top]} of a top cell differs "
                          f"from the rank {rank} of its rays")
     return PolytopeComplex(
-        {keys[h]: d - 1 for h, d in depth.items()},
-        {keys[h]: [keys[f] for f in facets[h] if f] for h in depth},
-        {keys[h]: [list(rays[i].values) for i in _bits(h)]
+        {h: d - 1 for h, d in depth.items()},
+        {h: [f for f in facets[h] if f] for h in depth},
+        {h: [list(rays[i].values) for i in _bits(h)]
          for h, d in depth.items() if d == 1})
 
 

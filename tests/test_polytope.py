@@ -14,6 +14,7 @@ from conftest import (
 )
 from oracles import (
     closure_face_lattice,
+    mask_of,
     num_simplices,
     order_complex_homology,
     rank_face_lattice,
@@ -24,7 +25,7 @@ from oracles import (
 import multicurve as mc
 from multicurve import errors
 from multicurve import polytope
-from multicurve.polytope import PolytopeComplex, _bits
+from multicurve.polytope import PolytopeComplex
 
 def path_complex(edges):
     """1-complex from a list of vertex-pair edges, for counterexamples."""
@@ -84,10 +85,9 @@ def assert_sphere_shape(cpx, d):
 def assert_matches_rank_oracle(tri):
     lat = mc.cone_face_lattice(tri)
     faces, face_dim, _face_corners = rank_face_lattice(lat)
-    masks = [sum(1 << i for i in f) for f in faces]
+    masks = [mask_of(f) for f in faces]
     assert lat.faces == sorted(masks, key=lambda m: (m.bit_count(), m))
-    dims = {frozenset(_bits(f)): d for f, d in lat.face_dim.items()}
-    assert dims == face_dim
+    assert lat.face_dim == {mask_of(f): d for f, d in face_dim.items()}
 
 
 def assert_matches_closure_oracle(tri):
@@ -295,10 +295,14 @@ class TestRelativeComplex:
     @pytest.mark.parametrize("name", [
         "flower:6", "random:6:0", "random:6:1", "random:6:2"])
     def test_cell_keys_print_by_content(self, name):
-        # cells of one dimension are ordered by str(key), which must not
-        # depend on how the key's set was built
-        cells, _facets = keyed_view(mc.relative_complex(mc.fixture(name)))
-        assert all(str(k) == str(frozenset(sorted(k))) for k in cells)
+        # a cell's key is its int ray mask, and the cells of one dimension
+        # are numbered by increasing mask, so the numbering is a function
+        # of content alone
+        cpx = mc.relative_complex(mc.fixture(name))
+        assert all(type(k) is int for k in cpx.order)
+        for d in range(cpx.dimension + 1):
+            masks = [cpx.order[c] for c in cpx.cells_of_dim(d)]
+            assert masks == sorted(masks)
 
     def test_depth_checked_against_ray_rank(self, monkeypatch):
         # the sweep reads only the corners; rays all on one line leave the
@@ -315,7 +319,7 @@ class TestRelativeComplex:
         for cell, fs in facets.items():
             for f in fs:
                 assert cells.get(f) == cells[cell] - 1
-                assert f < cell
+                assert f & cell == f != cell
 
     def test_euler_matches_homology(self, any_fixture):
         cpx = mc.relative_complex(any_fixture)
@@ -487,6 +491,15 @@ class TestNonRegularPoset:
             PolytopeComplex({"a": 0, "b": 0, "e": 1},
                             {"a": [], "b": [], "e": ["a", "z"]})
 
+    def test_facets_of_a_key_that_is_not_a_cell(self):
+        with pytest.raises(ValueError, match="'x' is not a cell"):
+            PolytopeComplex({"a": 0, "b": 0, "e": 1},
+                            {"e": ["a", "b"], "x": ["a"]})
+
+    def test_label_of_a_key_that_is_not_a_cell(self):
+        with pytest.raises(ValueError, match="'b' is not a cell"):
+            PolytopeComplex({"a": 0}, {}, {"b": [1]})
+
     def test_cell_without_a_facets_entry_has_none(self):
         assert PolytopeComplex({"a": 0}, {}).homology() == [(1, [])]
         with pytest.raises(ValueError, match="edge 'e' has 0 vertices"):
@@ -562,7 +575,7 @@ class TestSphereCertificate:
 
 class TestCellNumbering:
     """The one numbering of ``PolytopeComplex``: cells by dimension and then
-    by key text, facets as increasing numbers one dimension down, and the
+    by key, facets as increasing numbers one dimension down, and the
     per-dimension ``start`` offsets."""
 
     HAND_BUILT = {
@@ -605,7 +618,7 @@ class TestCellNumbering:
         assert not cpx.cells_of_dim(cpx.dimension + 1)
         assert [c for d in range(cpx.dimension + 1)
                 for c in cpx.cells_of_dim(d)] == list(range(len(cpx)))
-        keys = [(cpx.cells[c], str(cpx.order[c])) for c in range(len(cpx))]
+        keys = [(cpx.cells[c], cpx.order[c]) for c in range(len(cpx))]
         assert keys == sorted(keys)
 
     def test_empty(self):
@@ -767,5 +780,6 @@ class TestFaceSliceConversion:
             rays = [b.coloring.values for b in mc.enumerate_simple(tri)]
             assert set(cpx.labels) == set(cpx.cells_of_dim(0))
             for v in cpx.cells_of_dim(0):
-                (i,) = cpx.order[v]
+                i = cpx.order[v].bit_length() - 1
+                assert cpx.order[v] == 1 << i
                 assert cpx.labels[v] == [list(rays[i])]
