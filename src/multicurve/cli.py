@@ -119,7 +119,7 @@ def cmd_polytope(args):
             "input": args.source,
             "kind": "cone",
             "rays": [list(r.values) for r in lattice.rays],
-            "num_faces": len(lattice.faces),
+            "num_faces": sum(map(len, lattice.faces_by_dim)),
             "dimension": lattice.dimension,
             "faces_per_dim": {str(d): len(faces) for d, faces
                               in enumerate(lattice.faces_by_dim)},

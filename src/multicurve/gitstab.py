@@ -73,10 +73,7 @@ def is_symmetric(a):
 
 def symmetric_weights(b):
     """Expand pair weights (b_1..b_k) to (b_1,b_1,...,b_k,b_k)."""
-    out = []
-    for x in b:
-        out.extend([int(x), int(x)])
-    return tuple(out)
+    return tuple(x for x in map(operator.index, b) for _ in range(2))
 
 
 def polystable_splits(a):
@@ -92,14 +89,12 @@ def polystable_splits(a):
     m = len(a)
     half = total // 2
     splits = []
-    others = list(range(1, m))
-    for size in range(0, m - 1):
-        for rest in combinations(others, size):
+    for size in range(m - 1):                  # the other side is never empty
+        for rest in combinations(range(1, m), size):
             block = (0,) + rest
             if sum(a[i] for i in block) == half:
                 other = tuple(i for i in range(m) if i not in block)
-                if other:
-                    splits.append((block, other))
+                splits.append((block, other))
     splits.sort()
     return splits
 

@@ -4,9 +4,9 @@ The closure of the coloring cone in R^E is cut out by the corner
 functionals u_theta >= 0, so its faces are exactly the zero sets of corner
 subsets.  A face is an int bitmask of the extremal rays (simple barbell
 colorings) it contains, or of the corners vanishing on it.  The cone
-lattice's faces are ray masks (bit i = ray i), ordered by ray count and
-then by mask value, and a relative-complex cell keeps its ray mask as its
-key.  Both face families come from one graded sweep (``_graded_sweep``,
+lattice files its faces, ray masks (bit i = ray i), by dimension and then
+by mask value, and a relative-complex cell keeps its ray mask as its key.
+Both face families come from one graded sweep (``_graded_sweep``,
 Kaibel-Pfetsch 2002).  The cone lattice sweeps ray masks cut by the
 candidate facets {rays with u_theta = 0} block by block: rays share a
 block when some candidate misses both, so the lattice is the product of
@@ -45,53 +45,48 @@ from .triangulation import connected, flip, flip_square_sides
 
 
 class ConeFaceLattice:
-    """Faces of the coloring cone, each an int mask of its extremal rays
-    (bit i = ray i), listed by ray count and then by mask value."""
+    """Faces of the coloring cone, int masks of their extremal rays (bit i =
+    ray i), filed in ``faces_by_dim`` by dimension and then by mask value."""
 
     def __init__(self, rays, corner_vectors):
         self.rays = list(rays)                 # Coloring objects
         self.corner_vectors = [tuple(u) for u in corner_vectors]
-        self.faces = []                        # list of ray masks
-        self.candidates = set()                # distinct candidate facets
-        self.face_dim = {}                     # ray mask -> dimension
         self.faces_by_dim = [[]]               # dimension -> ray masks
-        self._build()
-
-    def _build(self):
         if not self.rays:
             return
-        self.candidates = {_zeros(col) for col in zip(*self.corner_vectors)}
+        candidates = {_zeros(col) for col in zip(*self.corner_vectors)}
         full = (1 << len(self.rays)) - 1
         blocks = []                            # disjoint ray masks
-        for miss in {full & ~cand for cand in self.candidates}:
+        for miss in {full & ~cand for cand in candidates}:
             for block in [b for b in blocks if b & miss]:
                 blocks.remove(block)
                 miss |= block
             blocks.append(miss)
-        codim = {full & ~sum(blocks): 0}       # rays on every candidate
+        product = [[full & ~sum(blocks)]]      # codimension -> ray masks
         for block in sorted(blocks, key=int.bit_count):  # small ones first
-            part = _graded_sweep(block, {c & block for c in self.candidates},
+            part = _graded_sweep(block, {c & block for c in candidates},
                                  lambda face: True)
-            codim = part if codim == {0: 0} else {  # the unit: no copy
-                f | g: d + e for f, d in codim.items()
-                for g, e in part.items()}
-        top = max(codim.values())
-        self.faces = sorted(codim)
-        self.faces.sort(key=int.bit_count)     # stable: then by mask
-        dims = [top - codim[f] for f in self.faces]
-        codim = part = None                    # freed before face_dim grows
-        self.face_dim = dict(zip(self.faces, dims))
-        self.faces_by_dim = [[] for _ in range(top + 1)]
-        for f, d in self.face_dim.items():
-            self.faces_by_dim[d].append(f)
+            grades = [[] for _ in range(max(part.values()) + 1)]
+            for g, e in part.items():
+                grades[e].append(g)
+            merged = [[] for _ in range(len(product) + len(grades) - 1)]
+            for c, fs in enumerate(product):
+                for e, gs in enumerate(grades):  # a product adds codimensions
+                    merged[c + e].extend(f | g for f in fs for g in gs)
+            product = merged
+        self.faces_by_dim = [sorted(fs) for fs in reversed(product)]
         rank = integer_rank([ray.values for ray in self.rays])
         if rank != self.dimension:
             raise ValueError(f"graded dimension {self.dimension} differs "
                              f"from the rank {rank} of the rays")
 
     @property
+    def faces(self):                           # a new list, by dimension
+        return [f for fs in self.faces_by_dim for f in fs]
+
+    @property
     def dimension(self):
-        return self.face_dim[self.faces[-1]] if self.faces else 0
+        return len(self.faces_by_dim) - 1
 
     def faces_of_dim(self, d):
         return list(self.faces_by_dim[d]) if 0 <= d <= self.dimension else []
@@ -132,6 +127,12 @@ def _graded_sweep(top, cuts, keep):
     return codim
 
 
+def _named(key):
+    """A cell key as messages print it: an int ray mask as its ray ids."""
+    return (tuple(i for i in range(key.bit_length()) if key >> i & 1)
+            if isinstance(key, int) else key)
+
+
 def _zeros(values):
     """Bitmask of the zero entries of ``values``."""
     return sum(1 << i for i, x in enumerate(values) if x == 0)
@@ -169,6 +170,8 @@ class PolytopeComplex:
     dimension ``cells[c]``, facets ``facets[c]`` (increasing), label
     ``labels[c]`` and key ``order[c]``, and c is its homology column, JSON
     id and exported vertex.  ``cells_of_dim(d)`` runs from ``start[d]``.
+    Error messages name a cell by its key, an int key (a ray mask) as its
+    sorted ray ids, so mask 5 reads (0, 2).
     """
 
     def __init__(self, cells, facets, labels=None):
@@ -180,8 +183,8 @@ class PolytopeComplex:
                 self.facets[number[k]] = sorted(number[f] for f in fs)
             self.labels = {number[k]: v for k, v in (labels or {}).items()}
         except KeyError as err:
-            raise ValueError(
-                f"key or facet {err.args[0]!r} is not a cell") from None
+            name = _named(err.args[0])
+            raise ValueError(f"key or facet {name!r} is not a cell") from None
         self.cells = [cells[k] for k in self.order]
         self.start = [bisect_left(self.cells, d)
                       for d in range(self.cells[-1] + 2 if self.cells else 1)]
@@ -220,20 +223,21 @@ class PolytopeComplex:
         boundary vanishes.  Raises ``ValueError`` naming the cell by its key
         when the poset is not that of a regular CW complex.
         """
-        key = self.order
+        def key(c):
+            return _named(self.order[c])
         incidence = []
         for c, k in enumerate(self.cells):
             facets = self.facets[c]
             for f in facets:
                 if self.cells[f] != k - 1:
                     raise ValueError(
-                        f"facet {key[f]!r} of {k}-cell {key[c]!r} has "
+                        f"facet {key(f)!r} of {k}-cell {key(c)!r} has "
                         f"dimension {self.cells[f]}, not {k - 1}")
             if k == 1 and len(facets) != 2:
                 raise ValueError(
-                    f"edge {key[c]!r} has {len(facets)} vertices, not 2")
+                    f"edge {key(c)!r} has {len(facets)} vertices, not 2")
             if k >= 2 and not facets:
-                raise ValueError(f"{k}-cell {key[c]!r} has no facets")
+                raise ValueError(f"{k}-cell {key(c)!r} has no facets")
             owners = {}
             for f in facets:
                 for r in incidence[f]:
@@ -241,7 +245,7 @@ class PolytopeComplex:
             for r, fs in owners.items():
                 if len(fs) != 2:
                     raise ValueError(
-                        f"ridge {key[r]!r} of {k}-cell {key[c]!r} lies in "
+                        f"ridge {key(r)!r} of {k}-cell {key(c)!r} lies in "
                         f"{len(fs)} of its facets, not 2")
             signs = dict(zip(facets, (1, -1) if k == 1 else (1,)))
             stack = list(signs)
@@ -254,11 +258,11 @@ class PolytopeComplex:
                         signs[g] = sign
                         stack.append(g)
                     elif signs[g] != sign:
-                        raise ValueError(f"{k}-cell {key[c]!r} is not "
-                                         f"orientable across ridge {key[r]!r}")
+                        raise ValueError(f"{k}-cell {key(c)!r} is not "
+                                         f"orientable across ridge {key(r)!r}")
             for f in facets:
                 if f not in signs:
-                    raise ValueError(f"facet {key[f]!r} of {k}-cell {key[c]!r}"
+                    raise ValueError(f"facet {key(f)!r} of {k}-cell {key(c)!r}"
                                      " is not reached across its ridges")
             incidence.append(signs)
         return incidence

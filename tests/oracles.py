@@ -22,7 +22,9 @@ the candidate facets under intersection level by level, then grades the
 faces, sorted by (ray count, mask), from the apex up, a face's dimension
 one more than the largest among its intersections with the candidates; it
 sees no blocks, so it checks the block-by-block sweep and product of
-``ConeFaceLattice`` face for face and in order.
+``ConeFaceLattice`` face for face.  ``faces_by_dimension`` files either
+oracle's faces as ``ConeFaceLattice.faces_by_dim`` does, by dimension and
+then by mask.
 
 ``walk_relative_complex`` walks the kept faces of the relative complex up
 from the apex, one cover at a time: the covers of a face F are the faces
@@ -189,6 +191,15 @@ def rank_face_lattice(lattice):
                                  if all(vectors[i][theta] == 0 for i in f))
                     for f in faces}
     return faces, face_dim, face_corners
+
+
+def faces_by_dimension(face_dim):
+    """The faces of a {face: dimension} map, one mask-sorted list per
+    dimension 0..top."""
+    grouped = [[] for _ in range(max(face_dim.values(), default=0) + 1)]
+    for face, d in face_dim.items():
+        grouped[d].append(face)
+    return [sorted(faces) for faces in grouped]
 
 
 def closure_face_lattice(rays, corner_vectors):

@@ -571,6 +571,29 @@ class TestNumpyOnlyForFloatSweeps:
             (GOLDEN / n).read_text() for n in goldens)
 
 
+class TestHashSeed:
+    def test_polytope_output_ignores_hash_seed(self):
+        # the polytope golden lines and the cone report of flower:6, each
+        # set of command lines run under two hash seeds in a fresh process
+        manifest = json.loads((GOLDEN / "manifest.json").read_text())
+        goldens = sorted(n for n in manifest if n.startswith("polytope"))
+        argvs = [manifest[n] for n in goldens] + [["polytope", "flower:6"]]
+        src = pathlib.Path(mc.__file__).resolve().parent.parent
+        runs = []
+        for seed in ("0", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [
+                           str(src), os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-c", COLD_RUN, json.dumps(argvs)], env=env,
+                capture_output=True, text=True, timeout=300, check=True)
+            runs.append(json.loads(proc.stdout))
+        assert runs[0] == runs[1]
+        codes, outs, _numpy = zip(*runs[0])
+        assert codes == (0,) * len(argvs)
+        assert outs[:-1] == tuple((GOLDEN / n).read_text() for n in goldens)
+
+
 class TestEmit:
     def test_off_export(self, tmp_path):
         out_file = tmp_path / "c.off"

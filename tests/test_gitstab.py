@@ -71,6 +71,12 @@ class TestNondegenerate:
     def test_symmetric_always_nondegenerate(self, b):
         assert mc.is_nondegenerate(mc.symmetric_weights(b))
 
+    def test_symmetric_weights_refuse_floats(self):
+        # truncated, 1.5 would read as the pair (1, 1)
+        assert mc.symmetric_weights([np.int64(3), 2]) == (3, 3, 2, 2)
+        with pytest.raises(TypeError):
+            mc.symmetric_weights([1.5, 2])
+
 
 class TestPolystableSplits:
     def test_four_ones(self):

@@ -14,6 +14,7 @@ from conftest import (
 )
 from oracles import (
     closure_face_lattice,
+    faces_by_dimension,
     mask_of,
     num_simplices,
     order_complex_homology,
@@ -84,20 +85,20 @@ def assert_sphere_shape(cpx, d):
 
 def assert_matches_rank_oracle(tri):
     lat = mc.cone_face_lattice(tri)
-    faces, face_dim, _face_corners = rank_face_lattice(lat)
-    masks = [mask_of(f) for f in faces]
-    assert lat.faces == sorted(masks, key=lambda m: (m.bit_count(), m))
-    assert lat.face_dim == {mask_of(f): d for f, d in face_dim.items()}
+    _faces, face_dim, _face_corners = rank_face_lattice(lat)
+    assert lat.faces_by_dim == faces_by_dimension(
+        {mask_of(f): d for f, d in face_dim.items()})
 
 
 def assert_matches_closure_oracle(tri):
     lat = mc.cone_face_lattice(tri)
-    faces, face_dim = closure_face_lattice(lat.rays, lat.corner_vectors)
-    assert lat.faces == faces
-    assert list(lat.face_dim.items()) == list(face_dim.items())
+    _faces, face_dim = closure_face_lattice(lat.rays, lat.corner_vectors)
+    by_dim = faces_by_dimension(face_dim)
+    assert lat.faces_by_dim == by_dim
+    assert lat.faces == [f for faces in by_dim for f in faces]
     for d in range(-1, lat.dimension + 2):
-        assert lat.faces_of_dim(d) == [f for f in lat.faces
-                                       if lat.face_dim[f] == d]
+        assert lat.faces_of_dim(d) == (by_dim[d] if 0 <= d < len(by_dim)
+                                       else [])
 
 
 def assert_relative_matches_rank_oracle(tri):
@@ -154,10 +155,13 @@ class TestConeFaceLattice:
 
     def test_proper_faces_have_vanishing_corner(self, any_fixture):
         lat = mc.cone_face_lattice(any_fixture)
-        full = lat.faces[-1]
-        for face in lat.faces:
-            if face != full:
-                assert any(face & cand == face for cand in lat.candidates)
+        vectors = lat.corner_vectors
+        assert lat.faces_by_dim[-1] == [(1 << len(lat.rays)) - 1]
+        for faces in lat.faces_by_dim[:-1]:
+            for face in faces:
+                rays = [i for i in range(len(lat.rays)) if face >> i & 1]
+                assert any(all(vectors[i][theta] == 0 for i in rays)
+                           for theta in range(len(vectors[0])))
 
     def test_no_rays_empty_lattice(self):
         lat = mc.ConeFaceLattice([], [])
@@ -217,9 +221,8 @@ class TestBlockProduct:
         corner_vectors = ([u + zeros_b for u in a.corner_vectors]
                           + [zeros_a + u for u in b.corner_vectors])
         lat = mc.ConeFaceLattice(rays, corner_vectors)
-        faces, face_dim = closure_face_lattice(rays, corner_vectors)
-        assert lat.faces == faces
-        assert list(lat.face_dim.items()) == list(face_dim.items())
+        _faces, face_dim = closure_face_lattice(rays, corner_vectors)
+        assert lat.faces_by_dim == faces_by_dimension(face_dim)
         f_a = [len(fs) for fs in a.faces_by_dim]
         f_b = [len(fs) for fs in b.faces_by_dim]
         assert [len(fs) for fs in lat.faces_by_dim] == [
@@ -513,6 +516,17 @@ class TestNonRegularPoset:
         with pytest.raises(ValueError, match=r"facet \(0,\) of 2-cell 'disk' "
                                              "has dimension 0, not 1"):
             PolytopeComplex(cells, facets).homology()
+
+    def test_ray_mask_keys_named_by_ray_ids(self):
+        # int keys are ray masks: mask 2 is ray 1 and mask 7 rays 0, 1, 2,
+        # where cell numbers would read 1 and 5
+        cpx = PolytopeComplex({1: 0, 2: 0, 4: 0, 3: 1, 5: 1, 7: 2},
+                              {3: [1, 2], 5: [1, 4], 7: [3, 5]})
+        with pytest.raises(ValueError, match=r"ridge \(1,\) of 2-cell "
+                                             r"\(0, 1, 2\) lies in 1 of"):
+            cpx.homology()
+        with pytest.raises(ValueError, match=r"facet \(3,\) is not a cell"):
+            PolytopeComplex({1: 0, 2: 0, 3: 1}, {3: [1, 2, 8]})
 
 
 class TestSphereCertificate:
