@@ -339,12 +339,11 @@ def build_parser():
     p_gen = sub.add_parser("generators",
                            help="enumerate barbell-tree generators")
     p_gen.add_argument("source", help="fixture name or triangulation JSON")
-    p_gen.add_argument("--oracle-depth", type=int, nargs="?", const=12,
-                       default=0,
+    p_gen.add_argument("--oracle-depth", type=int, default=0,
                        help="also list the colorings up to this degree "
                             "where a sieve for indecomposables disagrees "
                             "with the generators (at least 0; 0, the "
-                            "default, is off; the bare flag means 12)")
+                            "default, is off)")
     p_gen.set_defaults(func=cmd_generators)
 
     p_poly = sub.add_parser("polytope", help="cone lattice or relative "

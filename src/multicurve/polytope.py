@@ -74,7 +74,9 @@ class ConeFaceLattice:
                 for e, gs in enumerate(grades):  # a product adds codimensions
                     merged[c + e].extend(f | g for f in fs for g in gs)
             product = merged
-        self.faces_by_dim = [sorted(fs) for fs in reversed(product)]
+        for fs in product:
+            fs.sort()                          # in place: no sorted copies
+        self.faces_by_dim = product[::-1]
         rank = integer_rank([ray.values for ray in self.rays])
         if rank != self.dimension:
             raise ValueError(f"graded dimension {self.dimension} differs "

@@ -41,6 +41,13 @@ def _is_exact(x):
     return isinstance(x, (int, Fraction, GaussianRational))
 
 
+def _ratio(x, y):
+    """x / y, kept exact as a Fraction when both are ints."""
+    if isinstance(x, int) and isinstance(y, int):
+        return Fraction(x, y)
+    return x / y
+
+
 def _is_zero(x, tol=FLOAT_TOL):
     if _is_exact(x):
         return x == 0
@@ -103,8 +110,8 @@ class ConicPoint:
     def __init__(self, t, s, beta1=None, beta2=None, h=1):
         self.t = t
         self.s = s
-        self.beta1 = beta1 if beta1 is not None else (t + s) / 2
-        self.beta2 = beta2 if beta2 is not None else (t - s) / 2
+        self.beta1 = beta1 if beta1 is not None else _ratio(t + s, 2)
+        self.beta2 = beta2 if beta2 is not None else _ratio(t - s, 2)
         self.h = h
         if _is_zero(h, tol=0):
             raise ValueError("h = 0 is off the affine conic t^2 - s^2 = 4")
@@ -137,7 +144,7 @@ def conic_from_beta(beta, den=None):
     if den is not None:
         b2, d2 = beta * beta, den * den
         return ConicPoint(b2 + d2, b2 - d2, b2, d2, beta * den)
-    inv = 1 / beta
+    inv = _ratio(1, beta)
     return ConicPoint(beta + inv, beta - inv, beta, inv)
 
 
@@ -269,7 +276,7 @@ class QuadricPoint:
         """The honest SL(2) matrix A/e; requires e != 0."""
         if self.degenerate:
             raise ZeroDivisionError("e = 0 on the base curve")
-        return mat_scale(self.a, 1 / self.e)
+        return mat_scale(self.a, _ratio(1, self.e))
 
     def __repr__(self):
         return f"QuadricPoint(a={self.a}, e={self.e})"

@@ -42,35 +42,29 @@ def slot_pair(s):
 
 
 class Triangulation:
-    """Immutable validated triangulation; use :func:`build` to construct."""
+    """Immutable triangulation derived from gluing data.
 
-    __slots__ = ("triangle_count", "gluing", "edges", "edge_index",
-                 "side_edges", "vertices", "corner_vertex", "genus",
-                 "punctures", "_hash")
+    Construct with :func:`build`, which validates the data once; a flip
+    keeps it valid, so the constructor only derives: it checks nothing.
+    """
+
+    __slots__ = ("triangle_count", "gluing", "edges", "side_edges",
+                 "vertices", "corner_vertex", "genus", "punctures", "_hash")
 
     def __init__(self, triangle_count, gluing, edges):
         self.triangle_count = triangle_count
         self.gluing = tuple(gluing)
         self.edges = tuple(edges)
-        self.edge_index = {pair: i for i, pair in enumerate(self.edges)}
+        slot_edge = [0] * (3 * triangle_count)
+        for i, (a, b) in enumerate(self.edges):
+            slot_edge[a] = slot_edge[b] = i
         # side_edges[t]: edge indices carried by slots 0,1,2 of triangle t
-        self.side_edges = tuple(
-            tuple(self.edge_of_slot(slot_id(t, k)) for k in range(3))
-            for t in range(triangle_count))
+        self.side_edges = tuple(tuple(slot_edge[s:s + 3])
+                                for s in range(0, len(slot_edge), 3))
         self.vertices, self.corner_vertex = self._vertex_orbits()
-        n = len(self.vertices)
-        m = triangle_count // 2  # = 2g + n - 2
-        chi = n - m
-        if chi % 2 != 0 or (2 - chi) < 0:
-            raise EulerCharacteristicInvalid(
-                f"V-E+T = {n}-{len(self.edges)}+{triangle_count} = {chi} "
-                "is not 2-2g for any g >= 0")
-        self.genus = (2 - chi) // 2
-        self.punctures = n
-        if n < 1 or 2 * self.genus + n < 3:
-            raise EulerCharacteristicInvalid(
-                f"(g,n)=({self.genus},{n}) is not a punctured surface "
-                "with 2g+n >= 3")
+        self.punctures = len(self.vertices)
+        # V - E + T = 2 - 2g with E = 3T/2 on a connected surface
+        self.genus = (2 - self.punctures + triangle_count // 2) // 2
         self._hash = hash((triangle_count, self.gluing))
 
     # -- derived structure ------------------------------------------------
@@ -101,10 +95,6 @@ class Triangulation:
     def num_edges(self):
         return len(self.edges)
 
-    def edge_of_slot(self, s):
-        partner = self.gluing[s]
-        return self.edge_index[(min(s, partner), max(s, partner))]
-
     def is_folded(self, t):
         pairs = [self.gluing[slot_id(t, k)] // 3 for k in range(3)]
         return pairs.count(t) >= 2
@@ -130,8 +120,7 @@ class Triangulation:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self):
-        pairs = sorted({(min(s, p), max(s, p))
-                        for s, p in enumerate(self.gluing)})
+        pairs = sorted(self.edges)
         return {
             "triangles": self.triangle_count,
             "gluing": [[list(slot_pair(a)), list(slot_pair(b))]
@@ -151,6 +140,9 @@ def build(triangle_count, gluing_pairs):
     ``range(3*triangle_count)`` or a ``(triangle, side)`` pair.  Edges are
     ordered lexicographically by (min slot, max slot); this canonical order
     indexes every coloring downstream.
+
+    The one validation, in order: every slot glued to one other slot,
+    T >= 2, a connected surface.  Then 2g + n = 2 + T/2 >= 3 follows.
     """
     nslots = 3 * triangle_count
     gluing = [-1] * nslots
@@ -173,13 +165,20 @@ def build(triangle_count, gluing_pairs):
             if gluing[f] not in (-1, g):
                 raise GluingNotInvolution(f"slot {f} glued twice")
             gluing[f] = g
-    if any(p == -1 for p in gluing):
-        missing = [s for s, p in enumerate(gluing) if p == -1]
+    missing = [s for s, p in enumerate(gluing) if p == -1]
+    if missing:
         raise GluingNotInvolution(f"unglued slots {missing}")
 
-    edges = sorted({(min(s, p), max(s, p)) for s, p in enumerate(gluing)})
+    if triangle_count < 2:
+        raise EulerCharacteristicInvalid(
+            f"a surface with 2g+n >= 3 needs T >= 2 triangles, "
+            f"got {triangle_count}")
+    edges = [(s, p) for s, p in enumerate(gluing) if s < p]  # sorted
     tri = Triangulation(triangle_count, gluing, edges)
-    _check_connected(tri)
+    # every triangle carries an edge, so the edges reach every triangle
+    if not connected((), DualGraph(tri).edges):
+        raise DisconnectedSurface(
+            f"the gluing of {triangle_count} triangles is not connected")
     return tri
 
 
@@ -203,13 +202,6 @@ def connected(vertex_sets, edge_ends):
     return len({find(x) for x in parent}) <= 1
 
 
-def _check_connected(tri):
-    # every triangle carries an edge, so the edges reach every triangle
-    if not connected((), [(a // 3, b // 3) for a, b in tri.edges]):
-        raise DisconnectedSurface(
-            f"the gluing of {tri.triangle_count} triangles is not connected")
-
-
 class DualGraph:
     """Trivalent multigraph dual to a triangulation.
 
@@ -221,11 +213,8 @@ class DualGraph:
 
     def __init__(self, tri):
         self.num_vertices = tri.triangle_count
-        ends = []
-        for a, b in tri.edges:
-            ta, tb = a // 3, b // 3
-            ends.append((min(ta, tb), max(ta, tb)))
-        self.edges = tuple(ends)
+        # an edge's slots come in order, a < b, so its triangles do too
+        self.edges = tuple((a // 3, b // 3) for a, b in tri.edges)
 
 
 def flower(n):
@@ -282,9 +271,9 @@ def flip(tri, e):
     x2 = slot_id(t2, (q + 1) % 3)
     y2 = slot_id(t2, (q + 2) % 3)
     # contents of the four outer sides move to these slots; the new
-    # diagonal keeps e's slots.  Connectivity needs no re-check: with t1
-    # and t2 merged the gluing joins the same triangles as before, and the
-    # new diagonal joins t1 to t2.
+    # diagonal keeps e's slots.  Nothing needs re-checking: the slots stay
+    # paired, T is kept, and with t1 and t2 merged the gluing joins the
+    # same triangles as before while the new diagonal joins t1 to t2.
     relocate = {x1: y2, y1: x1, x2: y1, y2: x2}
     gluing = [-1] * (3 * tri.triangle_count)
     edges = []
@@ -380,7 +369,7 @@ def _three_punctured_sphere():
 
 def random_triangulation(rng, triangles):
     """Random connected oriented surface from a random slot pairing of an
-    even number of triangles, redrawn until it is a valid surface."""
+    even number of triangles, redrawn until the gluing is connected."""
     if triangles < 2 or triangles % 2:
         raise TriangulationError(
             f"a random surface needs an even number T >= 2 of triangles, "

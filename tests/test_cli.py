@@ -150,6 +150,11 @@ class TestExitCodes:
         assert out == ""
         assert "--oracle-depth must be at least 0, got -3" in err
 
+    def test_oracle_depth_needs_a_value(self):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["generators", "n4ex", "--oracle-depth"])
+        assert exit_info.value.code == 2
+
     def test_check_sphere_must_not_be_negative(self, monkeypatch):
         def unbuilt(tri):
             raise AssertionError("complex built for a negative dimension")

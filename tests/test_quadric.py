@@ -45,6 +45,24 @@ class TestConic:
         assert (cp.t, cp.s) == (Fraction(5, 2), Fraction(3, 2))
         assert cp.t ** 2 - cp.s ** 2 == 4
 
+    def test_int_input_stays_exact(self):
+        # ints halve and invert as Fractions, never as floats
+        cp = mc.conic_from_beta(2)
+        assert (cp.t, cp.s, cp.beta2) == (Fraction(5, 2), Fraction(3, 2),
+                                          Fraction(1, 2))
+        assert all(type(x) is Fraction for x in (cp.t, cp.s, cp.beta2))
+        branch = mc.ConicPoint(2, 0)
+        assert type(branch.beta1) is Fraction and branch.beta1 == 1
+        a = mc.quadric_point(mc.ProjectivePoint(1, 2),
+                             mc.ProjectivePoint(3, 1),
+                             q.conic_from_beta(2, 3)).normalized()
+        assert a[0] == (Fraction(5, 3), Fraction(-1, 2))
+        assert all(type(x) is Fraction for row in a for x in row)
+        rho = q.MobiusMap(((2, 1), (1, 1)))
+        report = mc.equivariance_check(rho, mc.ProjectivePoint(1, 2),
+                                       mc.ProjectivePoint(3, 1), cp)
+        assert report.ok and type(report.residual) is int
+
     def test_beta_imaginary(self):
         cp = mc.conic_from_beta(1j)
         assert abs(cp.t) < 1e-15

@@ -53,8 +53,42 @@ class TestBuild:
     def test_disconnected(self):
         pairs = [((0, k), (1, k)) for k in range(3)]
         pairs += [((2, k), (3, k)) for k in range(3)]
-        with pytest.raises(errors.EulerCharacteristicInvalid):
+        with pytest.raises(errors.DisconnectedSurface):
             mc.build(4, pairs)
+
+    def test_two_spheres_disconnected(self):
+        # two tetrahedron boundaries: V - E + T = 4, refused as two pieces
+        pairs = mc.fixture("n4ex").to_json_dict()["gluing"]
+        pairs += [[(t + 4, k), (u + 4, m)] for (t, k), (u, m) in pairs]
+        with pytest.raises(errors.DisconnectedSurface):
+            mc.build(8, pairs)
+
+    @pytest.mark.parametrize("triangles", [0, -2])
+    def test_fewer_than_two_triangles(self, triangles):
+        with pytest.raises(errors.EulerCharacteristicInvalid):
+            mc.build(triangles, [])
+
+    @pytest.mark.parametrize("triangles", range(2, 13, 2))
+    def test_random_pairings(self, triangles):
+        # a connected gluing is a surface with 2g + n = 2 + T/2; only a
+        # disconnected one is refused
+        rng = random.Random(triangles)
+        for _ in range(100):
+            slots = list(range(3 * triangles))
+            rng.shuffle(slots)
+            pairs = list(zip(slots[::2], slots[1::2]))
+            whole = connected([{t} for t in range(triangles)],
+                              [(a // 3, b // 3) for a, b in pairs])
+            try:
+                tri = mc.build(triangles, pairs)
+            except errors.DisconnectedSurface:
+                assert not whole
+                continue
+            assert whole
+            chi = len(tri.vertices) - tri.num_edges + triangles
+            assert chi % 2 == 0 and chi <= 2
+            assert chi == 2 - 2 * tri.genus
+            assert 2 * tri.genus + tri.punctures == 2 + triangles // 2
 
     def test_canonical_edge_order_sorted(self, any_fixture):
         edges = any_fixture.edges
@@ -145,9 +179,12 @@ class TestFlip:
         for tri in [any_fixture] + [mc.flip(any_fixture, e) for e, (s1, s2)
                                     in enumerate(any_fixture.edges)
                                     if s1 // 3 != s2 // 3]:
-            assert tri.side_edges == tuple(
-                tuple(tri.edge_of_slot(3 * t + k) for k in range(3))
-                for t in range(tri.triangle_count))
+            assert [len(sides) for sides in tri.side_edges] == \
+                [3] * tri.triangle_count
+            for t, sides in enumerate(tri.side_edges):
+                for k, e in enumerate(sides):
+                    s, p = 3 * t + k, tri.gluing[3 * t + k]
+                    assert tri.edges[e] == (min(s, p), max(s, p))
 
     def test_double_flip_isomorphic(self, any_fixture):
         tri = any_fixture
