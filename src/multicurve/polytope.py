@@ -95,7 +95,8 @@ class ConeFaceLattice:
 
     def __repr__(self):
         return (f"ConeFaceLattice(rays={len(self.rays)}, "
-                f"faces={len(self.faces)}, dim={self.dimension})")
+                f"faces={sum(map(len, self.faces_by_dim))}, "
+                f"dim={self.dimension})")
 
 
 def _graded_sweep(top, cuts, keep):
@@ -273,24 +274,20 @@ class PolytopeComplex:
         """Integral cellular homology, one (betti, torsion) pair per
         dimension 0..top.
 
-        The chain groups are spanned by the cells and the boundary maps
-        carry the incidence numbers of ``_incidences``, as one sparse row
-        {column: sign} per row, where a k-cell c is row or column
-        ``c - start[k]``.  Computed once per complex (complexes are not
-        mutated after construction); every call returns a fresh copy.
+        The chain groups are spanned by the cells and the boundary map of
+        dimension k is given by its columns, the incidence dicts
+        {facet: sign} of ``_incidences`` of the k-cells.  Computed once per
+        complex (complexes are not mutated after construction); every call
+        returns a fresh copy.
         """
         if not self.cells:
             raise EmptyComplex("homology of an empty complex")
         if self._homology is None:
             incidence = self._incidences()
-            start = self.start
-            num_cells = list(self.f_vector())
-            boundaries = {k: [{} for _ in range(num_cells[k - 1])]
-                          for k in range(1, len(num_cells))}
-            for c, k in enumerate(self.cells):
-                for f, sign in incidence[c].items():
-                    boundaries[k][f - start[k - 1]][c - start[k]] = sign
-            self._homology = homology_from_boundaries(boundaries, num_cells)
+            self._homology = homology_from_boundaries(
+                {k: [incidence[c] for c in self.cells_of_dim(k)]
+                 for k in range(1, self.dimension + 1)},
+                list(self.f_vector()))
         return [(b, list(tors)) for b, tors in self._homology]
 
     def to_json_dict(self):
@@ -317,11 +314,9 @@ def relative_complex(tri):
     A ray that is a through-face itself is no cut: a chain of joins from
     the apex to a kept face joins rays of that face only.  A kept cell's
     facets are its intersections with the candidate facets one dimension
-    down.  Empty exactly for (g,n) = (0,3).
+    down.  Empty exactly for (g,n) = (0,3), where every ray is a
+    through-face.
     """
-    if (tri.genus, tri.punctures) == (0, 3):
-        raise EmptyRelativeComplex(
-            "the relative complex of the three-punctured sphere is empty")
     rays, corner_vectors = _cone_rays(tri)
     corner_rays = [_zeros(col) for col in zip(*corner_vectors)]
     full = (1 << len(rays)) - 1

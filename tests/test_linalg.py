@@ -111,11 +111,12 @@ def random_matrices(seed, count=300):
 
 def boundary_maps(cpx, monkeypatch):
     """The boundary maps that ``cpx.homology`` hands to the SNF, as
-    (row dicts, number of columns)."""
+    (column dicts {facet number: sign}, facet numbers of the rows)."""
     seen = []
 
     def record(boundaries, num_cells):
-        seen.extend((rows, num_cells[k]) for k, rows in boundaries.items())
+        seen.extend((columns, cpx.cells_of_dim(k - 1))
+                    for k, columns in boundaries.items())
         return []
 
     monkeypatch.setattr(polytope, "homology_from_boundaries", record)
@@ -144,7 +145,39 @@ class TestSparseMatchesDenseSmith:
                if name == "rp2" else mc.relative_complex(mc.fixture(name)))
         maps = boundary_maps(cpx, monkeypatch)
         assert maps
-        for rows, n in maps:
-            dense = [[row.get(j, 0) for j in range(n)] for row in rows]
-            assert (smith_normal_form_diagonal(rows)
+        for columns, facets in maps:
+            dense = [[col.get(f, 0) for col in columns] for f in facets]
+            assert (smith_normal_form_diagonal(columns)
                     == dense_smith_diagonal(dense))
+
+
+class TestTransposeInvariance:
+    """Rows or columns: a matrix and its transpose have the same invariant
+    factors and rank, so callers may pass either."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_lists(self, seed):
+        for mat in random_matrices(seed):
+            cols = list(zip(*mat))
+            assert (smith_normal_form_diagonal(mat)
+                    == smith_normal_form_diagonal(cols))
+            assert integer_rank(mat) == integer_rank(cols)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_dicts(self, seed):
+        for mat in random_matrices(seed):
+            rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+            cols = [{i: row[j] for i, row in enumerate(mat) if row[j]}
+                    for j in range(len(mat[0]) if mat else 0)]
+            assert (smith_normal_form_diagonal(rows)
+                    == smith_normal_form_diagonal(cols))
+            assert integer_rank(rows) == integer_rank(cols)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fraction_rank(self, seed):
+        rng = random.Random(seed)
+        for mat in random_matrices(seed):
+            mat = [[Fraction(x, rng.randint(1, 7)) for x in row]
+                   for row in mat]
+            cols = list(zip(*mat))
+            assert integer_rank(mat) == integer_rank(cols)
