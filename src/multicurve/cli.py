@@ -218,8 +218,8 @@ def cmd_git(args):
 
 
 def _float_param_sweep(n, seed):
-    """Largest residual of each identity over one seeded numpy sweep; tau
-    and eta run on the same arrays, cut to their first 200 samples."""
+    """Largest residual of each identity over one seeded numpy sweep;
+    tau and eta run on every sample of the same arrays."""
     import numpy as np
     rng = np.random.default_rng(seed)
     p = q.float_point_arrays(rng, n)
@@ -236,8 +236,7 @@ def _float_param_sweep(n, seed):
     f1 = evaluate_F(pts2, cps2, t_last)
     scale = np.maximum(1.0, np.abs(f0))
     # tau as the point (p, conj p) of the upper conic; eta unitarity
-    t = rng.uniform(-1.99, 1.99, n)[:200]
-    p = q.ProjectivePoint(p.x1[:200], p.x2[:200])
+    t = rng.uniform(-1.99, 1.99, n)
     conj = q.ProjectivePoint(p.x1.conjugate(), p.x2.conjugate())
     tau_res = q.projective_residual(
         tau_matrix(p, t).coords(),

@@ -1,10 +1,11 @@
 """Admissible edge colorings: the integer coordinates of multicurves.
 
-A coloring assigns a nonnegative integer to every edge of a triangulation,
-in the triangulation's canonical edge order.  It is admissible when every
-triangle sees an even total and the three side colors satisfy the triangle
-inequalities; folded triangles read their doubled side twice, which reduces
-the conditions to ``2 | v_beta`` and ``v_beta <= 2 v_alpha``.
+A coloring assigns an integer to every edge of a triangulation, in its
+canonical edge order; ``Coloring`` is the one conversion of raw entries.
+It is admissible when every triangle sees an even total and the three side
+colors satisfy the triangle inequalities (so no entry is negative); folded
+triangles read their doubled side twice, which reduces the conditions to
+``2 | v_beta`` and ``v_beta <= 2 v_alpha``.
 
 ``admissible_values`` lists the admissible colorings up to a degree by a
 depth-first search that assigns the edges in triangle-walk order
@@ -26,7 +27,9 @@ from .triangulation import slot_id, slot_pair
 
 
 class Coloring:
-    """Exact integer vector bound to a triangulation (else TypeError)."""
+    """Exact integer vector bound to a triangulation: the one conversion of
+    raw entries (``operator.index``, else TypeError; then the length, else
+    LengthMismatch).  Admissibility is checked where it is used."""
 
     __slots__ = ("tri", "values")
 
@@ -36,8 +39,6 @@ class Coloring:
             raise LengthMismatch(
                 f"coloring has {len(values)} entries, triangulation has "
                 f"{tri.num_edges} edges")
-        if min(values, default=0) < 0:
-            raise NotAdmissible("negative entries")
         self.tri = tri
         self.values = values
 
@@ -52,34 +53,15 @@ class Coloring:
         return f"Coloring{self.values}"
 
     def __add__(self, other):
-        bind_same(self, other)
+        if other.tri != self.tri:
+            raise TriangulationMismatch(
+                "colorings bound to different triangulations")
         return Coloring(self.tri, tuple(a + b for a, b in
                                         zip(self.values, other.values)))
 
     def to_json_dict(self, fixture_name=None):
         tag = fixture_name if fixture_name else self.tri.gluing_hash()
         return {"triangulation": tag, "coloring": list(self.values)}
-
-
-def as_values(tri, v):
-    """Accept a Coloring or raw sequence; return a length-checked tuple.
-    Raw entries must be exact integers, otherwise ``TypeError``."""
-    if isinstance(v, Coloring):
-        if v.tri != tri:
-            raise TriangulationMismatch(
-                "coloring is bound to a different triangulation")
-        return v.values
-    values = tuple(map(operator.index, v))
-    if len(values) != tri.num_edges:
-        raise LengthMismatch(
-            f"expected {tri.num_edges} entries, got {len(values)}")
-    return values
-
-
-def bind_same(c1, c2):
-    if c1.tri != c2.tri:
-        raise TriangulationMismatch(
-            "colorings bound to different triangulations")
 
 
 def triangles_ok(triangles, values):
@@ -134,11 +116,18 @@ def is_admissible(tri, v):
 
 
 def require_admissible(tri, v):
+    """The values of v, a Coloring bound to tri (else
+    TriangulationMismatch) or raw entries given to ``Coloring``, once every
+    triangle passes ``triangles_ok`` (else NotAdmissible)."""
+    if not isinstance(v, Coloring):
+        v = Coloring(tri, v)
+    elif v.tri != tri:
+        raise TriangulationMismatch(
+            "coloring is bound to a different triangulation")
     # no sign pass: x <= y + z and y <= x + z give z >= 0 on every side
-    values = as_values(tri, v)
-    if not triangles_ok(tri.side_edges, values):
-        raise NotAdmissible(f"coloring {values} is not admissible")
-    return values
+    if not triangles_ok(tri.side_edges, v.values):
+        raise NotAdmissible(f"coloring {v.values} is not admissible")
+    return v.values
 
 
 def corner_coords(tri, v):

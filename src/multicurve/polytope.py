@@ -34,9 +34,9 @@ from collections import Counter
 from .barbell import enumerate_simple
 from .coloring import (
     Coloring,
-    corner_coords,
+    corners_unchecked,
     is_admissible,
-    peripheral_colorings,
+    peripheral_values,
     require_admissible,
 )
 from .errors import EmptyComplex, EmptyRelativeComplex
@@ -69,6 +69,7 @@ class ConeFaceLattice:
             grades = [[] for _ in range(max(part.values()) + 1)]
             for g, e in part.items():
                 grades[e].append(g)
+            del part                           # lower the merge's peak
             merged = [[] for _ in range(len(product) + len(grades) - 1)]
             for c, fs in enumerate(product):
                 for e, gs in enumerate(grades):  # a product adds codimensions
@@ -153,9 +154,10 @@ def _rays_on(corner_rays, corners, full):
 
 
 def _cone_rays(tri):
-    """Extremal rays of the coloring cone and their corner vectors."""
+    """Extremal rays of the coloring cone and their corner vectors (the
+    enumerated rays are admissible by construction)."""
     rays = [b.coloring for b in enumerate_simple(tri)]
-    return rays, [corner_coords(tri, r) for r in rays]
+    return rays, [corners_unchecked(tri, r.values) for r in rays]
 
 
 def cone_face_lattice(tri):
@@ -320,8 +322,8 @@ def relative_complex(tri):
     rays, corner_vectors = _cone_rays(tri)
     corner_rays = [_zeros(col) for col in zip(*corner_vectors)]
     full = (1 << len(rays)) - 1
-    through = [_rays_on(corner_rays, _zeros(corner_coords(tri, p)), full)
-               for p in peripheral_colorings(tri)]
+    through = [_rays_on(corner_rays, _zeros(corners_unchecked(tri, a)), full)
+               for a in peripheral_values(tri)]
     ray_mask = {}               # kept corner mask -> ray mask of its face
 
     def keep(corners):

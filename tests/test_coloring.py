@@ -69,6 +69,34 @@ class TestAdmissibility:
         with pytest.raises(errors.TriangulationMismatch):
             mc.degree(mc.fixture("flower:3"), c)
 
+    @pytest.mark.parametrize("call", [
+        mc.Coloring, mc.is_admissible, mc.degree, mc.corner_coords])
+    def test_length_mismatch_reads_the_same_everywhere(self, call):
+        # raw entries pass through the one conversion, Coloring
+        tri = mc.fixture("n4ex")
+        with pytest.raises(errors.LengthMismatch,
+                           match="^coloring has 2 entries, triangulation "
+                                 "has 6 edges$"):
+            call(tri, [0, 0])
+
+    def test_other_triangulation_refused(self):
+        ex11, flower3 = mc.fixture("ex11"), mc.fixture("flower:3")
+        c = mc.Coloring(ex11, (2, 2, 2))
+        with pytest.raises(errors.TriangulationMismatch):
+            mc.coloring.require_admissible(flower3, c)
+        with pytest.raises(errors.TriangulationMismatch):
+            c + mc.Coloring(flower3, (2, 2, 2))
+        assert (c + c).values == (4, 4, 4)
+
+    def test_negative_entries_construct_but_are_not_admissible(self):
+        # a Coloring is an integer vector; admissibility is checked on use
+        tri = mc.fixture("ex11")
+        c = mc.Coloring(tri, (-2, 2, 2))
+        assert c.values == (-2, 2, 2)
+        assert not mc.is_admissible(tri, c)
+        with pytest.raises(errors.NotAdmissible):
+            mc.degree(tri, c)
+
 
 class TestExactEntries:
     """Entries pass through operator.index: inexact ones raise TypeError
