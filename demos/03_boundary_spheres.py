@@ -43,4 +43,5 @@ print("\nrelative Betti numbers survive all six flips of the tetrahedron")
 # the cone face lattice underneath it all
 lattice = mc.cone_face_lattice(daisy)
 print(f"\nflower:5 coloring cone: {len(lattice.rays)} extremal rays, "
-      f"{len(lattice.faces)} faces, dimension {lattice.dimension}")
+      f"{sum(map(len, lattice.faces_by_dim))} faces, "
+      f"dimension {lattice.dimension}")

@@ -53,11 +53,12 @@ class Coloring:
         return f"Coloring{self.values}"
 
     def __add__(self, other):
+        if not isinstance(other, Coloring):
+            return NotImplemented
         if other.tri != self.tri:
             raise TriangulationMismatch(
                 "colorings bound to different triangulations")
-        return Coloring(self.tri, tuple(a + b for a, b in
-                                        zip(self.values, other.values)))
+        return Coloring(self.tri, map(operator.add, self.values, other.values))
 
     def to_json_dict(self, fixture_name=None):
         tag = fixture_name if fixture_name else self.tri.gluing_hash()

@@ -3,29 +3,28 @@
 The closure of the coloring cone in R^E is cut out by the corner
 functionals u_theta >= 0, so its faces are exactly the zero sets of corner
 subsets.  A face is an int bitmask of the extremal rays (simple barbell
-colorings) it contains, or of the corners vanishing on it.  The cone
-lattice files its faces, ray masks (bit i = ray i), by dimension and then
-by mask value, and a relative-complex cell keeps its ray mask as its key.
-Both face families come from one graded sweep (``_graded_sweep``,
-Kaibel-Pfetsch 2002).  The cone lattice sweeps ray masks cut by the
-candidate facets {rays with u_theta = 0} block by block: rays share a
-block when some candidate misses both, so the lattice is the product of
-the blocks' lattices (Ziegler 1995), codimensions adding.  A face's
-dimension is the apex's codimension minus its own, and the rational rank
-of all the rays checks the top dimension once.  Slicing by the degree
-hyperplane turns a cone face of dimension k into a polytope cell of
-dimension k-1.  A polytope complex numbers its cells once, by dimension
-and then by key, and holds dimensions, facets and labels by number, the
-one handle behind homology columns, JSON ids and exported vertices.
+colorings) it contains, bit i = ray i.  The cone lattice files its faces
+by dimension and then by mask value, and a relative-complex cell keeps its
+ray mask as its key.  Both face families come from one block product
+(``_block_product``): rays share a block when some candidate facet {rays
+with u_theta = 0} misses both, and the lattice is the product of the
+blocks' lattices (Ziegler 1995), codimensions adding, each block swept by
+``_graded_sweep`` (Kaibel-Pfetsch 2002).  A face's dimension is the apex's
+codimension minus its own, and the rational rank of all the rays checks
+the apex's codimension once.  Slicing by the degree hyperplane turns a
+cone face of dimension k into a polytope cell of dimension k-1.  A polytope
+complex numbers its cells once, by dimension and then by key, and holds
+dimensions, facets and labels by number, the one handle behind homology
+columns, JSON ids and exported vertices.
 
 The relative complex keeps the faces containing no peripheral through-face
-(the smallest face holding a peripheral vector), a down-set swept on the
-corner side from the apex without the full lattice or the cuts of rays
-that are through-faces themselves.  By the structure theory it is a
-sphere, certified here by pseudomanifold + integral homology,
-connectivity read off b_0 (a homology sphere for d >= 3, genuine
-homeomorphism in dimensions <= 2).  The homology is cellular, with the +-1
-incidences of a regular CW complex read off the facets alone.
+(the smallest face holding a peripheral vector), a down-set taken on the
+ray side from the same block product: a block holding a through-face t is
+swept from its roots, the candidate facets missing t, not from its top.
+By the structure theory it is a sphere, certified here by pseudomanifold +
+integral homology, connectivity read off b_0 (a homology sphere for d >= 3,
+genuine homeomorphism in dimensions <= 2).  The homology is cellular, with
+the +-1 incidences of a regular CW complex read off the facets alone.
 """
 
 from bisect import bisect_left
@@ -52,36 +51,11 @@ class ConeFaceLattice:
         self.rays = list(rays)                 # Coloring objects
         self.corner_vectors = [tuple(u) for u in corner_vectors]
         self.faces_by_dim = [[]]               # dimension -> ray masks
-        if not self.rays:
-            return
-        candidates = {_zeros(col) for col in zip(*self.corner_vectors)}
-        full = (1 << len(self.rays)) - 1
-        blocks = []                            # disjoint ray masks
-        for miss in {full & ~cand for cand in candidates}:
-            for block in [b for b in blocks if b & miss]:
-                blocks.remove(block)
-                miss |= block
-            blocks.append(miss)
-        product = [[full & ~sum(blocks)]]      # codimension -> ray masks
-        for block in sorted(blocks, key=int.bit_count):  # small ones first
-            part = _graded_sweep(block, {c & block for c in candidates},
-                                 lambda face: True)
-            grades = [[] for _ in range(max(part.values()) + 1)]
-            for g, e in part.items():
-                grades[e].append(g)
-            del part                           # lower the merge's peak
-            merged = [[] for _ in range(len(product) + len(grades) - 1)]
-            for c, fs in enumerate(product):
-                for e, gs in enumerate(grades):  # a product adds codimensions
-                    merged[c + e].extend(f | g for f in fs for g in gs)
-            product = merged
-        for fs in product:
+        if self.rays:
+            self.faces_by_dim = _block_product(self.rays, [
+                _zeros(col) for col in zip(*self.corner_vectors)], ())
+        for fs in self.faces_by_dim:
             fs.sort()                          # in place: no sorted copies
-        self.faces_by_dim = product[::-1]
-        rank = integer_rank([ray.values for ray in self.rays])
-        if rank != self.dimension:
-            raise ValueError(f"graded dimension {self.dimension} differs "
-                             f"from the rank {rank} of the rays")
 
     @property
     def faces(self):                           # a new list, by dimension
@@ -100,18 +74,64 @@ class ConeFaceLattice:
                 f"dim={self.dimension})")
 
 
-def _graded_sweep(top, cuts, keep):
-    """Codimension of every mask reached from ``top`` by ``& cut``, cutting
-    on only from the masks that ``keep`` accepts (``top`` is not asked).
+def _block_product(rays, corner_rays, through):
+    """Ray masks of the faces holding no mask of ``through``, one list per
+    dimension, apex first: the product over the ray blocks of the candidate
+    facets ``corner_rays``.  A block holding through-faces is swept from
+    the candidates missing the one, t, that the fewest candidates miss, and
+    loses its faces holding one; then so do faces holding one across blocks."""
+    full = (1 << len(rays)) - 1
+    candidates = set(corner_rays)
+    blocks = []                                # disjoint ray masks
+    for miss in {full & ~cand for cand in candidates}:
+        for block in [b for b in blocks if b & miss]:
+            blocks.remove(block)
+            miss |= block
+        blocks.append(miss)
+    product = [[full & ~sum(blocks)]]          # codimension -> ray masks
+    for block in sorted(blocks, key=int.bit_count):  # small ones first
+        cuts = {c & block for c in candidates}
+        ts = [t for t in through if t & block == t]
+        if ts:  # every face avoiding t lies in a candidate missing t
+            t = min(ts, key=lambda u: sum(c & u != u for c in cuts))
+            part = _graded_sweep({c: 1 for c in cuts if c & t != t}, cuts)
+        else:
+            part = _graded_sweep({block: 0}, cuts)
+        for t in ts:                           # drop the faces holding one
+            part = {g: e for g, e in part.items() if g & t != t}
+        grades = [[] for _ in range(max(part.values()) + 1)]
+        for g, e in part.items():
+            grades[e].append(g)
+        del part                               # lower the merge's peak
+        merged = [[] for _ in range(len(product) + len(grades) - 1)]
+        for c, fs in enumerate(product):
+            for e, gs in enumerate(grades):    # a product adds codimensions
+                merged[c + e].extend(f | g for f in fs for g in gs)
+        product = merged
+    spanning = [t for t in through if all(t & b != t for b in blocks)]
+    if spanning:
+        product = [[f for f in fs if not any(f & t == t for t in spanning)]
+                   for fs in product]
+    rank = integer_rank([ray.values for ray in rays])
+    if rank != len(product) - 1:
+        raise ValueError(f"graded dimension {len(product) - 1} differs "
+                         f"from the rank {rank} of the rays")
+    return product[::-1]
+
+
+def _graded_sweep(roots, cuts):
+    """Codimension of every mask reached from ``roots`` (mask ->
+    codimension) by ``& cut``.
 
     Masks are swept by decreasing bit count: a proper h = F & C has fewer
     bits than F, so its codimension, one more than the largest among the
-    masks covering it, is final before h is cut.  A rejected mask gets the
-    bucket count as a sentinel codimension, above every real one.  The
-    cost is masks reached times cuts, hence blocks and skipped cuts.
+    masks covering it, is final before h is cut; a root below another root
+    is raised the same way.  The cost is masks reached times cuts.
     """
-    codim = {top: 0}
-    buckets = [[] for _ in range(top.bit_count())] + [[top]]  # by bit count
+    codim = dict(roots)
+    buckets = [[] for _ in range(max(map(int.bit_count, roots)) + 1)]
+    for root in roots:                         # by bit count
+        buckets[root.bit_count()].append(root)
     for bucket in reversed(buckets):
         for mask in bucket:
             below = codim[mask] + 1
@@ -121,11 +141,8 @@ def _graded_sweep(top, cuts, keep):
                     continue
                 seen = codim.get(h)
                 if seen is None:
-                    if keep(h):
-                        codim[h] = below
-                        buckets[h.bit_count()].append(h)
-                    else:
-                        codim[h] = len(buckets)
+                    codim[h] = below
+                    buckets[h.bit_count()].append(h)
                 elif below > seen:
                     codim[h] = below
     return codim
@@ -309,43 +326,24 @@ def relative_complex(tri):
     The through-face of a peripheral vector p is the smallest face holding
     it, and a face holds p iff it contains p's through-face, so the kept
     faces, those containing none of the n through-faces, form a down-set.
-    They are swept on the corner side, from the apex (every corner) down:
-    cutting a face's corner mask by a ray's zero set gives the corner mask
-    of the face it spans with that ray, so the codimension of the sweep is
-    the cone dimension, checked against the rank of one top cell's rays.
-    A ray that is a through-face itself is no cut: a chain of joins from
-    the apex to a kept face joins rays of that face only.  A kept cell's
-    facets are its intersections with the candidate facets one dimension
-    down.  Empty exactly for (g,n) = (0,3), where every ray is a
-    through-face.
+    They are taken on the ray side, from the block product with each
+    block's roots at the facets missing one of its through-faces, t
+    (``_block_product``); the apex dropped, a cone face of dimension k is a
+    cell of dimension k - 1.  A kept cell's facets are its intersections
+    with the candidate facets one dimension down.  Empty exactly for
+    (g,n) = (0,3), where every ray is a through-face.
     """
     rays, corner_vectors = _cone_rays(tri)
     corner_rays = [_zeros(col) for col in zip(*corner_vectors)]
     full = (1 << len(rays)) - 1
     through = [_rays_on(corner_rays, _zeros(corners_unchecked(tri, a)), full)
                for a in peripheral_values(tri)]
-    ray_mask = {}               # kept corner mask -> ray mask of its face
-
-    def keep(corners):
-        face = _rays_on(corner_rays, corners, full)
-        if any(face & t == t for t in through):
-            return False
-        ray_mask[corners] = face
-        return True
-
-    depth = _graded_sweep((1 << len(corner_rays)) - 1,
-                          {_zeros(u) for i, u in enumerate(corner_vectors)
-                           if 1 << i not in through}, keep)
-    cells = {ray_mask[z]: d - 1 for z, d in depth.items() if z in ray_mask}
+    by_dim = _block_product(rays, corner_rays, through)
+    cells = {h: d for d, hs in enumerate(by_dim[1:]) for h in hs}  # no apex
     if not cells:
         raise EmptyRelativeComplex(
             f"relative complex of (g,n)=({tri.genus},{tri.punctures}) "
             "came out empty")
-    top = max(cells, key=cells.get)
-    rank = integer_rank([r.values for i, r in enumerate(rays) if top >> i & 1])
-    if rank != cells[top] + 1:
-        raise ValueError(f"walked depth {cells[top] + 1} of a top cell "
-                         f"differs from the rank {rank} of its rays")
     cands = set(corner_rays)
     return PolytopeComplex(
         cells,

@@ -27,10 +27,13 @@ oracle's faces as ``ConeFaceLattice.faces_by_dim`` does, by dimension and
 then by mask.
 
 ``walk_relative_complex`` walks the kept faces of the relative complex up
-from the apex, one cover at a time: the covers of a face F are the faces
-H_r spanned by F and one more ray r that every ray of H_r - F spans.  It
-shares only the ray and corner tables with the corner-side sweep of
-``relative_complex`` and checks its cells, facets, labels and order.
+from the apex, one cover at a time, on the corner side: the covers of a
+face F are the faces H_r spanned by F and one more ray r that every ray of
+H_r - F spans, found by cutting F's corner mask by r's zero set.  It sees
+no blocks and no roots and shares only the ray and corner tables with
+``relative_complex``, which takes its cells on the ray side from the block
+product with roots at the facets missing a through-face t, so it checks
+the cells, facets, labels and order of that product.
 
 ``in_rational_cone`` decides membership in the rational cone of the simple
 barbell colorings by an exact phase-one simplex (``rational_feasible``),

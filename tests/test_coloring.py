@@ -88,6 +88,11 @@ class TestAdmissibility:
             c + mc.Coloring(flower3, (2, 2, 2))
         assert (c + c).values == (4, 4, 4)
 
+    def test_add_takes_only_a_coloring(self):
+        c = mc.Coloring(mc.fixture("ex11"), (2, 2, 2))
+        with pytest.raises(TypeError):
+            c + (2, 2, 2)
+
     def test_negative_entries_construct_but_are_not_admissible(self):
         # a Coloring is an integer vector; admissibility is checked on use
         tri = mc.fixture("ex11")

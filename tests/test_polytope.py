@@ -231,6 +231,20 @@ class TestBlockProduct:
             for k in range(len(f_a) + len(f_b) - 1)]
         assert len(lat.faces) == 106 * 64 == 6784
 
+    @pytest.mark.parametrize("through,kept", [
+        ([0b0001], [[0], [0b0010, 0b0100, 0b1000], [0b0110, 0b1100], []]),
+        ([0b0001, 0b0100], [[0], [0b0010, 0b1000], [], []]),
+    ], ids=["ray0", "rays0and2"])
+    def test_square_cone_through_faces(self, through, kept):
+        # the cone over a square, facets {0,1}, {1,2}, {2,3}, {3,0}, one
+        # block: the faces avoiding ray 0 lie in the facets missing it; the
+        # lists run by cone dimension, 0 (the apex) to 3 (the whole cone)
+        rays = [SimpleNamespace(values=v) for v in
+                [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]]
+        facets = [0b0011, 0b0110, 0b1100, 0b1001]
+        by_dim = polytope._block_product(rays, facets, through)
+        assert [sorted(fs) for fs in by_dim] == kept
+
 
 class TestRelativeComplex:
     @pytest.mark.parametrize("name,fvec", [
@@ -309,12 +323,12 @@ class TestRelativeComplex:
 
     def test_depth_checked_against_ray_rank(self, monkeypatch):
         # the sweep reads only the corners; rays all on one line leave the
-        # depth of a top cell above the rank of its rays
+        # graded dimension above the rank of the rays
         rays, corner_vectors = polytope._cone_rays(mc.fixture("n4ex"))
         line = [SimpleNamespace(values=rays[0].values) for _ in rays]
         monkeypatch.setattr(polytope, "_cone_rays",
                             lambda tri: (line, corner_vectors))
-        with pytest.raises(ValueError, match="rank 1 of its rays"):
+        with pytest.raises(ValueError, match="rank 1 of the rays"):
             mc.relative_complex(mc.fixture("n4ex"))
 
     def test_closed_under_faces(self, any_fixture):
@@ -350,8 +364,9 @@ class TestRelativeMatchesRankOracle:
 
 
 class TestSweepMatchesWalk:
-    """The corner-side sweep of ``relative_complex`` gives the complex of
-    the cover-counting walk: cells, facets, labels and order."""
+    """The ray-side block product of ``relative_complex``, roots at the
+    facets missing a through-face t, gives the complex of the corner-side
+    cover-counting walk: cells, facets, labels and order."""
 
     def test_fixtures(self, any_fixture):
         assert_matches_walk_oracle(any_fixture)
