@@ -196,21 +196,16 @@ def peripheral_edges(tri, p):
     return [side_edges[c // 3][(c + 2) % 3] for c in tri.vertices[p]]
 
 
-def peripheral_values(tri):
-    """Value tuples of the small loops around each puncture; their sum is
-    the all-twos vector."""
-    values = []
+def peripheral_colorings(tri):
+    """Colorings of the small loops around each puncture; their sum is the
+    all-twos vector."""
+    loops = []
     for p in range(tri.punctures):
         loop = [0] * tri.num_edges
         for e in peripheral_edges(tri, p):
             loop[e] += 1
-        values.append(tuple(loop))
-    return values
-
-
-def peripheral_colorings(tri):
-    """Colorings of the small loops around each puncture."""
-    return [Coloring(tri, values) for values in peripheral_values(tri)]
+        loops.append(Coloring(tri, loop))
+    return loops
 
 
 def degree(tri, v):

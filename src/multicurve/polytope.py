@@ -18,9 +18,11 @@ dimensions, facets and labels by number, the one handle behind homology
 columns, JSON ids and exported vertices.
 
 The relative complex keeps the faces containing no peripheral through-face
-(the smallest face holding a peripheral vector), a down-set taken on the
-ray side from the same block product: a block holding a through-face t is
-swept from its roots, the candidate facets missing t, not from its top.
+(the smallest face holding a peripheral vector a_p).  a_p is 1 on the
+corners at p and 0 on the rest, so t_p is cut out by the corners away from
+p.  The kept faces, a down-set, come on the ray side from the same block
+product: a through-face joins the blocks it meets, and a block holding a
+through-face t is swept from its roots, the candidate facets missing t.
 By the structure theory it is a sphere, certified here by pseudomanifold +
 integral homology, connectivity read off b_0 (a homology sphere for d >= 3,
 genuine homeomorphism in dimensions <= 2).  The homology is cellular, with
@@ -35,7 +37,6 @@ from .coloring import (
     Coloring,
     corners_unchecked,
     is_admissible,
-    peripheral_values,
     require_admissible,
 )
 from .errors import EmptyComplex, EmptyRelativeComplex
@@ -77,13 +78,15 @@ class ConeFaceLattice:
 def _block_product(rays, corner_rays, through):
     """Ray masks of the faces holding no mask of ``through``, one list per
     dimension, apex first: the product over the ray blocks of the candidate
-    facets ``corner_rays``.  A block holding through-faces is swept from
-    the candidates missing the one, t, that the fewest candidates miss, and
-    loses its faces holding one; then so do faces holding one across blocks."""
+    facets ``corner_rays``.  Rays share a block when a candidate facet
+    misses both, and a through-face joins the blocks it meets (a union of
+    direct summands is one), so each lies in one block.  A block holding
+    through-faces is swept from the candidates missing the one, t, that the
+    fewest candidates miss, and loses its faces holding one."""
     full = (1 << len(rays)) - 1
     candidates = set(corner_rays)
     blocks = []                                # disjoint ray masks
-    for miss in {full & ~cand for cand in candidates}:
+    for miss in {full & ~cand for cand in candidates} | set(through):
         for block in [b for b in blocks if b & miss]:
             blocks.remove(block)
             miss |= block
@@ -91,7 +94,7 @@ def _block_product(rays, corner_rays, through):
     product = [[full & ~sum(blocks)]]          # codimension -> ray masks
     for block in sorted(blocks, key=int.bit_count):  # small ones first
         cuts = {c & block for c in candidates}
-        ts = [t for t in through if t & block == t]
+        ts = [t for t in through if t & block]
         if ts:  # every face avoiding t lies in a candidate missing t
             t = min(ts, key=lambda u: sum(c & u != u for c in cuts))
             part = _graded_sweep({c: 1 for c in cuts if c & t != t}, cuts)
@@ -108,10 +111,6 @@ def _block_product(rays, corner_rays, through):
             for e, gs in enumerate(grades):    # a product adds codimensions
                 merged[c + e].extend(f | g for f in fs for g in gs)
         product = merged
-    spanning = [t for t in through if all(t & b != t for b in blocks)]
-    if spanning:
-        product = [[f for f in fs if not any(f & t == t for t in spanning)]
-                   for fs in product]
     rank = integer_rank([ray.values for ray in rays])
     if rank != len(product) - 1:
         raise ValueError(f"graded dimension {len(product) - 1} differs "
@@ -157,17 +156,6 @@ def _named(key):
 def _zeros(values):
     """Bitmask of the zero entries of ``values``."""
     return sum(1 << i for i, x in enumerate(values) if x == 0)
-
-
-def _rays_on(corner_rays, corners, full):
-    """Ray mask of the face cut out by a corner mask: the rays vanishing on
-    every corner in it (all rays for no corner)."""
-    rays = full
-    while corners and rays:
-        low = corners & -corners
-        rays &= corner_rays[low.bit_length() - 1]
-        corners ^= low
-    return rays
 
 
 def _cone_rays(tri):
@@ -323,21 +311,27 @@ class PolytopeComplex:
 def relative_complex(tri):
     """Union of the slice-polytope faces avoiding every peripheral vector.
 
-    The through-face of a peripheral vector p is the smallest face holding
-    it, and a face holds p iff it contains p's through-face, so the kept
+    The through-face t_p of the peripheral vector a_p is the smallest face
+    holding it, and a face holds a_p iff it contains t_p, so the kept
     faces, those containing none of the n through-faces, form a down-set.
-    They are taken on the ray side, from the block product with each
-    block's roots at the facets missing one of its through-faces, t
-    (``_block_product``); the apex dropped, a cone face of dimension k is a
-    cell of dimension k - 1.  A kept cell's facets are its intersections
-    with the candidate facets one dimension down.  Empty exactly for
-    (g,n) = (0,3), where every ray is a through-face.
+    a_p is 1 on the corners at p and 0 on the rest, so t_p is cut out by
+    the corners away from p (all rays when there are none).  The kept faces
+    are taken on the ray side, from the block product, where a
+    through-face joins the blocks it meets and each block's roots are the
+    facets missing one of its through-faces, t (``_block_product``); the
+    apex dropped, a cone face of dimension k is a cell of dimension k - 1.
+    A kept cell's facets are its intersections with the candidate facets
+    one dimension down.  Empty exactly for (g,n) = (0,3), where every ray
+    is a through-face.
     """
     rays, corner_vectors = _cone_rays(tri)
     corner_rays = [_zeros(col) for col in zip(*corner_vectors)]
     full = (1 << len(rays)) - 1
-    through = [_rays_on(corner_rays, _zeros(corners_unchecked(tri, a)), full)
-               for a in peripheral_values(tri)]
+    through = [full] * tri.punctures           # t_p: corners away from p
+    for theta, p in enumerate(tri.corner_vertex):
+        for q in range(tri.punctures):
+            if q != p:
+                through[q] &= corner_rays[theta]
     by_dim = _block_product(rays, corner_rays, through)
     cells = {h: d for d, hs in enumerate(by_dim[1:]) for h in hs}  # no apex
     if not cells:
@@ -398,8 +392,6 @@ class SphereCertificate:
 def sphere_certificate(cpx, d):
     """Connectivity, pseudomanifold and S^d-homology checks; connectivity
     is read from b_0."""
-    if not cpx.cells:
-        raise EmptyComplex("no cells to certify")
     pseudo = cpx.dimension == d
     if pseudo:
         cofaces = Counter(f for c in cpx.cells_of_dim(d)

@@ -3,7 +3,7 @@
 ``manifest.json`` maps each golden file to its command line; to add a
 golden output, add its entry there and rerun this script.
 
-Run from the repository root:  python3 tests/golden/regenerate.py
+Run from the repository root:  PYTHONPATH=src python3 tests/golden/regenerate.py
 """
 
 import contextlib

@@ -114,7 +114,7 @@ from multicurve.coloring import (
     triangles_ok,
 )
 from multicurve.errors import EmptyRelativeComplex
-from multicurve.polytope import PolytopeComplex, _cone_rays, _rays_on, _zeros
+from multicurve.polytope import PolytopeComplex, _cone_rays, _zeros
 from multicurve.triangulation import DualGraph, connected, slot_id
 from multicurve.linalg import homology_from_boundaries, integer_rank
 from multicurve.quadric import quadric_identity_residuals
@@ -123,6 +123,17 @@ from multicurve.quadric import quadric_identity_residuals
 def _bits(mask):
     """Positions of the set bits of ``mask``, in increasing order."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _rays_on(corner_rays, corners, full):
+    """Ray mask of the face cut out by a corner mask: the rays vanishing on
+    every corner in it (all rays for no corner)."""
+    rays = full
+    while corners and rays:
+        low = corners & -corners
+        rays &= corner_rays[low.bit_length() - 1]
+        corners ^= low
+    return rays
 
 
 def mask_of(ray_ids):

@@ -276,8 +276,13 @@ class TestPeripheral:
         *FIXTURES, "flower:3", *(f"random:8:{s}" for s in range(5))])
     def test_corners_list_the_edge_ends(self, name):
         tri = mc.fixture(name)
-        assert mc.coloring.peripheral_values(tri) == \
-            endpoint_peripheral_values(tri)
+        loops = mc.peripheral_colorings(tri)
+        assert [c.values for c in loops] == endpoint_peripheral_values(tri)
+        # a_p cuts off each corner at p once and no other corner
+        for p, a in enumerate(loops):
+            at_p = set(tri.vertices[p])
+            assert mc.corner_coords(tri, a) == tuple(
+                int(theta in at_p) for theta in range(3 * tri.triangle_count))
 
 
 class TestAdmissibleValues:
