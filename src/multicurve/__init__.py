@@ -11,7 +11,6 @@ exactly verified identities of the quadric trace parametrization.
 
 from .triangulation import (
     Triangulation,
-    DualGraph,
     build,
     fixture,
     flip,

@@ -1,10 +1,11 @@
 """Generators of the coloring monoid via colored subgraphs of the dual graph.
 
 An indecomposable coloring is supported on a "barbell tree": a connected
-subgraph of the trivalent dual graph whose 1-colored edges form disjoint
-cycles (bells), whose 2-colored edges are never loops, and which becomes a
-tree when every bell is collapsed to a point.  Allowed color triples at a
-vertex are (2,2,2), (2,2,0), (2,1,1), (2,2x1), (0,1,1), (0,2x1), (0,0,0).
+subgraph of the trivalent dual graph (the triangles, joined by edge i at
+``tri.dual_edges[i]``) whose 1-colored edges form disjoint cycles (bells),
+whose 2-colored edges are never loops, and which becomes a tree when every
+bell is collapsed to a point.  Allowed color triples at a vertex are
+(2,2,2), (2,2,0), (2,1,1), (2,2x1), (0,1,1), (0,2x1), (0,0,0).
 
 Enumeration follows that structure.  The bells are the simple cycles, taken
 in pairwise vertex-disjoint sets B.  In G/B, the dual graph with each bell
@@ -39,7 +40,6 @@ from .coloring import (
     triangles_ok,
 )
 from .errors import ZeroColoring
-from .triangulation import DualGraph
 
 
 class BarbellTree:
@@ -75,15 +75,15 @@ class BarbellTree:
         }
 
 
-def _cycles(dual):
-    """All simple cycles of the dual multigraph, as edge-id frozensets.
+def _cycles(tri):
+    """All simple cycles of the dual multigraph of ``tri``, as edge-id sets.
 
     Loops are 1-edge cycles and parallel pairs 2-edge cycles.  Each cycle
     also records its vertex set.
     """
-    adjacency = [[] for _ in range(dual.num_vertices)]
+    adjacency = [[] for _ in range(tri.triangle_count)]
     loops = []
-    for i, (a, b) in enumerate(dual.edges):
+    for i, (a, b) in enumerate(tri.dual_edges):
         if a == b:
             loops.append((frozenset([i]), frozenset([a])))
         else:
@@ -91,7 +91,7 @@ def _cycles(dual):
             adjacency[b].append((i, a))
 
     found = {}
-    for root in range(dual.num_vertices):
+    for root in range(tri.triangle_count):
         # cycles whose minimum vertex is root
         stack = [(root, [], {root})]
         while stack:
@@ -132,26 +132,25 @@ def enumerate_barbell_trees(tri):
     Returns BarbellTree objects in canonical order (degree, then coloring
     lexicographically).
     """
-    dual = DualGraph(tri)
-    cycles = _cycles(dual)
+    cycles = _cycles(tri)
     results = []
     for bell_ids in _disjoint_bell_sets(cycles):
         bells = [cycles[i] for i in bell_ids]
         # G/B: bell j is node -1-j; its edges and chords and the dual loops
         # become self-loops and drop out
-        node = list(range(dual.num_vertices))
+        node = list(range(tri.triangle_count))
         for j, (_edges, verts) in enumerate(bells):
             for v in verts:
                 node[v] = -1 - j
         adjacency = {}
-        for i, (a, b) in enumerate(dual.edges):
+        for i, (a, b) in enumerate(tri.dual_edges):
             a, b = node[a], node[b]
             if a != b:
                 adjacency.setdefault(a, []).append((i, b))
                 adjacency.setdefault(b, []).append((i, a))
         for chain in _steiner_trees(adjacency, [-1 - j for j in
                                                 range(len(bells))]):
-            results.append(_to_barbell(tri, dual, bells, chain))
+            results.append(_to_barbell(tri, bells, chain))
     results.sort(key=lambda b: (b.degree, b.coloring.values))
     return results
 
@@ -179,8 +178,8 @@ def _steiner_trees(adjacency, terminals):
     return join({terminals[0]}, [])
 
 
-def _to_barbell(tri, dual, bells, chain):
-    values = [0] * len(dual.edges)
+def _to_barbell(tri, bells, chain):
+    values = [0] * tri.num_edges
     for edges, _verts in bells:
         for i in edges:
             values[i] = 1

@@ -20,7 +20,6 @@ import time
 from . import (
     classify_partition,
     cone_face_lattice,
-    degree,
     enumerate_barbell_trees,
     equivariance_check,
     eta_matrix,
@@ -170,8 +169,8 @@ def cmd_mutate(args):
         report["coloring"] = {
             "before": values,
             "after": list(out.values),
-            "degree_before": degree(tri, values),
-            "degree_after": degree(flipped, out),
+            "degree_before": sum(values),
+            "degree_after": sum(out.values),
         }
     if args.verify_betti:
         betti = [[b for b, _t in relative_complex(t).homology()]

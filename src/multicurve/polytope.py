@@ -46,15 +46,15 @@ from .triangulation import connected, flip, flip_square_sides
 
 class ConeFaceLattice:
     """Faces of the coloring cone, int masks of their extremal rays (bit i =
-    ray i), filed in ``faces_by_dim`` by dimension and then by mask value."""
+    ray i), filed in ``faces_by_dim`` by dimension and then by mask value,
+    built from the rays and candidate facets ``corner_rays`` of
+    ``_cone_rays``."""
 
-    def __init__(self, rays, corner_vectors):
+    def __init__(self, rays, corner_rays):
         self.rays = list(rays)                 # Coloring objects
-        self.corner_vectors = [tuple(u) for u in corner_vectors]
         self.faces_by_dim = [[]]               # dimension -> ray masks
         if self.rays:
-            self.faces_by_dim = _block_product(self.rays, [
-                _zeros(col) for col in zip(*self.corner_vectors)], ())
+            self.faces_by_dim = _block_product(self.rays, corner_rays, ())
         for fs in self.faces_by_dim:
             fs.sort()                          # in place: no sorted copies
 
@@ -153,16 +153,14 @@ def _named(key):
             if isinstance(key, int) else key)
 
 
-def _zeros(values):
-    """Bitmask of the zero entries of ``values``."""
-    return sum(1 << i for i, x in enumerate(values) if x == 0)
-
-
 def _cone_rays(tri):
-    """Extremal rays of the coloring cone and their corner vectors (the
+    """Extremal rays of the coloring cone and the candidate facets: for
+    each corner theta, the mask of the rays with u_theta = 0 (the
     enumerated rays are admissible by construction)."""
     rays = [b.coloring for b in enumerate_simple(tri)]
-    return rays, [corners_unchecked(tri, r.values) for r in rays]
+    columns = zip(*(corners_unchecked(tri, r.values) for r in rays))
+    return rays, [sum(1 << i for i, u in enumerate(col) if u == 0)
+                  for col in columns]
 
 
 def cone_face_lattice(tri):
@@ -315,17 +313,17 @@ def relative_complex(tri):
     holding it, and a face holds a_p iff it contains t_p, so the kept
     faces, those containing none of the n through-faces, form a down-set.
     a_p is 1 on the corners at p and 0 on the rest, so t_p is cut out by
-    the corners away from p (all rays when there are none).  The kept faces
-    are taken on the ray side, from the block product, where a
-    through-face joins the blocks it meets and each block's roots are the
+    the corners away from p (all rays when there are none).  The candidate
+    facets, one ray mask per corner from ``_cone_rays``, serve both passes.
+    The kept faces are taken on the ray side, from the block product, where
+    a through-face joins the blocks it meets and each block's roots are the
     facets missing one of its through-faces, t (``_block_product``); the
     apex dropped, a cone face of dimension k is a cell of dimension k - 1.
     A kept cell's facets are its intersections with the candidate facets
     one dimension down.  Empty exactly for (g,n) = (0,3), where every ray
     is a through-face.
     """
-    rays, corner_vectors = _cone_rays(tri)
-    corner_rays = [_zeros(col) for col in zip(*corner_vectors)]
+    rays, corner_rays = _cone_rays(tri)
     full = (1 << len(rays)) - 1
     through = [full] * tri.punctures           # t_p: corners away from p
     for theta, p in enumerate(tri.corner_vertex):

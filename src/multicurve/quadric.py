@@ -313,7 +313,8 @@ def equivariance_check(rho, p, q, cp):
     for rho = M / D, det M = D^2: exactly over exact scalars; over floats
     (D = 1) within ``FLOAT_TOL`` relative to the magnitude of the compared
     matrices (with the linear representatives M x, M y the identities hold
-    on the nose, so no projective rescaling enters).
+    on the nose, so no projective rescaling enters).  The residual is the
+    largest |difference|, over floats divided by that magnitude.
     """
     lhs = quadric_point(rho.apply(p), rho.apply(q), cp)
     base = quadric_point(p, q, cp)
@@ -322,7 +323,8 @@ def equivariance_check(rho, p, q, cp):
     e_diff = lhs.e - rho.den * rho.den * base.e
     entries = [diff[0][0], diff[0][1], diff[1][0], diff[1][1], e_diff]
     if all(_is_exact(x) for x in entries):
-        return EquivarianceReport(all(x == 0 for x in entries), 0)
+        ok = all(x == 0 for x in entries)
+        return EquivarianceReport(ok, 0 if ok else max(map(abs, entries)))
     scale = max(1.0, mat_max_abs(lhs.a), mat_max_abs(rhs_a))
     residual = mat_max_abs((entries,)) / scale
     return EquivarianceReport(residual <= FLOAT_TOL, residual)

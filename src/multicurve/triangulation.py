@@ -5,7 +5,9 @@ fixed-point-free involution on the 3T side slots of T triangles.  Slot k of
 triangle t has id ``3*t + k``; within each triangle the slots are ordered
 counterclockwise and every gluing identifies two slots reversing the induced
 boundary orientation, so the glued surface is always oriented.  Edges,
-vertices (= punctures), corners, genus and puncture count are derived.
+the trivalent dual graph (edge i joins the triangles on its two sides, a
+loop for a folded doubled side), vertices (= punctures), corners, genus
+and puncture count are derived.
 
 Conventions used throughout the package:
 
@@ -49,7 +51,8 @@ class Triangulation:
     """
 
     __slots__ = ("triangle_count", "gluing", "edges", "side_edges",
-                 "vertices", "corner_vertex", "genus", "punctures", "_hash")
+                 "dual_edges", "vertices", "corner_vertex", "genus",
+                 "punctures", "_hash")
 
     def __init__(self, triangle_count, gluing, edges):
         self.triangle_count = triangle_count
@@ -61,6 +64,9 @@ class Triangulation:
         # side_edges[t]: edge indices carried by slots 0,1,2 of triangle t
         self.side_edges = tuple(tuple(slot_edge[s:s + 3])
                                 for s in range(0, len(slot_edge), 3))
+        # dual_edges[i]: the triangles on the two sides of edge i; its slots
+        # come in order, a < b, so its triangles do too
+        self.dual_edges = tuple((a // 3, b // 3) for a, b in self.edges)
         self.vertices, self.corner_vertex = self._vertex_orbits()
         self.punctures = len(self.vertices)
         # V - E + T = 2 - 2g with E = 3T/2 on a connected surface
@@ -176,7 +182,7 @@ def build(triangle_count, gluing_pairs):
     edges = [(s, p) for s, p in enumerate(gluing) if s < p]  # sorted
     tri = Triangulation(triangle_count, gluing, edges)
     # every triangle carries an edge, so the edges reach every triangle
-    if not connected((), DualGraph(tri).edges):
+    if not connected((), tri.dual_edges):
         raise DisconnectedSurface(
             f"the gluing of {triangle_count} triangles is not connected")
     return tri
@@ -200,21 +206,6 @@ def connected(vertex_sets, edge_ends):
     for a, b in edge_ends:
         parent[find(a)] = find(b)
     return len({find(x) for x in parent}) <= 1
-
-
-class DualGraph:
-    """Trivalent multigraph dual to a triangulation.
-
-    Vertices are triangle indices; edge i joins the triangles on the two
-    sides of edge i of the triangulation (a loop for a folded doubled side).
-    """
-
-    __slots__ = ("num_vertices", "edges")
-
-    def __init__(self, tri):
-        self.num_vertices = tri.triangle_count
-        # an edge's slots come in order, a < b, so its triangles do too
-        self.edges = tuple((a // 3, b // 3) for a, b in tri.edges)
 
 
 def flower(n):

@@ -36,13 +36,23 @@ def edge_endpoints(tri, e):
             tri.corner_vertex[slot_id(t, (k + 2) % 3)])
 
 
-def is_loop(dual, i):
-    a, b = dual.edges[i]
+def side_triangles(tri):
+    """Each edge's two triangles, read off tri.side_edges: the triangles
+    whose side list holds the edge, twice for a folded side."""
+    ends = [[] for _ in range(tri.num_edges)]
+    for t, sides in enumerate(tri.side_edges):
+        for e in sides:
+            ends[e].append(t)
+    return [tuple(ts) for ts in ends]
+
+
+def is_loop(tri, e):
+    a, b = side_triangles(tri)[e]
     return a == b
 
 
-def num_loops(dual):
-    return sum(1 for i in range(len(dual.edges)) if is_loop(dual, i))
+def num_loops(tri):
+    return sum(is_loop(tri, e) for e in range(tri.num_edges))
 
 
 def random_admissible(rng, tri, max_degree=8):

@@ -17,23 +17,25 @@ frozensets of ray ids, while the lattice's faces and the cell keys of
 vanishing-corner filter and covers found by pairwise inclusion, and hands
 back its cells and facets keyed by ray mask; it checks the through-face
 filter and the facets of ``relative_complex``.
-``closure_face_lattice`` is the two-pass build on int ray masks: it closes
-the candidate facets under intersection level by level, then grades the
-faces, sorted by (ray count, mask), from the apex up, a face's dimension
-one more than the largest among its intersections with the candidates; it
-sees no blocks, so it checks the block-by-block sweep and product of
-``ConeFaceLattice`` face for face.  ``faces_by_dimension`` files either
-oracle's faces as ``ConeFaceLattice.faces_by_dim`` does, by dimension and
-then by mask.
+``closure_face_lattice`` is the two-pass build on int ray masks: it folds
+the candidate facets from the corner vectors it is given (``corner_vectors``
+of the rays, by ``corner_coords``), closes them under intersection level by
+level, then grades the faces, sorted by (ray count, mask), from the apex
+up, a face's dimension one more than the largest among its intersections
+with the candidates; it sees no blocks and no ``_cone_rays`` masks, so it
+checks the block-by-block sweep and product of ``ConeFaceLattice`` face for
+face.  ``faces_by_dimension`` files either oracle's faces as
+``ConeFaceLattice.faces_by_dim`` does, by dimension and then by mask.
 
 ``walk_relative_complex`` walks the kept faces of the relative complex up
 from the apex, one cover at a time, on the corner side: the covers of a
 face F are the faces H_r spanned by F and one more ray r that every ray of
 H_r - F spans, found by cutting F's corner mask by r's zero set.  It sees
-no blocks and no roots and shares only the ray and corner tables with
-``relative_complex``, which takes its cells on the ray side from the block
-product with roots at the facets missing a through-face t, so it checks
-the cells, facets, labels and order of that product.
+no blocks and no roots and shares only the rays with ``relative_complex``
+(its corner tables come from ``corner_coords``), which takes its cells on
+the ray side from the block product with roots at the facets missing a
+through-face t, so it checks the cells, facets, labels and order of that
+product.
 
 ``in_rational_cone`` decides membership in the rational cone of the simple
 barbell colorings by an exact phase-one simplex (``rational_feasible``),
@@ -49,9 +51,11 @@ every set of vertex-disjoint bells it tries every subset of the other
 non-loop dual edges as the 2-colored chain, and keeps the subsets whose
 non-bell vertices have degree 2 or 3 and which become a tree once each bell
 is contracted, and it tells simple barbells by counting chain degrees.  It
-shares only the cycle and bell-set listing with ``enumerate_barbell_trees``,
-so it checks the Steiner-tree growth and its ``simple`` flag.  It
-costs 2^|E| per bell set, so keep it to about ten triangles.
+reads each edge's two triangles off ``side_edges``
+(``conftest.side_triangles``), not ``dual_edges``, and shares only the
+cycle and bell-set listing with ``enumerate_barbell_trees``, so it checks
+the Steiner-tree growth and its ``simple`` flag.  It costs 2^|E| per bell
+set, so keep it to about ten triangles.
 
 ``fricke_traces`` and ``fricke_cubic`` evaluate the negative traces of
 three 2x2 matrices and the Fricke cubic of the four-punctured sphere by
@@ -90,7 +94,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from conftest import edge_endpoints, is_loop
+from conftest import edge_endpoints, is_loop, side_triangles
 
 from multicurve import (
     Coloring,
@@ -114,8 +118,8 @@ from multicurve.coloring import (
     triangles_ok,
 )
 from multicurve.errors import EmptyRelativeComplex
-from multicurve.polytope import PolytopeComplex, _cone_rays, _zeros
-from multicurve.triangulation import DualGraph, connected, slot_id
+from multicurve.polytope import PolytopeComplex, _cone_rays
+from multicurve.triangulation import connected, slot_id
 from multicurve.linalg import homology_from_boundaries, integer_rank
 from multicurve.quadric import quadric_identity_residuals
 
@@ -123,6 +127,22 @@ from multicurve.quadric import quadric_identity_residuals
 def _bits(mask):
     """Positions of the set bits of ``mask``, in increasing order."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _zeros(values):
+    """Bitmask of the zero entries of ``values``."""
+    return sum(1 << i for i, x in enumerate(values) if x == 0)
+
+
+def corner_vectors(rays):
+    """The corner vector of each ray (a Coloring), by ``corner_coords``."""
+    return [corner_coords(ray.tri, ray) for ray in rays]
+
+
+def corner_masks(vectors):
+    """For each corner, the mask of the rays whose corner vector is zero
+    there: the candidate facets."""
+    return [_zeros(col) for col in zip(*vectors)]
 
 
 def _rays_on(corner_rays, corners, full):
@@ -191,7 +211,7 @@ def rank_face_lattice(lattice):
     independently: faces by folding in one candidate facet at a time,
     dimensions as the rank of each face's rays, and vanishing corners as
     those zero on every ray of the face."""
-    vectors = lattice.corner_vectors
+    vectors = corner_vectors(lattice.rays)
     rays = range(len(lattice.rays))
     corners = range(len(vectors[0]))
     faces = {frozenset(rays)}
@@ -216,13 +236,13 @@ def faces_by_dimension(face_dim):
     return [sorted(faces) for faces in grouped]
 
 
-def closure_face_lattice(rays, corner_vectors):
+def closure_face_lattice(rays, vectors):
     """(faces, face_dim) of the cone with these rays and corner vectors:
     the faces as int ray masks in (ray count, mask) order, each graded by
     the intersections below it."""
     if not rays:
         return [], {}
-    candidates = {_zeros(col) for col in zip(*corner_vectors)}
+    candidates = set(corner_masks(vectors))
     faces = {(1 << len(rays)) - 1}
     frontier = list(faces)
     while frontier:
@@ -276,10 +296,11 @@ def walk_relative_complex(tri):
     if (tri.genus, tri.punctures) == (0, 3):
         raise EmptyRelativeComplex(
             "the relative complex of the three-punctured sphere is empty")
-    rays, corner_vectors = _cone_rays(tri)
+    rays = _cone_rays(tri)[0]
+    vectors = corner_vectors(rays)
     # each ray's mask of vanishing corners, each corner's of vanishing rays
-    ray_zero = [_zeros(u) for u in corner_vectors]
-    corner_rays = [_zeros(col) for col in zip(*corner_vectors)]
+    ray_zero = [_zeros(u) for u in vectors]
+    corner_rays = corner_masks(vectors)
     full = (1 << len(rays)) - 1
     through = [_rays_on(corner_rays, _zeros(corner_coords(tri, p)), full)
                for p in peripheral_colorings(tri)]
@@ -329,10 +350,10 @@ def walk_relative_complex(tri):
 def subset_scan_barbell_trees(tri):
     """All barbell trees of ``tri`` by scanning every chain subset, in the
     canonical (degree, coloring) order."""
-    dual = DualGraph(tri)
-    cycles = _cycles(dual)
-    nedges = len(dual.edges)
-    loops = {i for i in range(nedges) if is_loop(dual, i)}
+    nedges = tri.num_edges
+    ends = side_triangles(tri)
+    cycles = _cycles(tri)
+    loops = {i for i in range(nedges) if is_loop(tri, i)}
     results = []
     for bell_ids in _disjoint_bell_sets(cycles):
         bells = [cycles[i] for i in bell_ids]
@@ -342,31 +363,31 @@ def subset_scan_barbell_trees(tri):
                       if i not in bell_edges and i not in loops]
         for size in range(len(candidates) + 1):
             for chain in combinations(candidates, size):
-                if _valid_tree(dual, bells, bell_vertices, chain):
-                    barbell = _to_barbell(tri, dual, bells, chain)
-                    barbell.simple = _is_simple(dual, bells, bell_vertices,
+                if _valid_tree(ends, bells, bell_vertices, chain):
+                    barbell = _to_barbell(tri, bells, chain)
+                    barbell.simple = _is_simple(ends, bells, bell_vertices,
                                                 chain)
                     results.append(barbell)
     results.sort(key=lambda b: (b.degree, b.coloring.values))
     return results
 
 
-def _is_simple(dual, bells, bell_vertices, chain):
+def _is_simple(ends, bells, bell_vertices, chain):
     """One bell with no chain, or two bells joined by a chain whose
     non-bell vertices all have degree 2."""
     if len(bells) == 1:
         return not chain
     if len(bells) != 2:
         return False
-    counts = Counter(v for i in chain for v in dual.edges[i]
+    counts = Counter(v for i in chain for v in ends[i]
                      if v not in bell_vertices)
     return all(d == 2 for d in counts.values())
 
 
-def _valid_tree(dual, bells, bell_vertices, chain):
+def _valid_tree(ends, bells, bell_vertices, chain):
     degree = {}
     for i in chain:
-        a, b = dual.edges[i]
+        a, b = ends[i]
         degree[a] = degree.get(a, 0) + 1
         degree[b] = degree.get(b, 0) + 1
     steiner = set()
@@ -380,7 +401,7 @@ def _valid_tree(dual, bells, bell_vertices, chain):
     if len(chain) != len(bells) + len(steiner) - 1:
         return False
     return connected([b[1] for b in bells] + [{v} for v in steiner],
-                     [dual.edges[i] for i in chain])
+                     [ends[i] for i in chain])
 
 
 def rational_feasible(columns, target):

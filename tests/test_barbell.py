@@ -64,21 +64,16 @@ class TestEnumeration:
             [b.coloring.values for b in all_trees if b.simple]
 
     def test_barbell_vertex_types(self, any_fixture):
-        # allowed color multisets at every dual vertex, loops twice
+        # allowed color multisets at every dual vertex (a triangle, whose
+        # sides are its dual edges), loops twice
         tri = any_fixture
-        dual = mc.DualGraph(tri)
         allowed = {(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 1, 2),
                    (2, 2, 2), (0, 0, 2)}
         for b in mc.enumerate_barbell_trees(tri):
             v = b.coloring.values
-            for t in range(dual.num_vertices):
-                colors = []
-                for i, (x, y) in enumerate(dual.edges):
-                    if x == t:
-                        colors.append(v[i])
-                    if y == t:
-                        colors.append(v[i])
-                assert tuple(sorted(colors)) in allowed, (v, t, colors)
+            for t, sides in enumerate(tri.side_edges):
+                colors = sorted(v[e] for e in sides)
+                assert tuple(colors) in allowed, (v, t, colors)
 
 
 def barbell_keys(barbells):

@@ -14,6 +14,8 @@ from conftest import (
 )
 from oracles import (
     closure_face_lattice,
+    corner_masks,
+    corner_vectors,
     faces_by_dimension,
     mask_of,
     num_simplices,
@@ -92,7 +94,8 @@ def assert_matches_rank_oracle(tri):
 
 def assert_matches_closure_oracle(tri):
     lat = mc.cone_face_lattice(tri)
-    _faces, face_dim = closure_face_lattice(lat.rays, lat.corner_vectors)
+    _faces, face_dim = closure_face_lattice(lat.rays,
+                                            corner_vectors(lat.rays))
     by_dim = faces_by_dimension(face_dim)
     assert lat.faces_by_dim == by_dim
     assert lat.faces == [f for faces in by_dim for f in faces]
@@ -155,7 +158,7 @@ class TestConeFaceLattice:
 
     def test_proper_faces_have_vanishing_corner(self, any_fixture):
         lat = mc.cone_face_lattice(any_fixture)
-        vectors = lat.corner_vectors
+        vectors = corner_vectors(lat.rays)
         assert lat.faces_by_dim[-1] == [(1 << len(lat.rays)) - 1]
         for faces in lat.faces_by_dim[:-1]:
             for face in faces:
@@ -172,7 +175,7 @@ class TestConeFaceLattice:
         # one corner positive on every ray: two faces, graded dimension 1
         rays = mc.cone_face_lattice(mc.fixture("ex11")).rays
         with pytest.raises(ValueError, match="rank 3 of the rays"):
-            mc.ConeFaceLattice(rays, [(1,)] * len(rays))
+            mc.ConeFaceLattice(rays, [0])
 
     def test_grading_matches_rank_oracle(self, any_fixture):
         assert_matches_rank_oracle(any_fixture)
@@ -216,12 +219,12 @@ class TestBlockProduct:
                  for r in a.rays]
                 + [SimpleNamespace(values=(0,) * pad_a + r.values)
                    for r in b.rays])
-        zeros_a = (0,) * len(a.corner_vectors[0])
-        zeros_b = (0,) * len(b.corner_vectors[0])
-        corner_vectors = ([u + zeros_b for u in a.corner_vectors]
-                          + [zeros_a + u for u in b.corner_vectors])
-        lat = mc.ConeFaceLattice(rays, corner_vectors)
-        _faces, face_dim = closure_face_lattice(rays, corner_vectors)
+        vec_a, vec_b = corner_vectors(a.rays), corner_vectors(b.rays)
+        zeros_a, zeros_b = (0,) * len(vec_a[0]), (0,) * len(vec_b[0])
+        vectors = ([u + zeros_b for u in vec_a]
+                   + [zeros_a + u for u in vec_b])
+        lat = mc.ConeFaceLattice(rays, corner_masks(vectors))
+        _faces, face_dim = closure_face_lattice(rays, vectors)
         assert lat.faces_by_dim == faces_by_dimension(face_dim)
         f_a = [len(fs) for fs in a.faces_by_dim]
         f_b = [len(fs) for fs in b.faces_by_dim]
@@ -324,10 +327,10 @@ class TestRelativeComplex:
     def test_depth_checked_against_ray_rank(self, monkeypatch):
         # the sweep reads only the corners; rays all on one line leave the
         # graded dimension above the rank of the rays
-        rays, corner_vectors = polytope._cone_rays(mc.fixture("n4ex"))
+        rays, corner_rays = polytope._cone_rays(mc.fixture("n4ex"))
         line = [SimpleNamespace(values=rays[0].values) for _ in rays]
         monkeypatch.setattr(polytope, "_cone_rays",
-                            lambda tri: (line, corner_vectors))
+                            lambda tri: (line, corner_rays))
         with pytest.raises(ValueError, match="rank 1 of the rays"):
             mc.relative_complex(mc.fixture("n4ex"))
 

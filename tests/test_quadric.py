@@ -175,6 +175,18 @@ class TestEquivariance:
                                     exact_point(0, 1), cp)
         assert rep and rep.residual == 0
 
+    def test_exact_residual_is_the_largest_difference(self, monkeypatch):
+        # M A(p, q) M in place of M A(p, q) adj(M): the exact check fails
+        # and reports the largest |difference| as its residual
+        monkeypatch.setattr(q, "mat_inv_sl2", lambda m: m)
+        rho = mc.MobiusMap(((Fraction(1), Fraction(1)),
+                            (Fraction(0), Fraction(1))))
+        rep = mc.equivariance_check(rho, exact_point(1, 0),
+                                    exact_point(0, 1),
+                                    mc.conic_from_beta(Fraction(2)))
+        assert not rep
+        assert rep.residual > 0
+
     def test_exact_sweep(self):
         rng = random.Random(11)
         for _ in range(100):

@@ -7,7 +7,12 @@ import multicurve as mc
 from multicurve import errors
 from multicurve.triangulation import canonical_form, connected
 
-from conftest import num_loops, random_triangulation
+from conftest import (
+    is_loop,
+    num_loops,
+    random_triangulation,
+    side_triangles,
+)
 
 
 class TestBuild:
@@ -112,31 +117,41 @@ class TestBuild:
 
 
 class TestDualGraph:
+    # the dual graph as read off side_edges, independently of dual_edges
     def test_ex11_theta_graph(self):
-        dual = mc.DualGraph(mc.fixture("ex11"))
-        assert dual.num_vertices == 2
-        assert dual.edges == ((0, 1), (0, 1), (0, 1))
+        tri = mc.fixture("ex11")
+        assert tri.triangle_count == 2
+        assert side_triangles(tri) == [(0, 1), (0, 1), (0, 1)]
 
     def test_n4ex_is_k4(self):
-        dual = mc.DualGraph(mc.fixture("n4ex"))
-        assert dual.num_vertices == 4
-        assert sorted(dual.edges) == [(0, 1), (0, 2), (0, 3),
-                                      (1, 2), (1, 3), (2, 3)]
+        tri = mc.fixture("n4ex")
+        assert tri.triangle_count == 4
+        assert sorted(side_triangles(tri)) == [(0, 1), (0, 2), (0, 3),
+                                               (1, 2), (1, 3), (2, 3)]
 
     def test_flower4_loops_on_star(self):
-        dual = mc.DualGraph(mc.flower(4))
-        assert num_loops(dual) == 3
-        non_loops = [e for e in dual.edges if e[0] != e[1]]
+        tri = mc.flower(4)
+        assert num_loops(tri) == 3
+        non_loops = [e for e in side_triangles(tri) if e[0] != e[1]]
         center = set(non_loops[0]) & set(non_loops[1]) & set(non_loops[2])
         assert len(center) == 1  # three leaves hang off one center
 
     def test_always_trivalent(self, any_fixture):
-        dual = mc.DualGraph(any_fixture)
-        degrees = [0] * dual.num_vertices
-        for a, b in dual.edges:
+        degrees = [0] * any_fixture.triangle_count
+        for a, b in side_triangles(any_fixture):
             degrees[a] += 1
             degrees[b] += 1
         assert all(d == 3 for d in degrees)
+
+    @pytest.mark.parametrize("name", [
+        "ex11", "n4ex", "n4ex2", "flower:3", "flower:5", "random:8:0",
+        "random:10:2", "random:12:3"])
+    def test_dual_edges_are_the_side_triangles(self, name):
+        tri = mc.fixture(name)
+        flips = [mc.flip(tri, e) for e in range(tri.num_edges)
+                 if not is_loop(tri, e)]
+        for t in [tri, *flips]:
+            assert t.dual_edges == tuple(side_triangles(t))
 
 
 class TestFlower:
@@ -152,7 +167,7 @@ class TestFlower:
         assert tri.num_edges == edges
         assert len(tri.folded_triangles()) == folded
         assert tri.triangle_count == triangles
-        assert num_loops(mc.DualGraph(tri)) == n - 1
+        assert num_loops(tri) == n - 1
 
     def test_requires_at_least_4(self):
         with pytest.raises(errors.FlowerRequiresNAtLeast4):
