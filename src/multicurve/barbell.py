@@ -11,7 +11,13 @@ Enumeration follows that structure.  The bells are the simple cycles, taken
 in pairwise vertex-disjoint sets B.  In G/B, the dual graph with each bell
 contracted to a node and dual loops and intra-bell chords dropped, the
 2-colored chains are exactly the trees whose leaves are all bells, i.e. the
-inclusion-minimal Steiner trees of the bell nodes.  They are grown path by
+inclusion-minimal Steiner trees of the bell nodes.  The simple barbells
+(one or two bells, spanning the coloring cone) come from
+``_simple_barbells`` alone: a cycle C is 1 on C, and a disjoint pair gets a
+tree per simple path from C1 to C2 with inner vertices off both, from one
+depth-first search on the dual graph.  It builds no G/B and visits no set
+of three or more bells, so its work grows with the pairs and their paths,
+not with the bell sets of every size.  Larger trees are grown path by
 path: start at bell 0, and join each bell not yet reached by every simple
 path to the tree whose inner nodes avoid it.  A tree splits uniquely into
 these paths, so each is emitted once; G/B is connected, so no branch is
@@ -30,7 +36,8 @@ is.  The kept tuples are returned sorted.  ``is_indecomposable``
 force.
 """
 
-from operator import sub
+from itertools import combinations
+from operator import add, sub
 
 from .coloring import (
     Coloring,
@@ -75,21 +82,25 @@ class BarbellTree:
         }
 
 
+def _adjacency(tri):
+    """(edge id, other triangle) pairs of each triangle; no dual loops."""
+    adjacency = [[] for _ in range(tri.triangle_count)]
+    for i, (a, b) in enumerate(tri.dual_edges):
+        if a != b:
+            adjacency[a].append((i, b))
+            adjacency[b].append((i, a))
+    return adjacency
+
+
 def _cycles(tri):
     """All simple cycles of the dual multigraph of ``tri``, as edge-id sets.
 
     Loops are 1-edge cycles and parallel pairs 2-edge cycles.  Each cycle
     also records its vertex set.
     """
-    adjacency = [[] for _ in range(tri.triangle_count)]
-    loops = []
-    for i, (a, b) in enumerate(tri.dual_edges):
-        if a == b:
-            loops.append((frozenset([i]), frozenset([a])))
-        else:
-            adjacency[a].append((i, b))
-            adjacency[b].append((i, a))
-
+    adjacency = _adjacency(tri)
+    loops = [(frozenset([i]), frozenset([a]))
+             for i, (a, b) in enumerate(tri.dual_edges) if a == b]
     found = {}
     for root in range(tri.triangle_count):
         # cycles whose minimum vertex is root
@@ -130,11 +141,14 @@ def enumerate_barbell_trees(tri):
     """All barbell trees embedded in the trivalent dual graph of ``tri``.
 
     Returns BarbellTree objects in canonical order (degree, then coloring
-    lexicographically).
+    lexicographically); Steiner trees are grown for 3+ bells only.
     """
     cycles = _cycles(tri)
-    results = []
+    results = [_to_barbell(tri, bells, chain)
+               for _values, bells, chain in _simple_barbells(tri, cycles)]
     for bell_ids in _disjoint_bell_sets(cycles):
+        if len(bell_ids) < 3:
+            continue
         bells = [cycles[i] for i in bell_ids]
         # G/B: bell j is node -1-j; its edges and chords and the dual loops
         # become self-loops and drop out
@@ -153,6 +167,34 @@ def enumerate_barbell_trees(tri):
             results.append(_to_barbell(tri, bells, chain))
     results.sort(key=lambda b: (b.degree, b.coloring.values))
     return results
+
+
+def _simple_barbells(tri, cycles):
+    """(values, bells, chain) of every barbell of one or two bells, sorted
+    by (degree, values).  A pair's search keeps the vertices a path may
+    not enter as a bit mask, C1 and the path so far; it ends on C2."""
+    adjacency = _adjacency(tri)
+    masks = [sum(1 << v for v in verts) for _edges, verts in cycles]
+    found = [(tuple(int(i in c[0]) for i in range(tri.num_edges)), (c,), ())
+             for c in cycles]
+    for j, k in combinations(range(len(cycles)), 2):
+        if masks[j] & masks[k]:
+            continue
+        ones = list(map(add, found[j][0], found[k][0]))
+        stack = [(v, (), masks[j]) for v in cycles[j][1]]
+        while stack:
+            v, chain, seen = stack.pop()
+            if masks[k] >> v & 1:
+                values = ones[:]
+                for i in chain:
+                    values[i] = 2
+                found.append((tuple(values), (cycles[j], cycles[k]), chain))
+                continue
+            seen |= 1 << v
+            stack += [(w, chain + (i,), seen) for i, w in adjacency[v]
+                      if not seen >> w & 1]
+    found.sort(key=lambda f: (sum(f[0]), f[0]))
+    return found
 
 
 def _steiner_trees(adjacency, terminals):
@@ -185,13 +227,14 @@ def _to_barbell(tri, bells, chain):
             values[i] = 1
     for i in chain:
         values[i] = 2
-    # a minimal Steiner tree of one or two bells is empty or a path
     return BarbellTree([b[0] for b in bells], chain,
                        Coloring(tri, values), len(bells) <= 2)
 
 
 def enumerate_simple(tri):
-    return [b for b in enumerate_barbell_trees(tri) if b.simple]
+    """The barbell trees of one or two bells, from ``_simple_barbells``."""
+    return [_to_barbell(tri, bells, chain)
+            for _values, bells, chain in _simple_barbells(tri, _cycles(tri))]
 
 
 def indecomposables(tri, max_degree):

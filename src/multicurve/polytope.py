@@ -32,7 +32,7 @@ the +-1 incidences of a regular CW complex read off the facets alone.
 from bisect import bisect_left
 from collections import Counter
 
-from .barbell import enumerate_simple
+from .barbell import _cycles, _simple_barbells
 from .coloring import (
     Coloring,
     corners_unchecked,
@@ -155,9 +155,12 @@ def _named(key):
 
 def _cone_rays(tri):
     """Extremal rays of the coloring cone and the candidate facets: for
-    each corner theta, the mask of the rays with u_theta = 0 (the
-    enumerated rays are admissible by construction)."""
-    rays = [b.coloring for b in enumerate_simple(tri)]
+    each corner theta, the mask of the rays with u_theta = 0.  The rays are
+    the simple barbell colorings, read off the value tuples of
+    ``_simple_barbells`` (admissible by construction, in canonical order);
+    no barbell tree is built."""
+    rays = [Coloring(tri, values)
+            for values, _bells, _chain in _simple_barbells(tri, _cycles(tri))]
     columns = zip(*(corners_unchecked(tri, r.values) for r in rays))
     return rays, [sum(1 << i for i, u in enumerate(col) if u == 0)
                   for col in columns]

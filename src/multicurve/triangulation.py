@@ -34,6 +34,8 @@ from .errors import (
     TriangulationError,
 )
 
+RANDOM_DRAWS = 1000  # over 9 in 10 gluings are connected; tests need <= 3
+
 
 def slot_id(t, k):
     return 3 * t + k
@@ -360,12 +362,13 @@ def _three_punctured_sphere():
 
 def random_triangulation(rng, triangles):
     """Random connected oriented surface from a random slot pairing of an
-    even number of triangles, redrawn until the gluing is connected."""
+    even number of triangles, redrawn until the gluing is connected, at
+    most ``RANDOM_DRAWS`` times (TriangulationError beyond)."""
     if triangles < 2 or triangles % 2:
         raise TriangulationError(
             f"a random surface needs an even number T >= 2 of triangles, "
             f"got {triangles}")
-    while True:
+    for _ in range(RANDOM_DRAWS):
         slots = list(range(3 * triangles))
         rng.shuffle(slots)
         pairs = [(slots[2 * i], slots[2 * i + 1])
@@ -374,6 +377,8 @@ def random_triangulation(rng, triangles):
             return build(triangles, pairs)
         except TriangulationError:
             continue
+    raise TriangulationError(
+        f"no valid gluing of {triangles} triangles in {RANDOM_DRAWS} draws")
 
 
 def fixture(name):

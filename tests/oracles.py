@@ -41,6 +41,14 @@ product.
 barbell colorings by an exact phase-one simplex (``rational_feasible``),
 which checks the generators independently of the lattice.
 
+``corner_row_rays`` finds the extremal rays of the coloring cone by vertex
+enumeration on its doubled corner rows: every E - 1 distinct rows with a
+one-dimensional null space give a primitive vector, kept when it or its
+negative is nonnegative on every row and doubled when not admissible.  It
+sees no dual graph, cycles or barbells, so it checks the rays of
+``_cone_rays`` independently.  It tries every (E - 1)-subset of the rows,
+so keep it to E = 6.
+
 ``dense_smith_diagonal`` is the dense Smith normal form that scans the
 whole matrix for the pivot of least absolute value at every step; it checks
 the sparse elimination behind ``smith_normal_form_diagonal``.  Keep it to a
@@ -92,7 +100,8 @@ of ``admissible_values`` and the set lookup of ``indecomposables``.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from conftest import edge_endpoints, is_loop, side_triangles
 
@@ -107,6 +116,7 @@ from multicurve import (
     evaluate_F,
     fricke_verify,
     gamma_involution,
+    is_admissible,
     peripheral_colorings,
     quadric_point,
     tracing,
@@ -476,6 +486,62 @@ def in_rational_cone(simple_barbells, v):
     columns = [list(b.coloring.values) for b in simple_barbells]
     return rational_feasible(columns, list(v.values if isinstance(v, Coloring)
                                            else v))
+
+
+def corner_row_rays(tri):
+    """Minimal admissible points on the extremal rays of the coloring cone,
+    by vertex enumeration: of the distinct doubled corner rows (2 u_theta =
+    b + c - a on a triangle with sides a, b, c), every E - 1 of them with a
+    one-dimensional null space give a ray if a primitive null vector or its
+    negative meets every row nonnegatively; it is doubled when not
+    admissible (an odd triangle sum)."""
+    nedges = tri.num_edges
+    rows = set()
+    for sides in tri.side_edges:
+        for k in range(3):
+            row = [0] * nedges
+            row[sides[k]] -= 1
+            row[sides[k - 1]] += 1
+            row[sides[k - 2]] += 1
+            rows.add(tuple(row))
+    rays = set()
+    for subset in combinations(sorted(rows), nedges - 1):
+        null = _null_vector(subset, nedges)
+        if null is None:
+            continue
+        for v in (null, [-x for x in null]):
+            if all(sum(map(mul, row, v)) >= 0 for row in rows):
+                rays.add(tuple(v) if is_admissible(tri, v)
+                         else tuple(2 * x for x in v))
+    return rays
+
+
+def _null_vector(rows, ncols):
+    """The primitive integer spanning vector of the null space of ``rows``
+    when it is one-dimensional, else None (Gauss-Jordan over Fractions)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][col]),
+                 None)
+        if r is None:
+            continue
+        i = len(pivots)
+        rows[i], rows[r] = rows[r], rows[i]
+        rows[i] = [x / rows[i][col] for x in rows[i]]
+        for j in range(len(rows)):
+            if j != i and rows[j][col]:
+                f = rows[j][col]
+                rows[j] = [x - f * y for x, y in zip(rows[j], rows[i])]
+        pivots.append(col)
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    v = [Fraction(c == free) for c in range(ncols)]
+    for i, col in enumerate(pivots):
+        v[col] = -rows[i][free]
+    ints = [int(x * lcm(*(y.denominator for y in v))) for x in v]
+    return [x // gcd(*ints) for x in ints]
 
 
 def dense_smith_diagonal(rows):

@@ -11,6 +11,9 @@ from oracles import (
 import multicurve as mc
 from multicurve import errors
 
+SCAN_NAMES = [*FIXTURES, "flower:3", "flower:6", "flower:7",
+              *(f"random:{t}:{s}" for t in (2, 4, 6, 8, 10) for s in range(10))]
+
 
 class TestEnumeration:
     def test_ex11(self):
@@ -56,12 +59,13 @@ class TestEnumeration:
         for b in barbells:
             assert mc.is_admissible(tri, b.coloring)
 
-    def test_simple_subset(self, any_fixture):
-        tri = any_fixture
-        all_trees = mc.enumerate_barbell_trees(tri)
-        simple = mc.enumerate_simple(tri)
-        assert [b.coloring.values for b in simple] == \
-            [b.coloring.values for b in all_trees if b.simple]
+    @pytest.mark.parametrize("name", SCAN_NAMES)
+    def test_simple_subset(self, name):
+        # values, simple flag, bells and chain edges, in order, against
+        # the subset scan, which tells simple barbells by chain degrees
+        tri = mc.fixture(name)
+        assert barbell_keys(mc.enumerate_simple(tri)) == barbell_keys(
+            b for b in subset_scan_barbell_trees(tri) if b.simple)
 
     def test_barbell_vertex_types(self, any_fixture):
         # allowed color multisets at every dual vertex (a triangle, whose
@@ -82,9 +86,7 @@ def barbell_keys(barbells):
 
 
 class TestEnumeratorMatchesSubsetScan:
-    @pytest.mark.parametrize("name", [
-        *FIXTURES, "flower:3", "flower:6", "flower:7",
-        *(f"random:{t}:{s}" for t in (2, 4, 6, 8, 10) for s in range(10))])
+    @pytest.mark.parametrize("name", SCAN_NAMES)
     def test_same_barbells(self, name):
         tri = mc.fixture(name)
         assert barbell_keys(mc.enumerate_barbell_trees(tri)) == \

@@ -15,6 +15,7 @@ from conftest import (
 from oracles import (
     closure_face_lattice,
     corner_masks,
+    corner_row_rays,
     corner_vectors,
     faces_by_dimension,
     mask_of,
@@ -165,6 +166,17 @@ class TestConeFaceLattice:
                 rays = [i for i in range(len(lat.rays)) if face >> i & 1]
                 assert any(all(vectors[i][theta] == 0 for i in rays)
                            for theta in range(len(vectors[0])))
+
+    @pytest.mark.parametrize("name", [
+        "n4ex", "n4ex2", "flower:4", "random:4:0", "random:4:1"])
+    def test_rays_match_corner_row_oracle(self, name):
+        # vertex enumeration on the corner rows shares no cycle listing
+        # with the rays read off the one- and two-bell barbells
+        tri = mc.fixture(name)
+        assert tri.num_edges == 6
+        rays = [r.values for r in polytope._cone_rays(tri)[0]]
+        assert len(set(rays)) == len(rays)
+        assert set(rays) == corner_row_rays(tri)
 
     def test_no_rays_empty_lattice(self):
         lat = mc.ConeFaceLattice([], [])

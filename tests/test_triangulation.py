@@ -115,6 +115,19 @@ class TestBuild:
         assert mc.fixture(f"random:{triangles}:{seed}") == \
             random_triangulation(random.Random(seed), triangles)
 
+    def test_random_draws_are_capped(self, monkeypatch):
+        # a build that refuses every gluing ends the redraws at the cap
+        calls = []
+
+        def refuse(triangles, pairs):
+            calls.append(pairs)
+            raise errors.DisconnectedSurface("refused")
+
+        monkeypatch.setattr(mc.triangulation, "build", refuse)
+        with pytest.raises(errors.TriangulationError, match="draws"):
+            random_triangulation(random.Random(0), 4)
+        assert len(calls) == mc.triangulation.RANDOM_DRAWS
+
 
 class TestDualGraph:
     # the dual graph as read off side_edges, independently of dual_edges
