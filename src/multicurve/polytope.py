@@ -154,11 +154,10 @@ def _named(key):
 
 
 def _cone_rays(tri):
-    """Extremal rays of the coloring cone and the candidate facets: for
-    each corner theta, the mask of the rays with u_theta = 0.  The rays are
-    the simple barbell colorings, read off the value tuples of
-    ``_simple_barbells`` (admissible by construction, in canonical order);
-    no barbell tree is built."""
+    """Extremal rays of the coloring cone, the value tuples of
+    ``_simple_barbells`` (admissible by construction; no barbell tree is
+    built), and the candidate facets: for each corner theta, the mask of
+    the rays with u_theta = 0."""
     rays = [Coloring(tri, values)
             for values, _bells, _chain in _simple_barbells(tri, _cycles(tri))]
     columns = zip(*(corners_unchecked(tri, r.values) for r in rays))
