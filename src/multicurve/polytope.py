@@ -12,9 +12,10 @@ blocks' lattices (Ziegler 1995), codimensions adding, each block swept by
 ``_graded_sweep`` (Kaibel-Pfetsch 2002).  A face's dimension is the apex's
 codimension minus its own, and the rational rank of all the rays checks
 the apex's codimension once.  Slicing by the degree hyperplane turns a
-cone face of dimension k into a polytope cell of dimension k-1.  A polytope
-complex numbers its cells once, by dimension and then by key, and holds
-dimensions, facets and labels by number, the one handle behind homology
+cone face of dimension k into a polytope cell of dimension k-1.  The block
+product files each dimension sorted by mask, and a polytope complex numbers
+its cells in that filing order, with no sort or dict of its own, holding
+dimensions, facets and labels by number: the one handle behind homology
 columns, JSON ids and exported vertices.
 
 The relative complex keeps the faces containing no peripheral through-face
@@ -29,8 +30,8 @@ genuine homeomorphism in dimensions <= 2).  The homology is cellular, with
 the +-1 incidences of a regular CW complex read off the facets alone.
 """
 
-from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
 
 from .barbell import _cycles, _simple_barbells
 from .coloring import (
@@ -55,8 +56,6 @@ class ConeFaceLattice:
         self.faces_by_dim = [[]]               # dimension -> ray masks
         if self.rays:
             self.faces_by_dim = _block_product(self.rays, corner_rays, ())
-        for fs in self.faces_by_dim:
-            fs.sort()                          # in place: no sorted copies
 
     @property
     def faces(self):                           # a new list, by dimension
@@ -76,13 +75,13 @@ class ConeFaceLattice:
 
 
 def _block_product(rays, corner_rays, through):
-    """Ray masks of the faces holding no mask of ``through``, one list per
-    dimension, apex first: the product over the ray blocks of the candidate
-    facets ``corner_rays``.  Rays share a block when a candidate facet
-    misses both, and a through-face joins the blocks it meets (a union of
-    direct summands is one), so each lies in one block.  A block holding
-    through-faces is swept from the candidates missing the one, t, that the
-    fewest candidates miss, and loses its faces holding one."""
+    """Ray masks of the faces holding no mask of ``through``, one sorted
+    list per dimension, apex first: the product over the ray blocks of the
+    candidate facets ``corner_rays``.  Rays share a block when a candidate
+    facet misses both, and a through-face joins the blocks it meets (a
+    union of direct summands is one), so each lies in one block.  A block
+    holding through-faces is swept from the candidates missing the one, t,
+    that the fewest candidates miss, and loses its faces holding one."""
     full = (1 << len(rays)) - 1
     candidates = set(corner_rays)
     blocks = []                                # disjoint ray masks
@@ -115,6 +114,8 @@ def _block_product(rays, corner_rays, through):
     if rank != len(product) - 1:
         raise ValueError(f"graded dimension {len(product) - 1} differs "
                          f"from the rank {rank} of the rays")
+    for fs in product:
+        fs.sort()                              # in place: no sorted copies
     return product[::-1]
 
 
@@ -172,33 +173,24 @@ def cone_face_lattice(tri):
 class PolytopeComplex:
     """Ranked face poset of a polytope complex, stored as its Hasse diagram.
 
-    Built from ``cells`` (key -> dimension), ``facets`` (key -> the keys
-    one dimension lower that it covers, none if absent) and vertex
-    ``labels`` (ray colorings for cone complexes), all keyed by cells.
-    The cells are numbered once, by dimension and then by key, so keys of
-    one dimension must be mutually orderable; from then on cell c has
-    dimension ``cells[c]``, facets ``facets[c]`` (increasing), label
-    ``labels[c]`` and key ``order[c]``, and c is its homology column, JSON
-    id and exported vertex.  ``cells_of_dim(d)`` runs from ``start[d]``.
-    Error messages name a cell by its key, an int key (a ray mask) as its
-    sorted ray ids, so mask 5 reads (0, 2).
+    Built from cells already numbered: ``keys``, one sorted key list per
+    dimension 0..top, numbers them in that order, ``facets`` gives each its
+    increasing facet numbers and ``labels`` maps numbers to labels (the
+    ray colorings of vertices).  So nothing is sorted or looked up here;
+    a poset that is not regular CW is refused by ``homology``.  Cell c has
+    key ``order[c]`` and dimension ``cells[c]``, and c is its homology
+    column, JSON id and exported vertex; ``cells_of_dim(d)`` runs from
+    ``start[d]``.  Error messages name a cell by its key, an int key (a ray
+    mask) as its sorted ray ids, so mask 5 reads (0, 2).
     """
 
-    def __init__(self, cells, facets, labels=None):
-        self.order = sorted(cells, key=lambda k: (cells[k], k))
-        number = {k: c for c, k in enumerate(self.order)}
-        self.facets = [[] for _ in self.order]
-        try:
-            for k, fs in facets.items():
-                self.facets[number[k]] = sorted(number[f] for f in fs)
-            self.labels = {number[k]: v for k, v in (labels or {}).items()}
-        except KeyError as err:
-            name = _named(err.args[0])
-            raise ValueError(f"key or facet {name!r} is not a cell") from None
-        self.cells = [cells[k] for k in self.order]
-        self.start = [bisect_left(self.cells, d)
-                      for d in range(self.cells[-1] + 2 if self.cells else 1)]
-        self.dimension = len(self.start) - 2
+    def __init__(self, keys, facets, labels):
+        self.order = [k for ks in keys for k in ks]
+        self.cells = [d for d, ks in enumerate(keys) for _ in ks]
+        self.facets = facets
+        self.labels = labels
+        self.start = [0, *accumulate(map(len, keys))]
+        self.dimension = len(keys) - 1
         self._homology = None
 
     def __len__(self):
@@ -321,9 +313,12 @@ def relative_complex(tri):
     a through-face joins the blocks it meets and each block's roots are the
     facets missing one of its through-faces, t (``_block_product``); the
     apex dropped, a cone face of dimension k is a cell of dimension k - 1.
-    A kept cell's facets are its intersections with the candidate facets
-    one dimension down.  Empty exactly for (g,n) = (0,3), where every ray
-    is a through-face.
+    The cells are numbered as the product files them, so a cell's facets,
+    its intersections with the candidate facets one dimension down, are
+    looked up in that dimension alone.  The top dimensions, the full
+    cone's at least, hold only faces with a through-face, so they come out
+    empty and are dropped.  Empty exactly for (g,n) = (0,3), where every
+    ray is a through-face.
     """
     rays, corner_rays = _cone_rays(tri)
     full = (1 << len(rays)) - 1
@@ -332,19 +327,23 @@ def relative_complex(tri):
         for q in range(tri.punctures):
             if q != p:
                 through[q] &= corner_rays[theta]
-    by_dim = _block_product(rays, corner_rays, through)
-    cells = {h: d for d, hs in enumerate(by_dim[1:]) for h in hs}  # no apex
-    if not cells:
+    keys = _block_product(rays, corner_rays, through)[1:]  # no apex
+    while keys and not keys[-1]:
+        keys.pop()
+    if not keys:
         raise EmptyRelativeComplex(
             f"relative complex of (g,n)=({tri.genus},{tri.punctures}) "
             "came out empty")
     cands = set(corner_rays)
+    facets, below = [], {}                     # below: one dimension down
+    for hs in keys:
+        facets.extend(sorted(below[f] for f in {h & c for c in cands}
+                             if f in below) for h in hs)
+        below = {h: c for c, h in enumerate(hs, len(facets) - len(hs))}
     return PolytopeComplex(
-        cells,
-        {h: [f for f in {h & c for c in cands} if cells.get(f) == d - 1]
-         for h, d in cells.items()},
-        {h: [list(rays[h.bit_length() - 1].values)]
-         for h, d in cells.items() if d == 0})
+        keys, facets,
+        {c: [list(rays[h.bit_length() - 1].values)]
+         for c, h in enumerate(keys[0])})
 
 
 class SphereCertificate:

@@ -37,6 +37,12 @@ the ray side from the block product with roots at the facets missing a
 through-face t, so it checks the cells, facets, labels and order of that
 product.
 
+``keyed_complex`` numbers a poset given by keys, as the hand-built
+complexes of the tests and the walk give it, by sorting its cells by
+(dimension, key), and hands the numbered cells to ``PolytopeComplex``; the
+package numbers the cells of ``relative_complex`` in the order the block
+product files them, so the walk checks that filing order against a sort.
+
 ``in_rational_cone`` decides membership in the rational cone of the simple
 barbell colorings by an exact phase-one simplex (``rational_feasible``),
 which checks the generators independently of the lattice.
@@ -128,7 +134,7 @@ from multicurve.coloring import (
     triangles_ok,
 )
 from multicurve.errors import EmptyRelativeComplex
-from multicurve.polytope import PolytopeComplex, _cone_rays
+from multicurve.polytope import PolytopeComplex, _cone_rays, _named
 from multicurve.triangulation import connected, slot_id
 from multicurve.linalg import homology_from_boundaries, integer_rank
 from multicurve.quadric import quadric_identity_residuals
@@ -164,6 +170,31 @@ def _rays_on(corner_rays, corners, full):
         rays &= corner_rays[low.bit_length() - 1]
         corners ^= low
     return rays
+
+
+def keyed_complex(cells, facets, labels=None):
+    """``PolytopeComplex`` of a poset given by keys: ``cells`` (key ->
+    dimension), ``facets`` (key -> the keys one dimension lower that it
+    covers, none if absent) and vertex ``labels`` (key -> label).
+
+    The cells are numbered by (dimension, key), so the keys of one
+    dimension must be mutually orderable.  Raises ``ValueError`` naming the
+    key when a key of ``facets`` or ``labels``, or a facet, is not a cell.
+    """
+    order = sorted(cells, key=lambda k: (cells[k], k))
+    number = {k: c for c, k in enumerate(order)}
+    keys = [[] for _ in range(cells[order[-1]] + 1 if order else 0)]
+    for k in order:
+        keys[cells[k]].append(k)
+    numbered = [[] for _ in order]
+    try:
+        for k, fs in facets.items():
+            numbered[number[k]] = sorted(number[f] for f in fs)
+        labels = {number[k]: v for k, v in (labels or {}).items()}
+    except KeyError as err:
+        name = _named(err.args[0])
+        raise ValueError(f"key or facet {name!r} is not a cell") from None
+    return PolytopeComplex(keys, numbered, labels)
 
 
 def mask_of(ray_ids):
@@ -350,7 +381,7 @@ def walk_relative_complex(tri):
     if rank != depth[top]:
         raise ValueError(f"walked depth {depth[top]} of a top cell differs "
                          f"from the rank {rank} of its rays")
-    return PolytopeComplex(
+    return keyed_complex(
         {h: d - 1 for h, d in depth.items()},
         {h: [f for f in facets[h] if f] for h in depth},
         {h: [list(rays[i].values) for i in _bits(h)]

@@ -14,6 +14,7 @@ from conftest import keyed_view
 from oracles import (
     fraction_fricke_sweep,
     fraction_param_sweep,
+    keyed_complex,
     subset_scan_barbell_trees,
 )
 
@@ -617,7 +618,7 @@ class TestEmit:
         # which its facets are given
         cpx = mc.relative_complex(mc.flower(5))
         cells, facets = keyed_view(cpx)
-        rebuilt = mc.PolytopeComplex(
+        rebuilt = keyed_complex(
             cells, {k: list(fs)[::-1] for k, fs in facets.items()})
         assert writer(rebuilt) == writer(cpx)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import FIXTURES, RP2_TRIANGLES, simplicial_cells
-from oracles import dense_smith_diagonal, rational_feasible
+from oracles import dense_smith_diagonal, keyed_complex, rational_feasible
 
 import multicurve as mc
 from multicurve import polytope
@@ -141,7 +141,7 @@ class TestSparseMatchesDenseSmith:
 
     @pytest.mark.parametrize("name", FIXTURES + ["flower:6", "rp2"])
     def test_boundary_maps(self, name, monkeypatch):
-        cpx = (polytope.PolytopeComplex(*simplicial_cells(RP2_TRIANGLES))
+        cpx = (keyed_complex(*simplicial_cells(RP2_TRIANGLES))
                if name == "rp2" else mc.relative_complex(mc.fixture(name)))
         maps = boundary_maps(cpx, monkeypatch)
         assert maps

@@ -18,6 +18,7 @@ from oracles import (
     corner_row_rays,
     corner_vectors,
     faces_by_dimension,
+    keyed_complex,
     mask_of,
     num_simplices,
     order_complex_homology,
@@ -29,7 +30,6 @@ from oracles import (
 import multicurve as mc
 from multicurve import errors
 from multicurve import polytope
-from multicurve.polytope import PolytopeComplex
 
 def path_complex(edges):
     """1-complex from a list of vertex-pair edges, for counterexamples."""
@@ -42,7 +42,7 @@ def path_complex(edges):
         key = ("e", a, b)
         cells[key] = 1
         facets[key] = frozenset({("v", a), ("v", b)})
-    return PolytopeComplex(cells, facets)
+    return keyed_complex(cells, facets)
 
 
 def polygon_2cell(*cycles):
@@ -116,8 +116,10 @@ def assert_relative_matches_rank_oracle(tri):
 def assert_matches_walk_oracle(tri):
     cpx = mc.relative_complex(tri)
     walked = walk_relative_complex(tri)
+    assert cpx.order == walked.order
     assert cpx.cells == walked.cells
     assert cpx.facets == walked.facets
+    assert cpx.labels == walked.labels
     assert cpx.labels == walked.labels
     assert cpx.order == walked.order
 
@@ -427,7 +429,7 @@ class TestSphereTheoremTable:
 class TestHomologyEngine:
     def test_projective_plane_torsion(self):
         # homology of the projective plane must come out (Z, Z/2, 0)
-        cpx = PolytopeComplex(*simplicial_cells(RP2_TRIANGLES))
+        cpx = keyed_complex(*simplicial_cells(RP2_TRIANGLES))
         hom = cpx.homology()
         assert hom[0] == (1, [])
         assert hom[1] == (0, [2])
@@ -438,7 +440,7 @@ class TestHomologyEngine:
         assert [b for b, _ in cpx.homology()] == [1, 1]
 
     def test_empty_complex(self):
-        cpx = PolytopeComplex({}, {})
+        cpx = keyed_complex({}, {})
         with pytest.raises(errors.EmptyComplex):
             cpx.homology()
 
@@ -459,7 +461,7 @@ class TestCellularMatchesOrderComplex:
         polygon_2cell([0, 1]),
     ], ids=["rp2", "tetrahedron", "bowtie", "pentagon", "digon"])
     def test_hand_built(self, poset):
-        cpx = PolytopeComplex(*poset)
+        cpx = keyed_complex(*poset)
         assert keyed_view(cpx) == poset
         assert cpx.homology() == order_complex_homology(*keyed_view(cpx))
 
@@ -488,8 +490,8 @@ class TestNonRegularPoset:
     """Posets that are not the face poset of a regular CW complex."""
 
     def test_loop_edge(self):
-        cpx = PolytopeComplex({"v": 0, "loop": 1},
-                              {"v": frozenset(), "loop": frozenset({"v"})})
+        cpx = keyed_complex({"v": 0, "loop": 1},
+                            {"v": frozenset(), "loop": frozenset({"v"})})
         with pytest.raises(ValueError, match="edge 'loop' has 1 vertices"):
             cpx.homology()
 
@@ -499,64 +501,64 @@ class TestNonRegularPoset:
         cells[(0, 3)], facets[(0, 3)] = 1, frozenset({(0,), (3,)})
         facets["disk"] |= {(0, 3)}
         with pytest.raises(ValueError, match="of 2-cell 'disk' lies in"):
-            PolytopeComplex(cells, facets).homology()
+            keyed_complex(cells, facets).homology()
 
     def test_non_orientable_boundary(self):
         cells, facets = simplicial_cells(RP2_TRIANGLES)
         facets["ball"] = frozenset(k for k in cells if len(k) == 3)
         cells["ball"] = 3
         with pytest.raises(ValueError, match="'ball' is not orientable"):
-            PolytopeComplex(cells, facets).homology()
+            keyed_complex(cells, facets).homology()
 
     def test_disconnected_boundary(self):
-        cpx = PolytopeComplex(*polygon_2cell([0, 1, 2], [3, 4, 5]))
+        cpx = keyed_complex(*polygon_2cell([0, 1, 2], [3, 4, 5]))
         with pytest.raises(ValueError, match="of 2-cell 'disk' is not reach"):
             cpx.homology()
 
     def test_cell_without_facets(self):
-        cpx = PolytopeComplex({"v": 0, "blob": 2},
-                              {"v": frozenset(), "blob": frozenset()})
+        cpx = keyed_complex({"v": 0, "blob": 2},
+                            {"v": frozenset(), "blob": frozenset()})
         with pytest.raises(ValueError, match="2-cell 'blob' has no facets"):
             cpx.homology()
 
     def test_facet_that_is_not_a_cell(self):
         with pytest.raises(ValueError, match="facet 'z' is not a cell"):
-            PolytopeComplex({"a": 0, "b": 0, "e": 1},
-                            {"a": [], "b": [], "e": ["a", "z"]})
+            keyed_complex({"a": 0, "b": 0, "e": 1},
+                          {"a": [], "b": [], "e": ["a", "z"]})
 
     def test_facets_of_a_key_that_is_not_a_cell(self):
         with pytest.raises(ValueError, match="'x' is not a cell"):
-            PolytopeComplex({"a": 0, "b": 0, "e": 1},
-                            {"e": ["a", "b"], "x": ["a"]})
+            keyed_complex({"a": 0, "b": 0, "e": 1},
+                          {"e": ["a", "b"], "x": ["a"]})
 
     def test_label_of_a_key_that_is_not_a_cell(self):
         with pytest.raises(ValueError, match="'b' is not a cell"):
-            PolytopeComplex({"a": 0}, {}, {"b": [1]})
+            keyed_complex({"a": 0}, {}, {"b": [1]})
 
     def test_cell_without_a_facets_entry_has_none(self):
-        assert PolytopeComplex({"a": 0}, {}).homology() == [(1, [])]
+        assert keyed_complex({"a": 0}, {}).homology() == [(1, [])]
         with pytest.raises(ValueError, match="edge 'e' has 0 vertices"):
-            PolytopeComplex({"a": 0, "e": 1}, {}).homology()
+            keyed_complex({"a": 0, "e": 1}, {}).homology()
         with pytest.raises(ValueError, match="2-cell 'blob' has no facets"):
-            PolytopeComplex({"v": 0, "blob": 2}, {"v": []}).homology()
+            keyed_complex({"v": 0, "blob": 2}, {"v": []}).homology()
 
     def test_facet_of_wrong_dimension(self):
         cells, facets = polygon_2cell([0, 1, 2])
         facets["disk"] |= {(0,)}
         with pytest.raises(ValueError, match=r"facet \(0,\) of 2-cell 'disk' "
                                              "has dimension 0, not 1"):
-            PolytopeComplex(cells, facets).homology()
+            keyed_complex(cells, facets).homology()
 
     def test_ray_mask_keys_named_by_ray_ids(self):
         # int keys are ray masks: mask 2 is ray 1 and mask 7 rays 0, 1, 2,
         # where cell numbers would read 1 and 5
-        cpx = PolytopeComplex({1: 0, 2: 0, 4: 0, 3: 1, 5: 1, 7: 2},
-                              {3: [1, 2], 5: [1, 4], 7: [3, 5]})
+        cpx = keyed_complex({1: 0, 2: 0, 4: 0, 3: 1, 5: 1, 7: 2},
+                            {3: [1, 2], 5: [1, 4], 7: [3, 5]})
         with pytest.raises(ValueError, match=r"ridge \(1,\) of 2-cell "
                                              r"\(0, 1, 2\) lies in 1 of"):
             cpx.homology()
         with pytest.raises(ValueError, match=r"facet \(3,\) is not a cell"):
-            PolytopeComplex({1: 0, 2: 0, 3: 1}, {3: [1, 2, 8]})
+            keyed_complex({1: 0, 2: 0, 3: 1}, {3: [1, 2, 8]})
 
 
 class TestSphereCertificate:
@@ -587,8 +589,8 @@ class TestSphereCertificate:
         assert not cert.granted
 
     def test_two_points_are_the_zero_sphere(self):
-        points = PolytopeComplex({"a": 0, "b": 0},
-                                 {"a": frozenset(), "b": frozenset()})
+        points = keyed_complex({"a": 0, "b": 0},
+                               {"a": frozenset(), "b": frozenset()})
         cert = mc.sphere_certificate(points, 0)
         assert not cert.connected
         assert cert.granted
@@ -601,7 +603,7 @@ class TestSphereCertificate:
 
     def test_empty_raises(self):
         with pytest.raises(errors.EmptyComplex):
-            mc.sphere_certificate(PolytopeComplex({}, {}), 1)
+            mc.sphere_certificate(keyed_complex({}, {}), 1)
 
     def test_dimension_above_the_complex_is_refused_in_small_memory(self):
         cpx = mc.relative_complex(mc.fixture("ex11"))
@@ -638,7 +640,7 @@ class TestCellNumbering:
 
     @pytest.mark.parametrize("name", ["rp2", *FIXTURES])
     def test_facets_increase_one_dimension_down(self, name):
-        cpx = (PolytopeComplex(*self.HAND_BUILT[name]) if name == "rp2"
+        cpx = (keyed_complex(*self.HAND_BUILT[name]) if name == "rp2"
                else mc.relative_complex(mc.fixture(name)))
         for c, facets in enumerate(cpx.facets):
             assert facets == sorted(set(facets))
@@ -646,7 +648,7 @@ class TestCellNumbering:
 
     @pytest.mark.parametrize("name", HAND_BUILT)
     def test_slices_match_a_scan(self, name):
-        cpx = PolytopeComplex(*self.HAND_BUILT[name])
+        cpx = keyed_complex(*self.HAND_BUILT[name])
         assert keyed_view(cpx) == self.HAND_BUILT[name]
         for d in range(-1, cpx.dimension + 2):
             assert list(cpx.cells_of_dim(d)) == [c for c in range(len(cpx))
@@ -664,9 +666,13 @@ class TestCellNumbering:
                 for c in cpx.cells_of_dim(d)] == list(range(len(cpx)))
         keys = [(cpx.cells[c], cpx.order[c]) for c in range(len(cpx))]
         assert keys == sorted(keys)
+        for c, facets in enumerate(cpx.facets):
+            assert all(a < b for a, b in zip(facets, facets[1:]))
+            assert all(cpx.cells[f] == cpx.cells[c] - 1 for f in facets)
+        assert set(cpx.labels) == set(cpx.cells_of_dim(0))
 
     def test_empty(self):
-        cpx = PolytopeComplex({}, {})
+        cpx = keyed_complex({}, {})
         assert cpx.f_vector() == ()
         assert cpx.dimension == -1
         assert not cpx.cells_of_dim(-1) and not cpx.cells_of_dim(0)
@@ -676,7 +682,7 @@ class TestCellNumbering:
     def test_certificate_reads_connectivity_off_b0(self, name):
         # the union-find of is_connected cross-checks the b_0 reading
         if name in self.HAND_BUILT:
-            cpx = PolytopeComplex(*self.HAND_BUILT[name])
+            cpx = keyed_complex(*self.HAND_BUILT[name])
         elif name == "two-circles":
             cpx = path_complex([(0, 1), (1, 0), (2, 3), (3, 2)])
         else:
