@@ -7,21 +7,22 @@ whose 2-colored edges are never loops, and which becomes a tree when every
 bell is collapsed to a point.  Allowed color triples at a vertex are
 (2,2,2), (2,2,0), (2,1,1), (2,2x1), (0,1,1), (0,2x1), (0,0,0).
 
-Enumeration follows that structure.  The bells are the simple cycles, taken
-in pairwise vertex-disjoint sets B.  In G/B, the dual graph with each bell
-contracted to a node and dual loops and intra-bell chords dropped, the
-2-colored chains are exactly the trees whose leaves are all bells, i.e. the
-inclusion-minimal Steiner trees of the bell nodes.  The simple barbells
-(one or two bells, spanning the coloring cone) come from
-``_simple_barbells`` alone: a cycle C is 1 on C, and a disjoint pair gets a
-tree per simple path from C1 to C2 with inner vertices off both, from one
-depth-first search on the dual graph.  It builds no G/B and visits no set
-of three or more bells, so its work grows with the pairs and their paths,
-not with the bell sets of every size.  Larger trees are grown path by
-path: start at bell 0, and join each bell not yet reached by every simple
-path to the tree whose inner nodes avoid it.  A tree splits uniquely into
-these paths, so each is emitted once; G/B is connected, so no branch is
-empty.
+Enumeration follows that structure, in one producer, ``_barbells``.  The
+bells are the simple cycles, and one stack lists their pairwise
+vertex-disjoint sets B; stopped at two bells, it yields the simple barbells
+that span the coloring cone and visits no larger set.  With each bell
+contracted to a point, the 2-colored chains of B are exactly the trees
+whose leaves are all bells, i.e. the inclusion-minimal Steiner trees of the
+bells.  They are grown path by path from bell 0, on the dual graph itself,
+with vertex sets as bit masks: a path starts at the first bell of B not
+yet joined, holding all of it, and may leave it from any of its triangles.
+A step onto a triangle of another bell of B takes that whole bell, which
+may again be left from any of its triangles; a step onto the tree joins
+the path to it, and a step back into the path is not taken.  A held bell
+thus acts as one contracted point, and its own edges and chords, which
+stay inside the path, are never stepped along.  A tree splits uniquely
+into these paths, so each is emitted once; the dual graph is connected, so
+every set gets a tree.
 
 ``indecomposables`` checks this up to a degree by a sieve: a nonzero
 admissible c decomposes iff c - g is admissible for an indecomposable g
@@ -36,8 +37,7 @@ is.  The kept tuples are returned sorted.  ``is_indecomposable``
 force.
 """
 
-from itertools import combinations
-from operator import add, sub
+from operator import sub
 
 from .coloring import (
     Coloring,
@@ -120,121 +120,68 @@ def _cycles(tri):
     return [(set(edges), set(verts)) for edges, verts in cycles]
 
 
-def _disjoint_bell_sets(cycles):
-    """Nonempty subsets of pairwise vertex-disjoint cycles."""
-    result = []
-
-    def rec(start, chosen, used_vertices):
-        for i in range(start, len(cycles)):
-            edges, verts = cycles[i]
-            if used_vertices & verts:
-                continue
-            picked = chosen + [i]
-            result.append(picked)
-            rec(i + 1, picked, used_vertices | verts)
-
-    rec(0, [], set())
-    return result
-
-
-def enumerate_barbell_trees(tri):
-    """All barbell trees embedded in the trivalent dual graph of ``tri``.
-
-    Returns BarbellTree objects in canonical order (degree, then coloring
-    lexicographically); Steiner trees are grown for 3+ bells only.
-    """
-    cycles = _cycles(tri)
-    results = [_to_barbell(tri, bells, chain)
-               for _values, bells, chain in _simple_barbells(tri, cycles)]
-    for bell_ids in _disjoint_bell_sets(cycles):
-        if len(bell_ids) < 3:
-            continue
-        bells = [cycles[i] for i in bell_ids]
-        # G/B: bell j is node -1-j; its edges and chords and the dual loops
-        # become self-loops and drop out
-        node = list(range(tri.triangle_count))
-        for j, (_edges, verts) in enumerate(bells):
-            for v in verts:
-                node[v] = -1 - j
-        adjacency = {}
-        for i, (a, b) in enumerate(tri.dual_edges):
-            a, b = node[a], node[b]
-            if a != b:
-                adjacency.setdefault(a, []).append((i, b))
-                adjacency.setdefault(b, []).append((i, a))
-        for chain in _steiner_trees(adjacency, [-1 - j for j in
-                                                range(len(bells))]):
-            results.append(_to_barbell(tri, bells, chain))
-    results.sort(key=lambda b: (b.degree, b.coloring.values))
-    return results
-
-
-def _simple_barbells(tri, cycles):
-    """(values, bells, chain) of every barbell of one or two bells, sorted
-    by (degree, values).  A pair's search keeps the vertices a path may
-    not enter as a bit mask, C1 and the path so far; it ends on C2."""
+def _barbells(tri, max_bells=None):
+    """(values, bells, chain) of every barbell tree of at most ``max_bells``
+    bells (all when None), sorted by (degree, values); a bell is its edge
+    set.  One stack lists the disjoint bell sets, and one grows each set's
+    trees as the module docstring says.  A search state is the tree's
+    triangle mask, the open path's, the triangles the path may leave from
+    and the chain so far; an empty path means the last one has joined."""
     adjacency = _adjacency(tri)
+    cycles = _cycles(tri)
     masks = [sum(1 << v for v in verts) for _edges, verts in cycles]
-    found = [(tuple(int(i in c[0]) for i in range(tri.num_edges)), (c,), ())
-             for c in cycles]
-    for j, k in combinations(range(len(cycles)), 2):
-        if masks[j] & masks[k]:
-            continue
-        ones = list(map(add, found[j][0], found[k][0]))
-        stack = [(v, (), masks[j]) for v in cycles[j][1]]
+    found = []
+    sets = [((j,), masks[j]) for j in range(len(cycles))]
+    while sets:
+        ids, used = sets.pop()
+        if max_bells is None or len(ids) < max_bells:
+            sets += [(ids + (k,), used | masks[k])
+                     for k in range(ids[-1] + 1, len(cycles))
+                     if not used & masks[k]]
+        ones = [0] * tri.num_edges
+        for j in ids:
+            for i in cycles[j][0]:
+                ones[i] = 1
+        bells = tuple(cycles[j][0] for j in ids)
+        stack = [(masks[ids[0]], 0, (), ())]
         while stack:
-            v, chain, seen = stack.pop()
-            if masks[k] >> v & 1:
-                values = ones[:]
-                for i in chain:
-                    values[i] = 2
-                found.append((tuple(values), (cycles[j], cycles[k]), chain))
-                continue
-            seen |= 1 << v
-            stack += [(w, chain + (i,), seen) for i, w in adjacency[v]
-                      if not seen >> w & 1]
+            tree, path, leave, chain = stack.pop()
+            if not path:
+                rest = [j for j in ids if not tree & masks[j]]
+                if not rest:
+                    values = ones[:]
+                    for i in chain:
+                        values[i] = 2
+                    found.append((tuple(values), bells, chain))
+                    continue
+                path, leave = masks[rest[0]], cycles[rest[0]][1]
+            for v in leave:
+                for i, w in adjacency[v]:
+                    if tree >> w & 1:
+                        stack.append((tree | path, 0, (), chain + (i,)))
+                    elif not path >> w & 1:
+                        mask, exits = 1 << w, (w,)
+                        if used & mask:        # a bell of the set: all of it
+                            j = next(j for j in ids if masks[j] & mask)
+                            mask, exits = masks[j], cycles[j][1]
+                        stack.append((tree, path | mask, exits, chain + (i,)))
     found.sort(key=lambda f: (sum(f[0]), f[0]))
     return found
 
 
-def _steiner_trees(adjacency, terminals):
-    """Edge lists of the trees whose leaves are all terminals, each once.
-
-    The tree starts at terminals[0]; the first terminal not yet in it is
-    joined by each simple path whose inner nodes avoid the tree.
-    """
-    def join(tree, edges):
-        rest = [t for t in terminals if t not in tree]
-        if not rest:
-            yield edges
-        else:
-            yield from walk(tree, edges, [rest[0]])
-
-    def walk(tree, edges, path):
-        for i, w in adjacency.get(path[-1], ()):
-            if w in tree:
-                yield from join(tree.union(path), edges + [i])
-            elif w not in path:
-                yield from walk(tree, edges + [i], path + [w])
-
-    return join({terminals[0]}, [])
-
-
-def _to_barbell(tri, bells, chain):
-    values = [0] * tri.num_edges
-    for edges, _verts in bells:
-        for i in edges:
-            values[i] = 1
-    for i in chain:
-        values[i] = 2
-    return BarbellTree([b[0] for b in bells], chain,
-                       Coloring(tri, values), len(bells) <= 2)
+def enumerate_barbell_trees(tri):
+    """All barbell trees embedded in the trivalent dual graph of ``tri``,
+    in canonical order (degree, then coloring lexicographically): every
+    tree of ``_barbells``, simple when it has at most two bells."""
+    return [BarbellTree(bells, chain, Coloring(tri, values), len(bells) <= 2)
+            for values, bells, chain in _barbells(tri)]
 
 
 def enumerate_simple(tri):
-    """The barbell trees of one or two bells, from ``_simple_barbells``."""
-    return [_to_barbell(tri, bells, chain)
-            for _values, bells, chain in _simple_barbells(tri, _cycles(tri))]
+    """The barbell trees of one or two bells, in the same order: those of
+    ``_barbells`` stopped at two bells, so no larger bell set is listed."""
+    return [BarbellTree(bells, chain, Coloring(tri, values), len(bells) <= 2)
+            for values, bells, chain in _barbells(tri, 2)]
 
 
 def indecomposables(tri, max_degree):

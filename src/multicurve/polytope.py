@@ -33,7 +33,7 @@ the +-1 incidences of a regular CW complex read off the facets alone.
 from collections import Counter
 from itertools import accumulate
 
-from .barbell import _cycles, _simple_barbells
+from .barbell import _barbells
 from .coloring import (
     Coloring,
     corners_unchecked,
@@ -156,11 +156,12 @@ def _named(key):
 
 def _cone_rays(tri):
     """Extremal rays of the coloring cone, the value tuples of
-    ``_simple_barbells`` (admissible by construction; no barbell tree is
-    built), and the candidate facets: for each corner theta, the mask of
-    the rays with u_theta = 0."""
+    ``_barbells`` stopped at two bells (admissible by construction; no
+    barbell tree is built and no set of three bells is listed), and the
+    candidate facets: for each corner theta, the mask of the rays with
+    u_theta = 0."""
     rays = [Coloring(tri, values)
-            for values, _bells, _chain in _simple_barbells(tri, _cycles(tri))]
+            for values, _bells, _chain in _barbells(tri, 2)]
     columns = zip(*(corners_unchecked(tri, r.values) for r in rays))
     return rays, [sum(1 << i for i, u in enumerate(col) if u == 0)
                   for col in columns]

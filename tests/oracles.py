@@ -66,10 +66,12 @@ non-loop dual edges as the 2-colored chain, and keeps the subsets whose
 non-bell vertices have degree 2 or 3 and which become a tree once each bell
 is contracted, and it tells simple barbells by counting chain degrees.  It
 reads each edge's two triangles off ``side_edges``
-(``conftest.side_triangles``), not ``dual_edges``, and shares only the
-cycle and bell-set listing with ``enumerate_barbell_trees``, so it checks
-the Steiner-tree growth and its ``simple`` flag.  It costs 2^|E| per bell
-set, so keep it to about ten triangles.
+(``conftest.side_triangles``), not ``dual_edges``, lists the bell sets by
+its own recursion (``_disjoint_bell_sets``) and shares only the cycle
+listing ``_cycles`` with ``enumerate_barbell_trees``, so it checks the
+bell-set stack and the mask path search of ``barbell._barbells`` and its
+``simple`` flag.  It costs 2^|E| per bell set, so keep it to about ten
+triangles.
 
 ``fricke_traces`` and ``fricke_cubic`` evaluate the negative traces of
 three 2x2 matrices and the Fricke cubic of the four-punctured sphere by
@@ -112,6 +114,7 @@ from operator import mul
 from conftest import edge_endpoints, is_loop, side_triangles
 
 from multicurve import (
+    BarbellTree,
     Coloring,
     MobiusMap,
     ProjectivePoint,
@@ -127,7 +130,7 @@ from multicurve import (
     quadric_point,
     tracing,
 )
-from multicurve.barbell import _cycles, _disjoint_bell_sets, _to_barbell
+from multicurve.barbell import _cycles
 from multicurve.coloring import (
     checkable_triangles,
     require_admissible,
@@ -405,12 +408,39 @@ def subset_scan_barbell_trees(tri):
         for size in range(len(candidates) + 1):
             for chain in combinations(candidates, size):
                 if _valid_tree(ends, bells, bell_vertices, chain):
-                    barbell = _to_barbell(tri, bells, chain)
-                    barbell.simple = _is_simple(ends, bells, bell_vertices,
-                                                chain)
-                    results.append(barbell)
+                    results.append(_to_barbell(
+                        tri, bells, chain,
+                        _is_simple(ends, bells, bell_vertices, chain)))
     results.sort(key=lambda b: (b.degree, b.coloring.values))
     return results
+
+
+def _disjoint_bell_sets(cycles):
+    """Nonempty subsets of pairwise vertex-disjoint cycles."""
+    result = []
+
+    def rec(start, chosen, used_vertices):
+        for i in range(start, len(cycles)):
+            _edges, verts = cycles[i]
+            if used_vertices & verts:
+                continue
+            picked = chosen + [i]
+            result.append(picked)
+            rec(i + 1, picked, used_vertices | verts)
+
+    rec(0, [], set())
+    return result
+
+
+def _to_barbell(tri, bells, chain, simple):
+    values = [0] * tri.num_edges
+    for edges, _verts in bells:
+        for i in edges:
+            values[i] = 1
+    for i in chain:
+        values[i] = 2
+    return BarbellTree([b[0] for b in bells], chain, Coloring(tri, values),
+                       simple)
 
 
 def _is_simple(ends, bells, bell_vertices, chain):

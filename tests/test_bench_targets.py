@@ -5,8 +5,12 @@ a rename in ``src/`` that leaves one dangling would otherwise surface only
 in a traced benchmark run.  ``bench/workloads.py`` checks each job on the
 objects the package returns (``f_vector``, ``cells_of_dim``,
 ``boundary_cells``, ``is_connected``, ``faces_of_dim``), so a reshaped
-object would otherwise fail only a benchmark run.  Both files are loaded
-from their paths, so nothing under ``bench/`` is imported as a package.
+object would otherwise fail only a benchmark run.  Its generator checks
+run here too: ``generators_job`` followed by ``tracing_job``, on flower:5
+and on random:12:0 (trees of up to four bells), check that each generator
+is admissible, distinct, of its stated degree, indecomposable by brute
+force and one strand cycle.  Both files are loaded from their paths, so
+nothing under ``bench/`` is imported as a package.
 """
 
 import importlib
@@ -43,3 +47,14 @@ def test_lattice_job_checks_pass(make):
     importlib.import_module("multicurve.cli")  # as bench/run.py loads it
     job = getattr(_load("workloads"), make)(mc, make, "flower:5", "flower:5")
     assert job.check(job.run()) is None
+
+
+@pytest.mark.parametrize("source", ["flower:5", "random:12:0"])
+def test_generator_job_checks_pass(source):
+    importlib.import_module("multicurve.cli")  # as bench/run.py loads it
+    workloads = _load("workloads")
+    tri, shared = mc.load(source), {"generators": []}
+    for job in (workloads.generators_job(mc, "generators", source, tri,
+                                         shared),
+                workloads.tracing_job(mc, "tracing", tri, shared, 1)):
+        assert job.check(job.run()) is None
