@@ -638,13 +638,18 @@ class TestCellNumbering:
             assert cell["dim"] == cpx.cells[c]
             assert cell["boundary"] == cpx.facets[c]
 
+    @pytest.mark.parametrize("name", ["rp2", *FIXTURES])
+    def test_facets_increase_one_dimension_down(self, name):
+        cpx = (keyed_complex(*self.HAND_BUILT[name]) if name == "rp2"
+               else mc.relative_complex(mc.fixture(name)))
+        for c, facets in enumerate(cpx.facets):
+            assert facets == sorted(set(facets))
+            assert all(cpx.cells[f] == cpx.cells[c] - 1 for f in facets)
+
     @pytest.mark.parametrize("name", HAND_BUILT)
     def test_slices_match_a_scan(self, name):
         cpx = keyed_complex(*self.HAND_BUILT[name])
         assert keyed_view(cpx) == self.HAND_BUILT[name]
-        for c, facets in enumerate(cpx.facets):
-            assert facets == sorted(set(facets))
-            assert all(cpx.cells[f] == cpx.cells[c] - 1 for f in facets)
         for d in range(-1, cpx.dimension + 2):
             assert list(cpx.cells_of_dim(d)) == [c for c in range(len(cpx))
                                                  if cpx.cells[c] == d]
