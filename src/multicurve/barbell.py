@@ -8,17 +8,18 @@ bell is collapsed to a point.  Allowed color triples at a vertex are
 (2,2,2), (2,2,0), (2,1,1), (2,2x1), (0,1,1), (0,2x1), (0,0,0).
 
 Enumeration follows that structure, in one producer, ``_barbells``.  The
-bells are the simple cycles, and one stack lists their pairwise
-vertex-disjoint sets B; stopped at two bells, it yields the simple barbells
-that span the coloring cone and visits no larger set.  With each bell
-contracted to a point, the 2-colored chains of B are exactly the trees
-whose leaves are all bells, i.e. the inclusion-minimal Steiner trees of the
-bells.  They are grown path by path from bell 0, on the dual graph itself,
-with vertex sets as bit masks: a path starts at the first bell of B not
-yet joined, holding all of it, and may leave it from any of its triangles.
-A step onto a triangle of another bell of B takes that whole bell, which
-may again be left from any of its triangles; a step onto the tree joins
-the path to it, and a step back into the path is not taken.  A held bell
+bells are the simple cycles of ``_cycles``, each with its triangles as a
+bit mask, and one stack lists their pairwise vertex-disjoint sets B;
+stopped at two bells, it yields the simple barbells that span the coloring
+cone and visits no larger set.  With each bell contracted to a point, the
+2-colored chains of B are exactly the trees whose leaves are all bells,
+i.e. the inclusion-minimal Steiner trees of the bells.  They are grown path
+by path from bell 0, on the dual graph itself, with vertex sets as bit
+masks: a path starts at the first bell of B not yet joined, holding all of
+it, and may leave it from any of its triangles.  A step onto a triangle of
+another bell of B takes that whole bell, which may again be left from any
+of its triangles; a step onto the tree joins the path to it, and a step
+back into the path (a dual loop among them) is not taken.  A held bell
 thus acts as one contracted point, and its own edges and chords, which
 stay inside the path, are never stepped along.  A tree splits uniquely
 into these paths, so each is emitted once; the dual graph is connected, so
@@ -52,13 +53,12 @@ from .errors import ZeroColoring
 class BarbellTree:
     """Bells (1-colored cycles) plus connecting 2-colored edges."""
 
-    __slots__ = ("bells", "chain_edges", "coloring", "simple")
+    __slots__ = ("bells", "chain_edges", "coloring")
 
-    def __init__(self, bells, chain_edges, coloring, simple):
+    def __init__(self, bells, chain_edges, coloring):
         self.bells = tuple(sorted(tuple(sorted(b)) for b in bells))
         self.chain_edges = tuple(sorted(chain_edges))
         self.coloring = coloring
-        self.simple = simple
 
     @property
     def degree(self):
@@ -67,6 +67,10 @@ class BarbellTree:
     @property
     def num_bells(self):
         return len(self.bells)
+
+    @property
+    def simple(self):
+        return self.num_bells <= 2
 
     def __repr__(self):
         kind = "simple " if self.simple else ""
@@ -82,79 +86,74 @@ class BarbellTree:
         }
 
 
+def _bits(mask):
+    """The set bits of an int mask, in increasing order."""
+    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+
+
 def _adjacency(tri):
-    """(edge id, other triangle) pairs of each triangle; no dual loops."""
+    """(edge id, other triangle) pairs of each triangle, loops twice."""
     adjacency = [[] for _ in range(tri.triangle_count)]
     for i, (a, b) in enumerate(tri.dual_edges):
-        if a != b:
-            adjacency[a].append((i, b))
-            adjacency[b].append((i, a))
+        adjacency[a].append((i, b))
+        adjacency[b].append((i, a))
     return adjacency
 
 
-def _cycles(tri):
-    """All simple cycles of the dual multigraph of ``tri``, as edge-id sets.
-
-    Loops are 1-edge cycles and parallel pairs 2-edge cycles.  Each cycle
-    also records its vertex set.
-    """
-    adjacency = _adjacency(tri)
-    loops = [(frozenset([i]), frozenset([a]))
-             for i, (a, b) in enumerate(tri.dual_edges) if a == b]
+def _cycles(tri, adjacency):
+    """Every simple cycle of the dual multigraph as (edge ids, triangle
+    mask, triangles).  One stack per least triangle (the root) walks up with
+    edge and triangle masks and closes on any untaken edge back to the root:
+    loops too; a cycle's two directions share one edge mask."""
     found = {}
     for root in range(tri.triangle_count):
-        # cycles whose minimum vertex is root
-        stack = [(root, [], {root})]
+        stack = [(root, 0, 1 << root)]
         while stack:
-            vertex, path_edges, visited = stack.pop()
-            for eid, nxt in adjacency[vertex]:
-                if eid in path_edges:
+            vertex, edges, verts = stack.pop()
+            for i, nxt in adjacency[vertex]:
+                if edges >> i & 1:
                     continue
-                if nxt == root and path_edges:
-                    key = frozenset(path_edges + [eid])
-                    found.setdefault(key, frozenset(visited))
-                elif nxt not in visited and nxt > root:
-                    stack.append((nxt, path_edges + [eid],
-                                  visited | {nxt}))
-    cycles = loops + sorted(found.items(), key=lambda kv: sorted(kv[0]))
-    return [(set(edges), set(verts)) for edges, verts in cycles]
+                if nxt == root:
+                    found[edges | 1 << i] = verts
+                elif nxt > root and not verts >> nxt & 1:
+                    stack.append((nxt, edges | 1 << i, verts | 1 << nxt))
+    return [(_bits(edges), verts, _bits(verts))
+            for edges, verts in found.items()]
 
 
 def _barbells(tri, max_bells=None):
     """(values, bells, chain) of every barbell tree of at most ``max_bells``
     bells (all when None), sorted by (degree, values); a bell is its edge
-    set.  One stack lists the disjoint bell sets, and one grows each set's
+    ids.  One stack lists the disjoint bell sets, and one grows each set's
     trees as the module docstring says.  A search state is the tree's
     triangle mask, the open path's, the triangles the path may leave from
     and the chain so far; an empty path means the last one has joined."""
     adjacency = _adjacency(tri)
-    cycles = _cycles(tri)
-    masks = [sum(1 << v for v in verts) for _edges, verts in cycles]
+    cycles = _cycles(tri, adjacency)
     found = []
-    sets = [((j,), masks[j]) for j in range(len(cycles))]
+    sets = [(k, [bell], bell[1]) for k, bell in enumerate(cycles, 1)]
     while sets:
-        ids, used = sets.pop()
-        if max_bells is None or len(ids) < max_bells:
-            sets += [(ids + (k,), used | masks[k])
-                     for k in range(ids[-1] + 1, len(cycles))
-                     if not used & masks[k]]
+        k, bells, used = sets.pop()
+        if max_bells is None or len(bells) < max_bells:
+            sets += [(j, bells + [bell], used | bell[1])
+                     for j, bell in enumerate(cycles[k:], k + 1)
+                     if not used & bell[1]]
+        edge_ids = tuple([bell[0] for bell in bells])
         ones = [0] * tri.num_edges
-        for j in ids:
-            for i in cycles[j][0]:
-                ones[i] = 1
-        bells = tuple(cycles[j][0] for j in ids)
-        stack = [(masks[ids[0]], 0, (), ())]
+        for i in sum(edge_ids, ()):
+            ones[i] = 1
+        stack = [(bells[0][1], 0, (), ())]
         while stack:
             tree, path, leave, chain = stack.pop()
             if not path:
-                rest = [j for j in ids if not tree & masks[j]]
+                rest = [bell for bell in bells if not tree & bell[1]]
                 if not rest:
                     values = ones[:]
                     for i in chain:
                         values[i] = 2
-                    found.append((tuple(values), bells, chain))
+                    found.append((tuple(values), edge_ids, chain))
                     continue
-                path, leave = masks[rest[0]], cycles[rest[0]][1]
+                _edges, path, leave = rest[0]
             for v in leave:
                 for i, w in adjacency[v]:
                     if tree >> w & 1:
@@ -162,8 +161,8 @@ def _barbells(tri, max_bells=None):
                     elif not path >> w & 1:
                         mask, exits = 1 << w, (w,)
                         if used & mask:        # a bell of the set: all of it
-                            j = next(j for j in ids if masks[j] & mask)
-                            mask, exits = masks[j], cycles[j][1]
+                            _edges, mask, exits = next(
+                                bell for bell in bells if bell[1] & mask)
                         stack.append((tree, path | mask, exits, chain + (i,)))
     found.sort(key=lambda f: (sum(f[0]), f[0]))
     return found
@@ -172,15 +171,15 @@ def _barbells(tri, max_bells=None):
 def enumerate_barbell_trees(tri):
     """All barbell trees embedded in the trivalent dual graph of ``tri``,
     in canonical order (degree, then coloring lexicographically): every
-    tree of ``_barbells``, simple when it has at most two bells."""
-    return [BarbellTree(bells, chain, Coloring(tri, values), len(bells) <= 2)
+    tree of ``_barbells``."""
+    return [BarbellTree(bells, chain, Coloring(tri, values))
             for values, bells, chain in _barbells(tri)]
 
 
 def enumerate_simple(tri):
     """The barbell trees of one or two bells, in the same order: those of
     ``_barbells`` stopped at two bells, so no larger bell set is listed."""
-    return [BarbellTree(bells, chain, Coloring(tri, values), len(bells) <= 2)
+    return [BarbellTree(bells, chain, Coloring(tri, values))
             for values, bells, chain in _barbells(tri, 2)]
 
 

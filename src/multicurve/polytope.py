@@ -33,7 +33,7 @@ the +-1 incidences of a regular CW complex read off the facets alone.
 from collections import Counter
 from itertools import accumulate
 
-from .barbell import _barbells
+from .barbell import _barbells, _bits
 from .coloring import (
     Coloring,
     corners_unchecked,
@@ -150,8 +150,7 @@ def _graded_sweep(roots, cuts):
 
 def _named(key):
     """A cell key as messages print it: an int ray mask as its ray ids."""
-    return (tuple(i for i in range(key.bit_length()) if key >> i & 1)
-            if isinstance(key, int) else key)
+    return _bits(key) if isinstance(key, int) else key
 
 
 def _cone_rays(tri):

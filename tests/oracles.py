@@ -64,14 +64,19 @@ few hundred rows.
 every set of vertex-disjoint bells it tries every subset of the other
 non-loop dual edges as the 2-colored chain, and keeps the subsets whose
 non-bell vertices have degree 2 or 3 and which become a tree once each bell
-is contracted, and it tells simple barbells by counting chain degrees.  It
-reads each edge's two triangles off ``side_edges``
-(``conftest.side_triangles``), not ``dual_edges``, lists the bell sets by
-its own recursion (``_disjoint_bell_sets``) and shares only the cycle
-listing ``_cycles`` with ``enumerate_barbell_trees``, so it checks the
-bell-set stack and the mask path search of ``barbell._barbells`` and its
-``simple`` flag.  It costs 2^|E| per bell set, so keep it to about ten
-triangles.
+is contracted; it raises ``ValueError`` if a tree's ``simple`` flag is not
+what counting its chain degrees says.  It reads each edge's two triangles
+off ``side_edges`` (``conftest.side_triangles``), not ``dual_edges``, lists
+the bells by ``side_cycles`` and the bell sets by its own recursion
+(``_disjoint_bell_sets``), and imports nothing from ``barbell`` but
+``BarbellTree``, so it checks the cycle search, the bell-set stack and the
+mask path search of ``barbell._barbells`` and the ``simple`` property.  It
+costs 2^|E| per bell set, so keep it to about ten triangles.
+
+``side_cycles`` lists the simple cycles of the dual graph as the connected
+edge subsets in which every triangle meets 0 or 2 edge-ends, a loop
+counting twice, again read off ``side_triangles``; it checks
+``barbell._cycles``.
 
 ``fricke_traces`` and ``fricke_cubic`` evaluate the negative traces of
 three 2x2 matrices and the Fricke cubic of the four-punctured sphere by
@@ -130,7 +135,6 @@ from multicurve import (
     quadric_point,
     tracing,
 )
-from multicurve.barbell import _cycles
 from multicurve.coloring import (
     checkable_triangles,
     require_admissible,
@@ -396,7 +400,7 @@ def subset_scan_barbell_trees(tri):
     canonical (degree, coloring) order."""
     nedges = tri.num_edges
     ends = side_triangles(tri)
-    cycles = _cycles(tri)
+    cycles = side_cycles(tri)
     loops = {i for i in range(nedges) if is_loop(tri, i)}
     results = []
     for bell_ids in _disjoint_bell_sets(cycles):
@@ -408,11 +412,44 @@ def subset_scan_barbell_trees(tri):
         for size in range(len(candidates) + 1):
             for chain in combinations(candidates, size):
                 if _valid_tree(ends, bells, bell_vertices, chain):
-                    results.append(_to_barbell(
-                        tri, bells, chain,
-                        _is_simple(ends, bells, bell_vertices, chain)))
+                    tree = _to_barbell(tri, bells, chain)
+                    if tree.simple != _is_simple(ends, bells, bell_vertices,
+                                                 chain):
+                        raise ValueError(f"{tree}: simple flag disagrees "
+                                         f"with chain degrees {chain}")
+                    results.append(tree)
     results.sort(key=lambda b: (b.degree, b.coloring.values))
     return results
+
+
+def side_cycles(tri):
+    """Every simple cycle of the dual graph as (edge ids, triangles): the
+    connected edge subsets in which each triangle meets 0 or 2 edge-ends,
+    a loop counting twice.  Edges are decided in id order, and a triangle
+    is checked once its last edge is decided."""
+    ends = side_triangles(tri)
+    last = {t: e for e, ts in enumerate(ends) for t in ts}
+    degree = [0] * tri.triangle_count
+    found = []
+
+    def rec(e, chosen):
+        if e == len(ends):
+            verts = frozenset(t for i in chosen for t in ends[i])
+            if chosen and connected([[t] for t in verts],
+                                    [ends[i] for i in chosen]):
+                found.append((tuple(chosen), verts))
+            return
+        for take in (0, 1):
+            for t in ends[e]:
+                degree[t] += take
+            if all(degree[t] in (0, 2) if last[t] == e else degree[t] <= 2
+                   for t in ends[e]):
+                rec(e + 1, chosen + [e] * take)
+            for t in ends[e]:
+                degree[t] -= take
+
+    rec(0, [])
+    return found
 
 
 def _disjoint_bell_sets(cycles):
@@ -432,15 +469,14 @@ def _disjoint_bell_sets(cycles):
     return result
 
 
-def _to_barbell(tri, bells, chain, simple):
+def _to_barbell(tri, bells, chain):
     values = [0] * tri.num_edges
     for edges, _verts in bells:
         for i in edges:
             values[i] = 1
     for i in chain:
         values[i] = 2
-    return BarbellTree([b[0] for b in bells], chain, Coloring(tri, values),
-                       simple)
+    return BarbellTree([b[0] for b in bells], chain, Coloring(tri, values))
 
 
 def _is_simple(ends, bells, bell_vertices, chain):

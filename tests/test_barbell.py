@@ -4,12 +4,14 @@ import pytest
 from conftest import FIXTURES
 from oracles import (
     in_rational_cone,
+    side_cycles,
     subset_scan_barbell_trees,
     triangle_check_indecomposables,
 )
 
 import multicurve as mc
 from multicurve import errors
+from multicurve.barbell import _adjacency, _cycles
 
 SCAN_NAMES = [*FIXTURES, "flower:3", "flower:6", "flower:7",
               *(f"random:{t}:{s}" for t in (2, 4, 6, 8, 10) for s in range(10))]
@@ -105,6 +107,17 @@ class TestEnumeratorMatchesSubsetScan:
             assert (tri.genus, tri.punctures) == surface
             assert Counter(b.num_bells for b in mc.enumerate_barbell_trees(
                 tri)) == per_bells
+
+
+class TestCyclesMatchSideCycles:
+    @pytest.mark.parametrize("name", [*SCAN_NAMES, "random:12:0"])
+    def test_same_cycles(self, name):
+        # each cycle once, with its triangle mask, against the subsets of
+        # the side lists that meet every triangle 0 or 2 times
+        tri = mc.fixture(name)
+        assert sorted(_cycles(tri, _adjacency(tri))) == sorted(
+            (edges, sum(1 << t for t in verts), tuple(sorted(verts)))
+            for edges, verts in side_cycles(tri))
 
 
 class TestIndecomposability:

@@ -230,7 +230,7 @@ class TestExitCodes:
     def test_oracle_reports_decomposable_generator(self, monkeypatch):
         def add_sum(gens):
             total = gens[0].coloring + gens[1].coloring
-            return gens + [mc.BarbellTree([], [], total, False)]
+            return gens + [mc.BarbellTree([], [], total)]
 
         code, report, gens = self.oracle_report(monkeypatch, add_sum)
         total = gens[0].coloring + gens[1].coloring
