@@ -88,7 +88,12 @@ class BarbellTree:
 
 def _bits(mask):
     """The set bits of an int mask, in increasing order."""
-    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
 
 
 def _adjacency(tri):

@@ -5,32 +5,32 @@ functionals u_theta >= 0, so its faces are exactly the zero sets of corner
 subsets.  A face is an int bitmask of the extremal rays (simple barbell
 colorings) it contains, bit i = ray i.  The cone lattice files its faces
 by dimension and then by mask value, and a relative-complex cell keeps its
-ray mask as its key.  Both face families come from one block product
-(``_block_product``): rays share a block when some candidate facet {rays
-with u_theta = 0} misses both, and the lattice is the product of the
-blocks' lattices (Ziegler 1995), codimensions adding, each block swept by
-``_graded_sweep`` (Kaibel-Pfetsch 2002).  A face's dimension is the apex's
-codimension minus its own, and the rational rank of all the rays checks
-the apex's codimension once.  Slicing by the degree hyperplane turns a
-cone face of dimension k into a polytope cell of dimension k-1.  The block
-product files each dimension sorted by mask, and a polytope complex numbers
-its cells in that filing order, with no sort or dict of its own, holding
-dimensions, facets and labels by number: the one handle behind homology
-columns, JSON ids and exported vertices.
+ray mask as its key.  Both face families are swept by ``_graded_sweep``
+(Kaibel-Pfetsch 2002) from their top faces down by the candidate facets
+{rays with u_theta = 0}; the cone lattice is the product of its ray
+blocks' lattices (Ziegler 1995), codimensions adding.  The rational rank
+of all the rays checks the apex's codimension once.  Slicing by the degree
+hyperplane turns a cone face of dimension k into a polytope cell of
+dimension k-1.  Each dimension is sorted by mask, and a polytope complex
+numbers its cells in that filing order, holding dimensions, facets and
+labels by number: its homology columns, JSON ids and exported vertices.
 
-The relative complex keeps the faces containing no peripheral through-face
-(the smallest face holding a peripheral vector a_p).  a_p is 1 on the
-corners at p and 0 on the rest, so t_p is cut out by the corners away from
-p.  The kept faces, a down-set, come on the ray side from the same block
-product: a through-face joins the blocks it meets, and a block holding a
-through-face t is swept from its roots, the candidate facets missing t.
-By the structure theory it is a sphere, certified here by pseudomanifold +
-integral homology, connectivity read off b_0 (a homology sphere for d >= 3,
-genuine homeomorphism in dimensions <= 2).  The homology is cellular, with
-the +-1 incidences of a regular CW complex read off the facets alone.
+The relative complex K keeps the faces holding no peripheral through-face
+t_p, the smallest face holding the peripheral vector a_p.  By the corner
+rule, F holds no t_p iff for every puncture p a candidate facet of a
+corner at p holds F.  For u_theta(a_p) is 1 at the corners of p and 0
+elsewhere: such a candidate misses a_p; if there is none, every u_theta at
+p is positive inside F, so a point x there scaled to be >= 1 at each of
+them has x - a_p in the cone, and F, holding x = a_p + (x - a_p), holds
+a_p.  By the structure theory K is a sphere, certified here by
+pseudomanifold + integral homology, connectivity read off b_0 (a homology
+sphere for d >= 3, genuine homeomorphism in dimensions <= 2).  The
+homology is cellular, with the +-1 incidences of a regular CW complex read
+off the facets alone, and taken by collapse where K collapses, one top
+cell removed, to a vertex (``PolytopeComplex.homology``).
 """
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import accumulate
 
 from .barbell import _barbells, _bits
@@ -55,7 +55,7 @@ class ConeFaceLattice:
         self.rays = list(rays)                 # Coloring objects
         self.faces_by_dim = [[]]               # dimension -> ray masks
         if self.rays:
-            self.faces_by_dim = _block_product(self.rays, corner_rays, ())
+            self.faces_by_dim = _block_product(self.rays, corner_rays)
 
     @property
     def faces(self):                           # a new list, by dimension
@@ -74,33 +74,21 @@ class ConeFaceLattice:
                 f"dim={self.dimension})")
 
 
-def _block_product(rays, corner_rays, through):
-    """Ray masks of the faces holding no mask of ``through``, one sorted
-    list per dimension, apex first: the product over the ray blocks of the
-    candidate facets ``corner_rays``.  Rays share a block when a candidate
-    facet misses both, and a through-face joins the blocks it meets (a
-    union of direct summands is one), so each lies in one block.  A block
-    holding through-faces is swept from the candidates missing the one, t,
-    that the fewest candidates miss, and loses its faces holding one."""
+def _block_product(rays, corner_rays):
+    """Ray masks of the cone's faces, one sorted list per dimension, apex
+    first: the product over the ray blocks of the candidate facets
+    ``corner_rays``, rays sharing a block when a candidate misses both."""
     full = (1 << len(rays)) - 1
     candidates = set(corner_rays)
     blocks = []                                # disjoint ray masks
-    for miss in {full & ~cand for cand in candidates} | set(through):
+    for miss in {full & ~cand for cand in candidates}:
         for block in [b for b in blocks if b & miss]:
             blocks.remove(block)
             miss |= block
         blocks.append(miss)
     product = [[full & ~sum(blocks)]]          # codimension -> ray masks
     for block in sorted(blocks, key=int.bit_count):  # small ones first
-        cuts = {c & block for c in candidates}
-        ts = [t for t in through if t & block]
-        if ts:  # every face avoiding t lies in a candidate missing t
-            t = min(ts, key=lambda u: sum(c & u != u for c in cuts))
-            part = _graded_sweep({c: 1 for c in cuts if c & t != t}, cuts)
-        else:
-            part = _graded_sweep({block: 0}, cuts)
-        for t in ts:                           # drop the faces holding one
-            part = {g: e for g, e in part.items() if g & t != t}
+        part = _graded_sweep({block: 0}, {c & block for c in candidates})
         grades = [[] for _ in range(max(part.values()) + 1)]
         for g, e in part.items():
             grades[e].append(g)
@@ -110,13 +98,19 @@ def _block_product(rays, corner_rays, through):
             for e, gs in enumerate(grades):    # a product adds codimensions
                 merged[c + e].extend(f | g for f in fs for g in gs)
         product = merged
-    rank = integer_rank([ray.values for ray in rays])
-    if rank != len(product) - 1:
-        raise ValueError(f"graded dimension {len(product) - 1} differs "
-                         f"from the rank {rank} of the rays")
+    _check_rank(rays, len(product) - 1)
     for fs in product:
         fs.sort()                              # in place: no sorted copies
     return product[::-1]
+
+
+def _check_rank(rays, graded):
+    """The rank of the rays, checked against the apex's codimension."""
+    rank = integer_rank([ray.values for ray in rays])
+    if rank != graded:
+        raise ValueError(f"graded dimension {graded} differs "
+                         f"from the rank {rank} of the rays")
+    return rank
 
 
 def _graded_sweep(roots, cuts):
@@ -269,24 +263,63 @@ class PolytopeComplex:
             incidence.append(signs)
         return incidence
 
+    def _collapses(self):
+        """Whether elementary collapses take the complex, its last cell (a
+        top cell) removed, down to one cell: a FIFO queue holds the faces a
+        with one alive coface b, and (a, b) goes when b has none itself."""
+        cofaces = [[] for _ in self.cells]
+        for c, facets in enumerate(self.facets):
+            for f in facets:
+                cofaces[f].append(c)
+        alive = [len(cs) for cs in cofaces]    # alive cofaces; -1: removed
+        queue = deque()
+
+        def remove(c):
+            alive[c] = -1
+            for f in self.facets[c]:
+                alive[f] -= 1
+                if alive[f] == 1:
+                    queue.append(f)
+        remove(len(self.cells) - 1)
+        left = len(self.cells) - 1
+        while queue:
+            a = queue.popleft()
+            if alive[a] == 1:
+                b = next(c for c in cofaces[a] if alive[c] >= 0)
+                if alive[b] == 0:
+                    remove(b)
+                    remove(a)
+                    left -= 2
+        return left == 1
+
     def homology(self):
         """Integral cellular homology, one (betti, torsion) pair per
         dimension 0..top.
 
         The chain groups are spanned by the cells and the boundary map of
         dimension k is given by its columns, the incidence dicts
-        {facet: sign} of ``_incidences`` of the k-cells.  Computed once per
-        complex (complexes are not mutated after construction); every call
-        returns a fresh copy.
+        {facet: sign} of ``_incidences`` of the k-cells, which first checks
+        that the poset is that of a regular CW complex.  When ``_collapses``
+        holds, it is that of S^d, d the top dimension: each removed pair
+        (a, b) has [b:a] = +-1, so it splits the acyclic summand Z.b -> Z.a
+        off the chain complex, and K - s, s the removed top cell, has the
+        homology of a point.  The exact sequence of (K, K - s), whose
+        relative chains are Z.s in dimension d, gives b_d = 1, b_0 = 1 +
+        [d = 0] and nothing else.  Otherwise the Smith form of the boundary
+        maps gives it.  Computed once per complex (complexes are not
+        mutated after construction); every call returns a fresh copy.
         """
         if not self.cells:
             raise EmptyComplex("homology of an empty complex")
         if self._homology is None:
             incidence = self._incidences()
-            self._homology = homology_from_boundaries(
-                {k: [incidence[c] for c in self.cells_of_dim(k)]
-                 for k in range(1, self.dimension + 1)},
-                list(self.f_vector()))
+            d = self.dimension
+            self._homology = (
+                [((k == 0) + (k == d), []) for k in range(d + 1)]
+                if self._collapses() else homology_from_boundaries(
+                    {k: [incidence[c] for c in self.cells_of_dim(k)]
+                     for k in range(1, d + 1)},
+                    list(self.f_vector())))
         return [(b, list(tors)) for b, tors in self._homology]
 
     def to_json_dict(self):
@@ -306,35 +339,40 @@ def relative_complex(tri):
     The through-face t_p of the peripheral vector a_p is the smallest face
     holding it, and a face holds a_p iff it contains t_p, so the kept
     faces, those containing none of the n through-faces, form a down-set.
-    a_p is 1 on the corners at p and 0 on the rest, so t_p is cut out by
-    the corners away from p (all rays when there are none).  The candidate
-    facets, one ray mask per corner from ``_cone_rays``, serve both passes.
-    The kept faces are taken on the ray side, from the block product, where
-    a through-face joins the blocks it meets and each block's roots are the
-    facets missing one of its through-faces, t (``_block_product``); the
-    apex dropped, a cone face of dimension k is a cell of dimension k - 1.
-    The cells are numbered as the product files them, so a cell's facets,
-    its intersections with the candidate facets one dimension down, are
-    looked up in that dimension alone.  The top dimensions, the full
-    cone's at least, hold only faces with a through-face, so they come out
-    empty and are dropped.  Empty exactly for (g,n) = (0,3), where every
-    ray is a through-face.
+    By the corner rule (module docstring) a face is kept iff each puncture
+    has a corner whose candidate facet, one ray mask per corner from
+    ``_cone_rays``, holds it.  So the maximal kept faces, the roots, are
+    the maximal ANDs of one candidate per puncture, and one sweep by the
+    candidates reaches the rest.  K is pure of dimension rank - 1 - n, so
+    every root is a top cell of cone codimension n, and the apex's
+    codimension is checked against the rank of the rays.  The apex dropped,
+    a face of codimension c is a cell of dimension rank - c - 1.  The cells
+    of a dimension are numbered by mask, so a cell's facets, its
+    intersections with the candidates one dimension down, are looked up in
+    that dimension alone.  Empty exactly for (g,n) = (0,3), whose one root
+    is the apex.
     """
     rays, corner_rays = _cone_rays(tri)
-    full = (1 << len(rays)) - 1
-    through = [full] * tri.punctures           # t_p: corners away from p
-    for theta, p in enumerate(tri.corner_vertex):
-        for q in range(tri.punctures):
-            if q != p:
-                through[q] &= corner_rays[theta]
-    keys = _block_product(rays, corner_rays, through)[1:]  # no apex
-    while keys and not keys[-1]:
-        keys.pop()
+    roots = [(1 << len(rays)) - 1]
+    for corners in tri.vertices:               # one candidate per puncture
+        cut = sorted({r & corner_rays[c] for r in roots for c in corners},
+                     key=int.bit_count, reverse=True)
+        roots = []
+        for h in cut:                          # masks above h came first
+            if all(h & r != h for r in roots):
+                roots.append(h)
+    cands = set(corner_rays)
+    codim = _graded_sweep(dict.fromkeys(roots, tri.punctures), cands)
+    rank = _check_rank(rays, codim.pop(0))
+    keys = [[] for _ in range(rank - tri.punctures)]
+    for h, c in codim.items():
+        keys[rank - c - 1].append(h)
     if not keys:
         raise EmptyRelativeComplex(
             f"relative complex of (g,n)=({tri.genus},{tri.punctures}) "
             "came out empty")
-    cands = set(corner_rays)
+    for hs in keys:
+        hs.sort()
     facets, below = [], {}                     # below: one dimension down
     for hs in keys:
         facets.extend(sorted(below[f] for f in {h & c for c in cands}

@@ -1,4 +1,5 @@
 import random
+import resource
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,12 @@ from multicurve.triangulation import (  # noqa: F401
     slot_id,
     slot_pair,
 )
+
+# a search that grows memory ends in MemoryError at 3 GiB of address space,
+# which the hang guard of pyproject.toml cannot catch
+_SOFT, _HARD = resource.getrlimit(resource.RLIMIT_AS)
+if _SOFT == resource.RLIM_INFINITY or _SOFT > 3 << 30:
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, _HARD))
 
 FIXTURES = ["ex11", "n4ex", "n4ex2", "flower:4", "flower:5"]
 

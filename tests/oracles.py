@@ -15,8 +15,8 @@ frozensets of ray ids, while the lattice's faces and the cell keys of
 ``relative_complex`` are int ray masks, so they are compared by content.
 ``rank_relative_complex`` rebuilds the relative complex from it with the
 vanishing-corner filter and covers found by pairwise inclusion, and hands
-back its cells and facets keyed by ray mask; it checks the through-face
-filter and the facets of ``relative_complex``.
+back its cells and facets keyed by ray mask; it checks the corner rule
+and the facets of ``relative_complex``.
 ``closure_face_lattice`` is the two-pass build on int ray masks: it folds
 the candidate facets from the corner vectors it is given (``corner_vectors``
 of the rays, by ``corner_coords``), closes them under intersection level by
@@ -31,17 +31,19 @@ face.  ``faces_by_dimension`` files either oracle's faces as
 from the apex, one cover at a time, on the corner side: the covers of a
 face F are the faces H_r spanned by F and one more ray r that every ray of
 H_r - F spans, found by cutting F's corner mask by r's zero set.  It sees
-no blocks and no roots and shares only the rays with ``relative_complex``
-(its corner tables come from ``corner_coords``), which takes its cells on
-the ray side from the block product with roots at the facets missing a
-through-face t, so it checks the cells, facets, labels and order of that
-product.
+no roots and shares only the rays with ``relative_complex`` (its corner
+tables come from ``corner_coords``, its through-faces from the peripheral
+colorings), which takes its cells by the corner rule, in one sweep down
+from the maximal ANDs of one candidate facet per puncture, so it checks
+the cells, facets, labels and order of that sweep against the
+through-face definition.
 
 ``keyed_complex`` numbers a poset given by keys, as the hand-built
 complexes of the tests and the walk give it, by sorting its cells by
 (dimension, key), and hands the numbered cells to ``PolytopeComplex``; the
-package numbers the cells of ``relative_complex`` in the order the block
-product files them, so the walk checks that filing order against a sort.
+package numbers the cells of ``relative_complex`` by dimension and mask
+as its sweep files them, so the walk checks that filing order against a
+sort.
 
 ``in_rational_cone`` decides membership in the rational cone of the simple
 barbell colorings by an exact phase-one simplex (``rational_feasible``),

@@ -6,7 +6,6 @@ from conftest import FIXTURES, RP2_TRIANGLES, simplicial_cells
 from oracles import dense_smith_diagonal, keyed_complex, rational_feasible
 
 import multicurve as mc
-from multicurve import polytope
 from multicurve.linalg import (
     homology_from_boundaries,
     integer_rank,
@@ -109,19 +108,12 @@ def random_matrices(seed, count=300):
     return out
 
 
-def boundary_maps(cpx, monkeypatch):
-    """The boundary maps that ``cpx.homology`` hands to the SNF, as
+def boundary_maps(cpx):
+    """The cellular boundary maps of ``cpx``, built from its incidences as
     (column dicts {facet number: sign}, facet numbers of the rows)."""
-    seen = []
-
-    def record(boundaries, num_cells):
-        seen.extend((columns, cpx.cells_of_dim(k - 1))
-                    for k, columns in boundaries.items())
-        return []
-
-    monkeypatch.setattr(polytope, "homology_from_boundaries", record)
-    cpx.homology()
-    return seen
+    incidence = cpx._incidences()
+    return [([incidence[c] for c in cpx.cells_of_dim(k)],
+             cpx.cells_of_dim(k - 1)) for k in range(1, cpx.dimension + 1)]
 
 
 class TestSparseMatchesDenseSmith:
@@ -140,10 +132,10 @@ class TestSparseMatchesDenseSmith:
                     == dense_smith_diagonal(mat))
 
     @pytest.mark.parametrize("name", FIXTURES + ["flower:6", "rp2"])
-    def test_boundary_maps(self, name, monkeypatch):
+    def test_boundary_maps(self, name):
         cpx = (keyed_complex(*simplicial_cells(RP2_TRIANGLES))
                if name == "rp2" else mc.relative_complex(mc.fixture(name)))
-        maps = boundary_maps(cpx, monkeypatch)
+        maps = boundary_maps(cpx)
         assert maps
         for columns, facets in maps:
             dense = [[col.get(f, 0) for col in columns] for f in facets]

@@ -30,6 +30,7 @@ from oracles import (
 import multicurve as mc
 from multicurve import errors
 from multicurve import polytope
+from multicurve.linalg import homology_from_boundaries
 
 def path_complex(edges):
     """1-complex from a list of vertex-pair edges, for counterexamples."""
@@ -248,20 +249,6 @@ class TestBlockProduct:
             for k in range(len(f_a) + len(f_b) - 1)]
         assert len(lat.faces) == 106 * 64 == 6784
 
-    @pytest.mark.parametrize("through,kept", [
-        ([0b0001], [[0], [0b0010, 0b0100, 0b1000], [0b0110, 0b1100], []]),
-        ([0b0001, 0b0100], [[0], [0b0010, 0b1000], [], []]),
-    ], ids=["ray0", "rays0and2"])
-    def test_square_cone_through_faces(self, through, kept):
-        # the cone over a square, facets {0,1}, {1,2}, {2,3}, {3,0}, one
-        # block: the faces avoiding ray 0 lie in the facets missing it; the
-        # lists run by cone dimension, 0 (the apex) to 3 (the whole cone)
-        rays = [SimpleNamespace(values=v) for v in
-                [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]]
-        facets = [0b0011, 0b0110, 0b1100, 0b1001]
-        by_dim = polytope._block_product(rays, facets, through)
-        assert [sorted(fs) for fs in by_dim] == kept
-
 
 class TestRelativeComplex:
     @pytest.mark.parametrize("name,fvec", [
@@ -282,6 +269,25 @@ class TestRelativeComplex:
         assert all(not tors for _, tors in hom)
         euler = sum((-1) ** d * c for d, c in enumerate(cpx.f_vector()))
         assert euler == 0
+
+    @pytest.mark.parametrize("corners,kept", [
+        ([[1, 2]], [[0b0010, 0b0100, 0b1000], [0b0110, 0b1100]]),
+        ([[1, 2], [0, 3]], [[0b0010, 0b1000]]),
+    ], ids=["ray0", "rays0and2"])
+    def test_square_cone_corner_rule(self, corners, kept, monkeypatch):
+        # the cone over a square, facets {0,1}, {1,2}, {2,3}, {3,0}: a
+        # puncture at the corners of the two facets missing ray 0 keeps the
+        # faces avoiding ray 0, and one more at those missing ray 2 keeps
+        # the two vertices avoiding both; the lists run by cell dimension
+        rays = [SimpleNamespace(values=v) for v in
+                [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]]
+        facets = [0b0011, 0b0110, 0b1100, 0b1001]
+        monkeypatch.setattr(polytope, "_cone_rays",
+                            lambda tri: (rays, facets))
+        cpx = mc.relative_complex(
+            SimpleNamespace(vertices=corners, punctures=len(corners)))
+        assert [[cpx.order[c] for c in cpx.cells_of_dim(d)]
+                for d in range(cpx.dimension + 1)] == kept
 
     def test_three_punctured_sphere_empty(self):
         with pytest.raises(errors.EmptyRelativeComplex):
@@ -363,9 +369,29 @@ class TestRelativeComplex:
         assert euler_f == euler_h
 
 
+class TestCornerRoots:
+    """The roots of the one sweep, the maximal ANDs of one candidate facet
+    per puncture, are the top cells, each of cone codimension n."""
+
+    @pytest.mark.parametrize(
+        "name", FIXTURES + [name for name, _gn in SPHERE_TABLE])
+    def test_roots_are_the_top_cells(self, name, monkeypatch):
+        tri = mc.fixture(name)
+        seen = []
+        sweep = polytope._graded_sweep
+        monkeypatch.setattr(polytope, "_graded_sweep", lambda roots, cuts:
+                            seen.append(dict(roots)) or sweep(roots, cuts))
+        cpx = mc.relative_complex(tri)
+        (roots,) = seen
+        assert set(roots.values()) == {tri.punctures}
+        assert cpx.dimension == 6 * tri.genus - 7 + 2 * tri.punctures
+        assert sorted(roots) == [cpx.order[c]
+                                 for c in cpx.cells_of_dim(cpx.dimension)]
+
+
 class TestRelativeMatchesRankOracle:
-    """The through-face filter and the facets read off the candidates give
-    the complex of the vanishing-corner filter and pairwise covers."""
+    """The corner rule and the facets read off the candidates give the
+    complex of the vanishing-corner filter and pairwise covers."""
 
     def test_fixtures(self, any_fixture):
         assert_relative_matches_rank_oracle(any_fixture)
@@ -381,9 +407,9 @@ class TestRelativeMatchesRankOracle:
 
 
 class TestSweepMatchesWalk:
-    """The ray-side block product of ``relative_complex``, roots at the
-    facets missing a through-face t, gives the complex of the corner-side
-    cover-counting walk: cells, facets, labels and order."""
+    """The one sweep of ``relative_complex`` from the corner-rule roots
+    gives the complex of the corner-side cover-counting walk, which drops
+    the faces holding a through-face: cells, facets, labels and order."""
 
     def test_fixtures(self, any_fixture):
         assert_matches_walk_oracle(any_fixture)
@@ -443,6 +469,82 @@ class TestHomologyEngine:
         cpx = keyed_complex({}, {})
         with pytest.raises(errors.EmptyComplex):
             cpx.homology()
+
+
+def surface(name, flipped):
+    tri = mc.fixture(name)
+    return mc.flip(tri, legal_flips(tri)[0]) if flipped else tri
+
+
+def sphere_homology(d):
+    return [((k == 0) + (k == d), []) for k in range(d + 1)]
+
+
+class TestCollapse:
+    """The relative complex, one top cell removed, collapses to a vertex,
+    so ``homology`` reads S^d off the collapse; a poset that does not
+    collapse falls back to the Smith form."""
+
+    @pytest.mark.parametrize("flipped", [False, True], ids=["base", "flip"])
+    @pytest.mark.parametrize(
+        "name", FIXTURES + [name for name, _gn in SPHERE_TABLE])
+    def test_collapse_matches_smith(self, name, flipped):
+        cpx = mc.relative_complex(surface(name, flipped))
+        assert cpx._collapses()
+        incidence = cpx._incidences()
+        assert cpx.homology() == homology_from_boundaries(
+            {k: [incidence[c] for c in cpx.cells_of_dim(k)]
+             for k in range(1, cpx.dimension + 1)}, list(cpx.f_vector()))
+
+    @pytest.mark.parametrize("flipped", [False, True], ids=["base", "flip"])
+    @pytest.mark.parametrize(
+        "name", FIXTURES + [name for name, _gn in SPHERE_TABLE])
+    def test_no_smith_form_on_spheres(self, name, flipped, monkeypatch):
+        monkeypatch.setattr(polytope, "homology_from_boundaries", refuse)
+        tri = surface(name, flipped)
+        d = 6 * tri.genus - 7 + 2 * tri.punctures
+        cpx = mc.relative_complex(tri)
+        assert cpx.homology() == sphere_homology(d)
+        assert mc.sphere_certificate(cpx, d).granted
+
+    def test_zero_and_one_spheres(self, monkeypatch):
+        monkeypatch.setattr(polytope, "homology_from_boundaries", refuse)
+        points = keyed_complex({"a": 0, "b": 0}, {})
+        assert points.homology() == sphere_homology(0) == [(2, [])]
+        circle = path_complex([(0, 1), (1, 2), (2, 0)])
+        assert circle.homology() == sphere_homology(1)
+
+    @pytest.mark.parametrize("poset,hom", [
+        (simplicial_cells(RP2_TRIANGLES), [(1, []), (0, [2]), (0, [])]),
+        (polygon_2cell([0, 1, 2, 3, 4]), [(1, []), (0, []), (0, [])]),
+        (simplicial_cells([(0, 1, 2), (2, 3, 4)]),
+         [(1, []), (0, []), (0, [])]),
+        (simplicial_cells([(0, 1, 3), (0, 1, 4), (1, 2, 3), (2, 3, 4)]),
+         [(1, []), (1, []), (0, [])]),
+    ], ids=["rp2", "pentagon", "bowtie", "annulus"])
+    def test_other_posets_fall_back_to_smith(self, poset, hom, monkeypatch):
+        calls = []
+        monkeypatch.setattr(polytope, "homology_from_boundaries",
+                            lambda *args: calls.append(args)
+                            or homology_from_boundaries(*args))
+        cpx = keyed_complex(*poset)
+        assert not cpx._collapses()
+        assert cpx.homology() == hom
+        assert len(calls) == 1
+
+    def test_a_face_is_free_only_below_a_free_cell(self):
+        # not regular, so ``homology`` refuses it, where the diamond rule
+        # makes the check true; the last 2-cell removed, the disk t0 goes
+        # with e0, and then v0's one edge e1 still bounds the disk t1
+        cpx = keyed_complex(
+            {"v0": 0, "e0": 1, "e1": 1, "t0": 2, "t1": 2, "t2": 2},
+            {"e0": ["v0"], "e1": ["v0"], "t0": ["e0"], "t1": ["e1"],
+             "t2": ["e0"]})
+        assert not cpx._collapses()
+
+
+def refuse(*args):
+    raise AssertionError("the Smith form was called")
 
 
 class TestCellularMatchesOrderComplex:
