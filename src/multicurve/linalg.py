@@ -5,8 +5,7 @@ rank), so results are exact; numpy is deliberately not used.  A matrix is
 given by its columns, which suits cellular boundary maps: their entries
 are +-1 and each column holds only the few facets of one cell.  A matrix
 and its transpose share rank and invariant factors, so rows do as well.
-``integer_rank`` cross-checks the dimension of a face lattice or a
-relative complex against the rank of its rays;
+``integer_rank`` checks the rays of the relative complex against E;
 ``smith_normal_form_diagonal`` feeds ``homology_from_boundaries``.  The
 elimination follows Kaczynski-Mischaikow-Mrozek, Computational Homology
 (2004), ch. 3-4: take the columns sparsest first, each with its smallest

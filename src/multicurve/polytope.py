@@ -8,12 +8,16 @@ by dimension and then by mask value, and a relative-complex cell keeps its
 ray mask as its key.  Both face families are swept by ``_graded_sweep``
 (Kaibel-Pfetsch 2002) from their top faces down by the candidate facets
 {rays with u_theta = 0}; the cone lattice is the product of its ray
-blocks' lattices (Ziegler 1995), codimensions adding.  The rational rank
-of all the rays checks the apex's codimension once.  Slicing by the degree
-hyperplane turns a cone face of dimension k into a polytope cell of
-dimension k-1.  Each dimension is sorted by mask, and a polytope complex
-numbers its cells in that filing order, holding dimensions, facets and
-labels by number: its homology columns, JSON ids and exported vertices.
+blocks' lattices (Ziegler 1995), codimensions adding.  The cone is
+full-dimensional and pointed in R^E, E the number of edges (the all-twos
+coloring has every corner coordinate 1, folded triangles included, and
+colorings are non-negative), so every grading of its faces reaches the
+apex at codimension E (Ziegler 1995, sec. 2.1), which each sweep checks.
+Slicing by the degree hyperplane turns a cone face of dimension k into a
+polytope cell of dimension k-1.  Each dimension is sorted by mask, and a
+polytope complex numbers its cells in that filing order, holding
+dimensions, facets and labels by number: its homology columns, JSON ids
+and exported vertices.
 
 The relative complex K keeps the faces holding no peripheral through-face
 t_p, the smallest face holding the peripheral vector a_p.  By the corner
@@ -77,7 +81,8 @@ class ConeFaceLattice:
 def _block_product(rays, corner_rays):
     """Ray masks of the cone's faces, one sorted list per dimension, apex
     first: the product over the ray blocks of the candidate facets
-    ``corner_rays``, rays sharing a block when a candidate misses both."""
+    ``corner_rays``, rays sharing a block when a candidate misses both, the
+    apex checked at codimension E."""
     full = (1 << len(rays)) - 1
     candidates = set(corner_rays)
     blocks = []                                # disjoint ray masks
@@ -88,34 +93,28 @@ def _block_product(rays, corner_rays):
         blocks.append(miss)
     product = [[full & ~sum(blocks)]]          # codimension -> ray masks
     for block in sorted(blocks, key=int.bit_count):  # small ones first
-        part = _graded_sweep({block: 0}, {c & block for c in candidates})
-        grades = [[] for _ in range(max(part.values()) + 1)]
-        for g, e in part.items():
-            grades[e].append(g)
-        del part                               # lower the merge's peak
+        grades = _graded_sweep({block: 0}, {c & block for c in candidates})
         merged = [[] for _ in range(len(product) + len(grades) - 1)]
         for c, fs in enumerate(product):
             for e, gs in enumerate(grades):    # a product adds codimensions
                 merged[c + e].extend(f | g for f in fs for g in gs)
         product = merged
-    _check_rank(rays, len(product) - 1)
+    _check_edges(rays, "apex codimension", len(product) - 1)
     for fs in product:
         fs.sort()                              # in place: no sorted copies
     return product[::-1]
 
 
-def _check_rank(rays, graded):
-    """The rank of the rays, checked against the apex's codimension."""
-    rank = integer_rank([ray.values for ray in rays])
-    if rank != graded:
-        raise ValueError(f"graded dimension {graded} differs "
-                         f"from the rank {rank} of the rays")
-    return rank
+def _check_edges(rays, what, value):
+    """``value``, the cone's ``what``, checked against E, a ray's length."""
+    edges = len(rays[0].values)
+    if value != edges:
+        raise ValueError(f"{what} is {value}, not E = {edges}")
 
 
 def _graded_sweep(roots, cuts):
-    """Codimension of every mask reached from ``roots`` (mask ->
-    codimension) by ``& cut``.
+    """The masks reached from ``roots`` (mask -> codimension) by ``& cut``,
+    one list per codimension.
 
     Masks are swept by decreasing bit count: a proper h = F & C has fewer
     bits than F, so its codimension, one more than the largest among the
@@ -139,7 +138,10 @@ def _graded_sweep(roots, cuts):
                     buckets[h.bit_count()].append(h)
                 elif below > seen:
                     codim[h] = below
-    return codim
+    grades = [[] for _ in range(max(codim.values()) + 1)]
+    for mask, c in codim.items():
+        grades[c].append(mask)
+    return grades
 
 
 def _named(key):
@@ -264,8 +266,8 @@ class PolytopeComplex:
         return incidence
 
     def _collapses(self):
-        """Whether elementary collapses take the complex, its last cell (a
-        top cell) removed, down to one cell: a FIFO queue holds the faces a
+        """Whether elementary collapses take the complex, its last cell (with
+        no coface) removed, down to one cell: a FIFO queue holds the faces a
         with one alive coface b, and (a, b) goes when b has none itself."""
         cofaces = [[] for _ in self.cells]
         for c, facets in enumerate(self.facets):
@@ -297,28 +299,28 @@ class PolytopeComplex:
         dimension 0..top.
 
         The chain groups are spanned by the cells and the boundary map of
-        dimension k is given by its columns, the incidence dicts
-        {facet: sign} of ``_incidences`` of the k-cells, which first checks
-        that the poset is that of a regular CW complex.  When ``_collapses``
-        holds, it is that of S^d, d the top dimension: each removed pair
-        (a, b) has [b:a] = +-1, so it splits the acyclic summand Z.b -> Z.a
-        off the chain complex, and K - s, s the removed top cell, has the
-        homology of a point.  The exact sequence of (K, K - s), whose
-        relative chains are Z.s in dimension d, gives b_d = 1, b_0 = 1 +
-        [d = 0] and nothing else.  Otherwise the Smith form of the boundary
-        maps gives it.  Computed once per complex (complexes are not
+        dimension k is given by its columns, the incidence dicts {facet: sign}
+        of ``_incidences`` of the k-cells, which first checks that the poset is
+        that of a regular CW complex.  When ``_collapses`` holds, it is that of
+        S^d, d the dimension of the removed last cell s, padded with zeros to
+        the top: each removed pair (a, b) has [b:a] = +-1, so it splits the
+        acyclic summand Z.b -> Z.a off the chain complex, and K - s has the
+        homology of a point.  The exact sequence of (K, K - s), whose relative
+        chains are Z.s in dimension d as s has no coface, gives b_d = 1,
+        b_0 = 1 + [d = 0] and nothing else.  Otherwise the Smith form of the
+        boundary maps gives it.  Computed once per complex (complexes are not
         mutated after construction); every call returns a fresh copy.
         """
         if not self.cells:
             raise EmptyComplex("homology of an empty complex")
         if self._homology is None:
             incidence = self._incidences()
-            d = self.dimension
+            d = self.cells[-1]
             self._homology = (
-                [((k == 0) + (k == d), []) for k in range(d + 1)]
+                [((k == 0) + (k == d), []) for k in range(self.dimension + 1)]
                 if self._collapses() else homology_from_boundaries(
                     {k: [incidence[c] for c in self.cells_of_dim(k)]
-                     for k in range(1, d + 1)},
+                     for k in range(1, self.dimension + 1)},
                     list(self.f_vector())))
         return [(b, list(tors)) for b, tors in self._homology]
 
@@ -337,20 +339,19 @@ def relative_complex(tri):
     """Union of the slice-polytope faces avoiding every peripheral vector.
 
     The through-face t_p of the peripheral vector a_p is the smallest face
-    holding it, and a face holds a_p iff it contains t_p, so the kept
-    faces, those containing none of the n through-faces, form a down-set.
-    By the corner rule (module docstring) a face is kept iff each puncture
-    has a corner whose candidate facet, one ray mask per corner from
-    ``_cone_rays``, holds it.  So the maximal kept faces, the roots, are
-    the maximal ANDs of one candidate per puncture, and one sweep by the
-    candidates reaches the rest.  K is pure of dimension rank - 1 - n, so
-    every root is a top cell of cone codimension n, and the apex's
-    codimension is checked against the rank of the rays.  The apex dropped,
-    a face of codimension c is a cell of dimension rank - c - 1.  The cells
-    of a dimension are numbered by mask, so a cell's facets, its
-    intersections with the candidates one dimension down, are looked up in
-    that dimension alone.  Empty exactly for (g,n) = (0,3), whose one root
-    is the apex.
+    holding it, and a face holds a_p iff it contains t_p, so the kept faces,
+    those containing none of the n through-faces, form a down-set.  By the
+    corner rule (module docstring) a face is kept iff each puncture has a
+    corner whose candidate facet, one ray mask per corner from ``_cone_rays``,
+    holds it.  So the maximal kept faces, the roots, are the maximal ANDs of
+    one candidate per puncture, and one sweep by the candidates reaches the
+    rest.  Each root is taken as a top cell of cone codimension n (K is pure of
+    dimension E - 1 - n), which only the rank of the rays bounds, so the rank
+    and the apex's codimension are checked against E.  The apex dropped, a face
+    of codimension c is a cell of dimension E - c - 1.  The cells of a
+    dimension are numbered by mask, so a cell's facets, its intersections with
+    the candidates one dimension down, are looked up in that dimension alone.
+    Empty exactly for (g,n) = (0,3), whose one root is the apex.
     """
     rays, corner_rays = _cone_rays(tri)
     roots = [(1 << len(rays)) - 1]
@@ -362,11 +363,10 @@ def relative_complex(tri):
             if all(h & r != h for r in roots):
                 roots.append(h)
     cands = set(corner_rays)
-    codim = _graded_sweep(dict.fromkeys(roots, tri.punctures), cands)
-    rank = _check_rank(rays, codim.pop(0))
-    keys = [[] for _ in range(rank - tri.punctures)]
-    for h, c in codim.items():
-        keys[rank - c - 1].append(h)
+    grades = _graded_sweep(dict.fromkeys(roots, tri.punctures), cands)
+    _check_edges(rays, "apex codimension", len(grades) - 1)
+    _check_edges(rays, "rays' rank", integer_rank([r.values for r in rays]))
+    keys = grades[tri.punctures:-1][::-1]      # by dimension, apex dropped
     if not keys:
         raise EmptyRelativeComplex(
             f"relative complex of (g,n)=({tri.genus},{tri.punctures}) "

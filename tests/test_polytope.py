@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -28,9 +29,9 @@ from oracles import (
 )
 
 import multicurve as mc
-from multicurve import errors
+from multicurve import errors, linalg
 from multicurve import polytope
-from multicurve.linalg import homology_from_boundaries
+from multicurve.linalg import homology_from_boundaries, integer_rank
 
 def path_complex(edges):
     """1-complex from a list of vertex-pair edges, for counterexamples."""
@@ -125,6 +126,18 @@ def assert_matches_walk_oracle(tri):
     assert cpx.order == walked.order
 
 
+def proper_ray_subsets(name):
+    """Each non-empty proper subset of a surface's rays, with its candidate
+    facets read off its corner vectors as ``_cone_rays`` does and whether
+    its rank is E, the number of edges."""
+    rays = polytope._cone_rays(mc.fixture(name))[0]
+    for k in range(1, len(rays)):
+        for subset in map(list, combinations(rays, k)):
+            yield (subset, corner_masks(corner_vectors(subset)),
+                   integer_rank([r.values for r in subset])
+                   == len(rays[0].values))
+
+
 # the surfaces on which the lattice and the relative complex are checked
 # against the rank oracle: flips of flower:5 and seeded random surfaces
 FLOWER5_FLIPS = legal_flips(mc.fixture("flower:5"))
@@ -189,8 +202,26 @@ class TestConeFaceLattice:
     def test_grading_checked_against_ray_rank(self):
         # one corner positive on every ray: two faces, graded dimension 1
         rays = mc.cone_face_lattice(mc.fixture("ex11")).rays
-        with pytest.raises(ValueError, match="rank 3 of the rays"):
+        with pytest.raises(ValueError,
+                           match="apex codimension is 1, not E = 3"):
             mc.ConeFaceLattice(rays, [0])
+
+    @pytest.mark.parametrize("name", ["n4ex", "n4ex2"])
+    def test_rays_below_rank_e_refused(self, name):
+        # the sweep reads only the candidate facets, so a ray set of rank
+        # below E spans no full-dimensional cone and its grading falls short
+        for subset, masks, full_rank in proper_ray_subsets(name):
+            if full_rank:
+                mc.ConeFaceLattice(subset, masks)
+            else:
+                with pytest.raises(ValueError, match="apex codimension"):
+                    mc.ConeFaceLattice(subset, masks)
+
+    @pytest.mark.parametrize("name", FIXTURES + ["flower:6"])
+    def test_no_elimination(self, name, monkeypatch):
+        monkeypatch.setattr(linalg, "_pivots", refuse)
+        tri = mc.fixture(name)
+        assert mc.cone_face_lattice(tri).dimension == tri.num_edges
 
     def test_grading_matches_rank_oracle(self, any_fixture):
         assert_matches_rank_oracle(any_fixture)
@@ -351,8 +382,34 @@ class TestRelativeComplex:
         line = [SimpleNamespace(values=rays[0].values) for _ in rays]
         monkeypatch.setattr(polytope, "_cone_rays",
                             lambda tri: (line, corner_rays))
-        with pytest.raises(ValueError, match="rank 1 of the rays"):
+        with pytest.raises(ValueError, match="rays' rank is 1, not E = 6"):
             mc.relative_complex(mc.fixture("n4ex"))
+
+    @pytest.mark.parametrize("name", ["n4ex", "n4ex2"])
+    def test_rays_below_rank_e_refused(self, name, monkeypatch):
+        # the roots are taken at codimension n, which only the rank of the
+        # rays bounds, so a set of rank below E is refused
+        tri = mc.fixture(name)
+        for subset, masks, full_rank in proper_ray_subsets(name):
+            monkeypatch.setattr(polytope, "_cone_rays",
+                                lambda tri, cone=(subset, masks): cone)
+            if full_rank:
+                mc.relative_complex(tri)
+            else:
+                with pytest.raises(ValueError):
+                    mc.relative_complex(tri)
+
+    def test_roots_checked_against_e(self, monkeypatch):
+        # with one puncture's corners skipped, the roots lie one
+        # codimension above the n they are given, so the apex lands at E + 1
+        tri = mc.fixture("n4ex")
+        cone = polytope._cone_rays(tri)
+        monkeypatch.setattr(polytope, "_cone_rays", lambda tri: cone)
+        skipped = SimpleNamespace(vertices=tri.vertices[:-1],
+                                  punctures=tri.punctures, genus=tri.genus)
+        with pytest.raises(ValueError,
+                           match="apex codimension is 7, not E = 6"):
+            mc.relative_complex(skipped)
 
     def test_closed_under_faces(self, any_fixture):
         cells, facets = keyed_view(mc.relative_complex(any_fixture))
@@ -513,6 +570,51 @@ class TestCollapse:
         assert points.homology() == sphere_homology(0) == [(2, [])]
         circle = path_complex([(0, 1), (1, 2), (2, 0)])
         assert circle.homology() == sphere_homology(1)
+
+    @pytest.mark.parametrize("keys,facets", [
+        ([[0, 1], []], [[], []]),
+        ([[0, 1, 2], [3, 4, 5], []], [[], [], [], [0, 1], [1, 2], [0, 2]]),
+    ], ids=["two-points", "triangle"])
+    def test_empty_top_dimension(self, keys, facets):
+        # the last cell is not top-dimensional: the collapse gives the
+        # sphere of its dimension, zeros above it
+        cpx = polytope.PolytopeComplex(keys, facets, {})
+        assert cpx._collapses()
+        incidence = cpx._incidences()
+        assert cpx.homology() == homology_from_boundaries(
+            {k: [incidence[c] for c in cpx.cells_of_dim(k)]
+             for k in range(1, cpx.dimension + 1)}, list(cpx.f_vector()))
+
+    def test_signs_before_the_collapse(self):
+        # the cone over RP^2 (apex 9) and one more 3-cell on the RP^2
+        # triangles: every facet one dimension down, two vertices per edge
+        # and each ridge of a cell in two of its facets, and it collapses,
+        # yet it is no regular CW complex (H_2 = Z/2); only the sign pass
+        # refuses it
+        cells, facets = {}, {}
+        for t in RP2_TRIANGLES:
+            for k in range(1, 5):
+                for f in combinations((*sorted(t), 9), k):
+                    cells[f] = k - 1
+                    facets[f] = frozenset(combinations(f, k - 1)) - {()}
+        cells[(99,)] = 3
+        facets[(99,)] = frozenset(tuple(sorted(t)) for t in RP2_TRIANGLES)
+        assert order_complex_homology(cells, facets)[2] == (0, [2])
+        cpx = keyed_complex(cells, facets)
+        assert cpx.order[-1] == (99,)
+        for c, fs in enumerate(cpx.facets):
+            assert all(cpx.cells[f] == cpx.cells[c] - 1 for f in fs)
+            if cpx.cells[c] == 1:
+                assert len(fs) == 2
+            elif cpx.cells[c] > 1:
+                ridges = Counter(r for f in fs for r in cpx.facets[f])
+                assert set(ridges.values()) == {2}
+        assert cpx._collapses()
+        message = r"3-cell \(99,\) is not orientable across ridge \(1, 2\)"
+        with pytest.raises(ValueError, match=message):
+            cpx.homology()
+        with pytest.raises(ValueError, match=message):
+            mc.sphere_certificate(cpx, 3)
 
     @pytest.mark.parametrize("poset,hom", [
         (simplicial_cells(RP2_TRIANGLES), [(1, []), (0, [2]), (0, [])]),
