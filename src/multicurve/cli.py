@@ -69,13 +69,17 @@ def _parse_ints(text, option):
             f"{option} needs comma-separated integers, got {text!r}") from None
 
 
+def _at_least(value, low, option):
+    """Refuse an integer option below its least value ``low``."""
+    if value < low:
+        raise MulticurveError(f"{option} must be at least {low}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 
 
 def cmd_generators(args):
-    if args.oracle_depth < 0:
-        raise MulticurveError(
-            f"--oracle-depth must be at least 0, got {args.oracle_depth}")
+    _at_least(args.oracle_depth, 0, "--oracle-depth")
     tri = _load_triangulation(args.source)
     barbells = enumerate_barbell_trees(tri)
     report = {
@@ -105,9 +109,8 @@ def cmd_polytope(args):
     if bool(args.emit) != bool(args.out):
         raise MulticurveError("--emit requires --out FILE" if args.emit
                               else "--out needs --emit")
-    if args.check_sphere is not None and args.check_sphere < 0:
-        raise MulticurveError(
-            f"--check-sphere must be at least 0, got {args.check_sphere}")
+    if args.check_sphere is not None:
+        _at_least(args.check_sphere, 0, "--check-sphere")
     relative = args.relative or args.check_sphere is not None
     if args.emit and not relative:
         raise MulticurveError("--emit needs --relative or --check-sphere")
@@ -287,11 +290,8 @@ def _exact_fricke_sweep(samples, rng):
 
 
 def cmd_param(args):
-    if args.samples < 1:
-        raise MulticurveError(
-            f"--samples must be at least 1, got {args.samples}")
-    if args.seed < 0:
-        raise MulticurveError(f"--seed must be at least 0, got {args.seed}")
+    _at_least(args.samples, 1, "--samples")
+    _at_least(args.seed, 0, "--seed")
     t0 = time.time()
     report = {"command": f"param {args.action}", "backend": args.backend,
               "samples": args.samples, "seed": args.seed}

@@ -12,6 +12,14 @@ depth-first search that assigns the edges in triangle-walk order
 (``walk_order``), so the tuples come lexicographically ordered in the
 walk-order coordinates, not in the canonical ones.
 
+A coloring is admissible iff its corner coordinates u_theta are
+non-negative integers, and every u_theta is 1 on the all-twos coloring
+sum_p a_p.  So the interior colorings (``is_interior``: every u_theta >= 1)
+are exactly sum_p a_p + M, M the admissible ones: the monoid ring of M is
+Gorenstein, its canonical module generated in degree 2E (Bruns-Herzog 1993,
+Thm 6.3.5).  This is log Calabi-Yau for the monoid, the toric shadow of the
+paper's claim, not the claim itself.
+
 All arithmetic is over Python ints (arbitrary precision).
 """
 

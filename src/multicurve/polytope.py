@@ -268,31 +268,31 @@ class PolytopeComplex:
     def _collapses(self):
         """Whether elementary collapses take the complex, its last cell (with
         no coface) removed, down to one cell: a FIFO queue holds the faces a
-        with one alive coface b, and (a, b) goes when b has none itself."""
-        cofaces = [[] for _ in self.cells]
+        with one alive coface b, and (a, b) goes when b has none itself.  A
+        cell keeps the count and XOR of its alive cofaces' numbers; a removed
+        coface XORs itself out (x ^ x = 0), so b is xor[a]."""
+        alive = [0] * len(self.cells)          # alive cofaces; -1: removed
+        xor = [0] * len(self.cells)            # XOR of the alive cofaces
         for c, facets in enumerate(self.facets):
             for f in facets:
-                cofaces[f].append(c)
-        alive = [len(cs) for cs in cofaces]    # alive cofaces; -1: removed
+                alive[f] += 1
+                xor[f] ^= c
         queue = deque()
 
         def remove(c):
             alive[c] = -1
             for f in self.facets[c]:
                 alive[f] -= 1
+                xor[f] ^= c
                 if alive[f] == 1:
                     queue.append(f)
         remove(len(self.cells) - 1)
-        left = len(self.cells) - 1
         while queue:
             a = queue.popleft()
-            if alive[a] == 1:
-                b = next(c for c in cofaces[a] if alive[c] >= 0)
-                if alive[b] == 0:
-                    remove(b)
-                    remove(a)
-                    left -= 2
-        return left == 1
+            if alive[a] == 1 and alive[xor[a]] == 0:
+                remove(xor[a])
+                remove(a)
+        return alive.count(-1) == len(alive) - 1   # all but one removed
 
     def homology(self):
         """Integral cellular homology, one (betti, torsion) pair per

@@ -54,7 +54,7 @@ class Triangulation:
 
     __slots__ = ("triangle_count", "gluing", "edges", "side_edges",
                  "dual_edges", "vertices", "corner_vertex", "genus",
-                 "punctures", "_hash")
+                 "punctures")
 
     def __init__(self, triangle_count, gluing, edges):
         self.triangle_count = triangle_count
@@ -73,7 +73,6 @@ class Triangulation:
         self.punctures = len(self.vertices)
         # V - E + T = 2 - 2g with E = 3T/2 on a connected surface
         self.genus = (2 - self.punctures + triangle_count // 2) // 2
-        self._hash = hash((triangle_count, self.gluing))
 
     # -- derived structure ------------------------------------------------
 
@@ -119,7 +118,7 @@ class Triangulation:
                 and self.edges == other.edges)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.triangle_count, self.gluing))
 
     def __repr__(self):
         return (f"Triangulation(T={self.triangle_count}, g={self.genus}, "
@@ -220,9 +219,7 @@ def flower(n):
     """
     if n < 4:
         raise FlowerRequiresNAtLeast4(f"flower needs n >= 4, got {n}")
-    pairs = []
-    for i in range(n - 1):  # folded triangles 0..n-2
-        pairs.append(((i, 1), (i, 2)))
+    pairs = [((i, 1), (i, 2)) for i in range(n - 1)]  # folded 0..n-2
     # inner fan: triangle n-1+j (j = 0..n-4) has slots
     #   0: beta_1 if j == 0 else diagonal d_j
     #   1: beta_{j+2}
@@ -297,13 +294,8 @@ def flip_square_sides(tri, e):
 def canonical_form(tri):
     """Canonical gluing signature, invariant under relabeling triangles and
     rotating their slots (orientation-preserving isomorphism)."""
-    best = None
-    for t0 in range(tri.triangle_count):
-        for r0 in range(3):
-            sig = _bfs_signature(tri, t0, r0)
-            if best is None or sig < best:
-                best = sig
-    return best
+    return min(_bfs_signature(tri, t0, r0)
+               for t0 in range(tri.triangle_count) for r0 in range(3))
 
 
 def _bfs_signature(tri, t0, r0):

@@ -193,6 +193,16 @@ class TestExitCodes:
         assert code == 2
         assert "validation error" in err
 
+    @pytest.mark.parametrize("weights,message", [
+        ("1,2", "need at least 3 weights"),
+        ("1,0,2", "weights must be positive"),
+    ], ids=["two-weights", "zero-weight"])
+    def test_bad_weights(self, weights, message):
+        code, out, err = run(["git", "classify", "--weights", weights])
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: {message}\n"
+
     @pytest.mark.parametrize("name,message", [
         ("random:5:0", "even number T >= 2 of triangles, got 5"),
         ("random:0:1", "even number T >= 2 of triangles, got 0"),

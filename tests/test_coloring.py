@@ -208,6 +208,21 @@ class TestFromCorners:
         with pytest.raises(errors.EdgeBalanceViolated):
             mc.from_corners(tri, u)
 
+    def test_wrong_length(self, any_fixture):
+        tri = any_fixture
+        corners = 3 * tri.triangle_count
+        with pytest.raises(errors.LengthMismatch,
+                           match=f"expected {corners} corners, "
+                                 f"got {corners - 1}"):
+            mc.from_corners(tri, [0] * (corners - 1))
+
+    def test_negative_corner(self, any_fixture):
+        u = [0] * (3 * any_fixture.triangle_count)
+        u[0] = -1
+        with pytest.raises(errors.EdgeBalanceViolated,
+                           match="negative corner values"):
+            mc.from_corners(any_fixture, u)
+
     def test_folded_tip_corner_is_balanced(self):
         tri = mc.flower(4)
         t = tri.folded_triangles()[0]
@@ -246,6 +261,24 @@ class TestInterior:
         for b in mc.enumerate_barbell_trees(tri):
             if b.simple:
                 assert not mc.is_interior(tri, b.coloring)
+
+
+class TestLogCalabiYau:
+    """The interior colorings are the admissible ones shifted by the
+    all-twos coloring sum_p a_p (``coloring`` module docstring), so the
+    monoid ring is Gorenstein with its canonical module in degree 2E."""
+
+    @pytest.mark.parametrize("name,top", [
+        ("ex11", 14), ("n4ex", 20), ("n4ex2", 20), ("flower:4", 16)])
+    def test_interior_is_a_shift_by_all_twos(self, name, top):
+        tri = mc.fixture(name)
+        edges = tri.num_edges
+        interior = {v for v in mc.coloring.admissible_values(tri, top)
+                    if mc.is_interior(tri, v)}
+        shifted = {tuple(x + 2 for x in w) for w in
+                   mc.coloring.admissible_values(tri, top - 2 * edges)}
+        assert interior == shifted
+        assert min(map(sum, interior)) == 2 * edges
 
 
 class TestPeripheral:

@@ -62,6 +62,11 @@ def polygon_2cell(*cycles):
     return cells, facets
 
 
+# the theta graph: vertices u, v and three edges a, b, c on both
+THETA = ({"u": 0, "v": 0, "a": 1, "b": 1, "c": 1},
+         {"a": ["u", "v"], "b": ["u", "v"], "c": ["u", "v"]})
+
+
 def random_surfaces(count):
     """Seeded random four-triangle surfaces, one per seed 0..count-1."""
     return [random_triangulation(random.Random(seed), 4)
@@ -352,7 +357,6 @@ class TestRelativeComplex:
         assert cert.granted
         assert cert.betti == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
 
-    @pytest.mark.slow
     def test_genus2_two_punctured_nine_sphere(self):
         # the (2, 2) surface random:8:4: 53,854 cells
         tri = mc.fixture("random:8:4")
@@ -362,6 +366,18 @@ class TestRelativeComplex:
         cert = mc.sphere_certificate(cpx, 9)
         assert cert.granted
         assert cert.betti == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+
+    @pytest.mark.slow
+    def test_genus2_three_punctured_eleven_sphere(self):
+        # the (2, 3) surface random:10:0: 418,184 cells
+        tri = mc.fixture("random:10:0")
+        assert (tri.genus, tri.punctures) == (2, 3)
+        cpx = mc.relative_complex(tri)
+        assert cpx.f_vector() == (113, 1643, 10031, 33970, 71855, 100776,
+                                  96553, 63835, 28906, 8712, 1634, 156)
+        cert = mc.sphere_certificate(cpx, 11)
+        assert cert.granted
+        assert cert.betti == (1,) + (0,) * 10 + (1,)
 
     @pytest.mark.parametrize("name", [
         "flower:6", "random:6:0", "random:6:1", "random:6:2"])
@@ -785,6 +801,35 @@ class TestSphereCertificate:
         cert = mc.sphere_certificate(cpx, 1)
         assert not cert.pseudomanifold
         assert not cert.granted
+
+    def test_theta_graph_fails_pseudomanifold(self):
+        # each vertex lies in three edges, not two
+        cert = mc.sphere_certificate(keyed_complex(*THETA), 1)
+        assert not cert.pseudomanifold
+        assert not cert.granted
+
+    def test_ridge_in_three_facets_refused(self):
+        # a disk on the three edges of the theta graph: its ridge u lies in
+        # three of its facets, so the poset is not regular CW
+        cells, facets = THETA
+        cpx = keyed_complex({**cells, "D": 2},
+                            {**facets, "D": ["a", "b", "c"]})
+        message = "ridge 'u' of 2-cell 'D' lies in 3 of its facets, not 2"
+        with pytest.raises(ValueError, match=message):
+            cpx.homology()
+
+    def test_solid_triangle_is_no_pseudomanifold_of_dimension_one(self):
+        # its edges make a circle, but a 2-cell sits on them
+        cpx = keyed_complex(*simplicial_cells([(0, 1, 2)]))
+        cert = mc.sphere_certificate(cpx, 1)
+        assert not cert.pseudomanifold
+        assert not cert.granted
+
+    def test_torsion_alone_refuses(self):
+        cert = polytope.SphereCertificate(3, True, True, True, (1, 0, 0, 1),
+                                          False)
+        assert not cert.granted
+        assert cert.statement == "certificate refused"
 
     def test_disconnected_fails(self):
         cpx = path_complex([(0, 1), (1, 0), (2, 3), (3, 2)])

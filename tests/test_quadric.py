@@ -91,8 +91,34 @@ class TestConic:
         assert abs(cp.t ** 2 - cp.s ** 2 - 4) < 1e-12
         assert cp.s.imag > 0
 
+    def test_off_the_conic(self):
+        with pytest.raises(ValueError,
+                           match=r"t\^2 - s\^2 != 4 \(residual 4\)"):
+            mc.ConicPoint(3, 1)
+
+    def test_angle_parameter_must_be_positive(self):
+        with pytest.raises(ValueError, match="need r > 0"):
+            mc.conic_from_angle_parameter(0)
+
+    @pytest.mark.parametrize("t,message", [
+        (GaussianRational(1, 1), "t must be real"),
+        (Fraction(5, 2), r"need \|t\| < 2"),
+        (1, r"4 - t\^2 = 3 is not a rational square"),
+    ], ids=["complex", "outside", "not-a-square"])
+    def test_elliptic_exact_refused(self, t, message):
+        with pytest.raises(ValueError, match=message):
+            mc.conic_from_t_elliptic(t)
+
 
 class TestQuadricPoint:
+    def test_zero_zero_is_no_point(self):
+        with pytest.raises(ValueError, match=r"\[0 : 0\] is not a projective"):
+            mc.ProjectivePoint(0, 0)
+
+    def test_normalized_needs_e(self):
+        with pytest.raises(ZeroDivisionError, match="e = 0 on the base curve"):
+            q.QuadricPoint(((1, 0), (0, 1)), 0).normalized()
+
     def test_diagonal_example(self):
         cp = mc.conic_from_beta(Fraction(2))
         qp = mc.quadric_point(exact_point(1, 0), exact_point(0, 1), cp)
@@ -226,6 +252,11 @@ class TestEquivariance:
 
 
 class TestEvaluateF:
+    def test_needs_a_factor(self):
+        with pytest.raises(errors.LengthMismatch,
+                           match="need at least one matrix factor"):
+            mc.evaluate_F([], [], 1)
+
     def test_trace_identity_n2(self):
         cp = mc.conic_from_beta(Fraction(2))
         p1, p2 = exact_point(1, 0), exact_point(0, 1)

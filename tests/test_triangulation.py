@@ -51,6 +51,14 @@ class TestBuild:
             mc.build(2, [((0, 0), (1, 0)), ((0, 0), (1, 1)),
                          ((0, 1), (1, 2))])
 
+    @pytest.mark.parametrize("slot,message", [
+        ((0, 3), r"side index 3 not in 0\.\.2"),
+        (6, r"slot out of range in pair \(6, \(1, 0\)\)"),
+    ], ids=["side-index-3", "slot-6"])
+    def test_slot_outside_the_triangles(self, slot, message):
+        with pytest.raises(errors.GluingNotInvolution, match=message):
+            mc.build(2, [(slot, (1, 0)), ((0, 1), (1, 2)), ((0, 2), (1, 1))])
+
     def test_unglued_slot(self):
         with pytest.raises(errors.GluingNotInvolution):
             mc.build(2, [((0, 0), (1, 0)), ((0, 1), (1, 1))])
@@ -268,6 +276,9 @@ class TestIsomorphism:
     def test_distinguishes(self):
         assert not mc.is_isomorphic(mc.fixture("n4ex"), mc.fixture("n4ex2"))
         assert not mc.is_isomorphic(mc.fixture("n4ex"), mc.flower(4))
+
+    def test_triangle_counts_differ(self):
+        assert not mc.is_isomorphic(mc.fixture("ex11"), mc.fixture("n4ex"))
 
 
 class TestJson:
