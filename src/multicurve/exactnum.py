@@ -9,20 +9,24 @@ GaussianRational.
 from fractions import Fraction
 
 
+def _promoted(op):
+    """The operator ``op`` with an int or Fraction ``other`` promoted to a
+    GaussianRational; NotImplemented for any other type of operand."""
+    def method(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(other)
+        elif not isinstance(other, GaussianRational):
+            return NotImplemented
+        return op(self, other)
+    return method
+
+
 class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         self.re = Fraction(re)
         self.im = Fraction(im)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        return NotImplemented
 
     # numbers.Complex-style surface shared with complex/Fraction
 
@@ -37,10 +41,8 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
+    @_promoted
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -48,31 +50,23 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
+    @_promoted
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
+    @_promoted
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
+    @_promoted
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(self.re * other.re - self.im * other.im,
                                 self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
 
+    @_promoted
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
@@ -81,10 +75,8 @@ class GaussianRational:
                                 (self.im * other.re - self.re * other.im)
                                 / norm)
 
+    @_promoted
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     def __eq__(self, other):

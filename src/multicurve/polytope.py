@@ -171,13 +171,14 @@ class PolytopeComplex:
 
     Built from cells already numbered: ``keys``, one sorted key list per
     dimension 0..top, numbers them in that order, ``facets`` gives each its
-    increasing facet numbers and ``labels`` maps numbers to labels (the
-    ray colorings of vertices).  So nothing is sorted or looked up here;
-    a poset that is not regular CW is refused by ``homology``.  Cell c has
-    key ``order[c]`` and dimension ``cells[c]``, and c is its homology
-    column, JSON id and exported vertex; ``cells_of_dim(d)`` runs from
-    ``start[d]``.  Error messages name a cell by its key, an int key (a ray
-    mask) as its sorted ray ids, so mask 5 reads (0, 2).
+    facet numbers, strictly increasing, refused by ``homology()`` otherwise,
+    and ``labels`` maps numbers to labels (the ray colorings of vertices).
+    So nothing is sorted or looked up here; a poset that is not regular CW
+    is refused by ``homology()`` too.  Cell c has key ``order[c]`` and
+    dimension ``cells[c]``, and c is its homology column, JSON id and
+    exported vertex; ``cells_of_dim(d)`` runs from ``start[d]``.  Error
+    messages name a cell by its key, an int key (a ray mask) as its sorted
+    ray ids, so mask 5 reads (0, 2).
     """
 
     def __init__(self, keys, facets, labels):
@@ -206,8 +207,8 @@ class PolytopeComplex:
 
     def is_connected(self):
         return bool(self.cells) and connected(
-            [{c} for c in range(len(self.cells))],
-            [(c, f) for c, facets in enumerate(self.facets) for f in facets])
+            range(len(self.cells)),
+            ((c, f) for c, facets in enumerate(self.facets) for f in facets))
 
     # -- cellular homology from the face poset ------------------------------
 
@@ -226,20 +227,23 @@ class PolytopeComplex:
         incidence = []
         for c, k in enumerate(self.cells):
             facets = self.facets[c]
+            owners, last = {}, -1              # ridge -> facets holding it
             for f in facets:
                 if self.cells[f] != k - 1:
                     raise ValueError(
                         f"facet {key(f)!r} of {k}-cell {key(c)!r} has "
                         f"dimension {self.cells[f]}, not {k - 1}")
+                if f <= last:
+                    raise ValueError(f"facets of {k}-cell {key(c)!r} do not "
+                                     f"strictly increase at {key(f)!r}")
+                last = f
+                for r in incidence[f]:
+                    owners.setdefault(r, []).append(f)
             if k == 1 and len(facets) != 2:
                 raise ValueError(
                     f"edge {key(c)!r} has {len(facets)} vertices, not 2")
             if k >= 2 and not facets:
                 raise ValueError(f"{k}-cell {key(c)!r} has no facets")
-            owners = {}
-            for f in facets:
-                for r in incidence[f]:
-                    owners.setdefault(r, []).append(f)
             for r, fs in owners.items():
                 if len(fs) != 2:
                     raise ValueError(
@@ -250,7 +254,8 @@ class PolytopeComplex:
             while stack:
                 f = stack.pop()
                 for r, sign_fr in incidence[f].items():
-                    g = owners[r][1] if owners[r][0] == f else owners[r][0]
+                    a, b = owners[r]
+                    g = b if a == f else a
                     sign = -signs[f] * sign_fr * incidence[g][r]
                     if g not in signs:
                         signs[g] = sign
@@ -258,10 +263,10 @@ class PolytopeComplex:
                     elif signs[g] != sign:
                         raise ValueError(f"{k}-cell {key(c)!r} is not "
                                          f"orientable across ridge {key(r)!r}")
-            for f in facets:
-                if f not in signs:
-                    raise ValueError(f"facet {key(f)!r} of {k}-cell {key(c)!r}"
-                                     " is not reached across its ridges")
+            if len(signs) != len(facets):      # facets are distinct
+                f = next(f for f in facets if f not in signs)
+                raise ValueError(f"facet {key(f)!r} of {k}-cell {key(c)!r}"
+                                 " is not reached across its ridges")
             incidence.append(signs)
         return incidence
 

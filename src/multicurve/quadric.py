@@ -15,11 +15,12 @@ cuts out the relative character variety.
 Every formula below is written with generic ring arithmetic: it accepts
 exact scalars (Fraction, GaussianRational), Python complex, and numpy
 arrays (for vectorized sweeps) alike.  numpy is imported inside the float
-and array branches only, so exact input never loads it.  An SL(2) element
-is a ``MobiusMap``, the homogeneous pair (M : D) with det M = D^2: integer
-M and D in the exact sweeps, D = 1 for Fraction, complex and numpy entries.
-Projective equality, of points and of pairs (A, e) alike, is the one test
-``projective_residual``.
+and array branches, and by ``projective_residual`` and ``mat_max_abs`` on
+any input; no exact path calls those two, so it stays unloaded.  An SL(2)
+element is a ``MobiusMap``, the homogeneous pair (M : D) with det M = D^2:
+integer M and D in the exact sweeps, D = 1 for Fraction, complex and numpy
+entries.  Projective equality, of points and of pairs (A, e) alike, is the
+one test ``projective_residual``.
 """
 
 from fractions import Fraction

@@ -182,31 +182,26 @@ def build(triangle_count, gluing_pairs):
             f"got {triangle_count}")
     edges = [(s, p) for s, p in enumerate(gluing) if s < p]  # sorted
     tri = Triangulation(triangle_count, gluing, edges)
-    # every triangle carries an edge, so the edges reach every triangle
-    if not connected((), tri.dual_edges):
+    if not connected(range(triangle_count), tri.dual_edges):
         raise DisconnectedSurface(
             f"the gluing of {triangle_count} triangles is not connected")
     return tri
 
 
-def connected(vertex_sets, edge_ends):
-    """Union-find connectivity of a hypergraph: vertex groups + edges."""
-    parent = {}
+def connected(nodes, edges):
+    """Whether ``edges``, pairs of ``nodes``, join all the nodes: a
+    union-find with path halving."""
+    parent = {v: v for v in nodes}
 
     def find(x):
-        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for group in vertex_sets:
-        group = list(group)
-        for v in group:
-            parent[find(v)] = find(group[0])
-    for a, b in edge_ends:
+    for a, b in edges:
         parent[find(a)] = find(b)
-    return len({find(x) for x in parent}) <= 1
+    return len({find(v) for v in parent}) <= 1
 
 
 def flower(n):
@@ -328,28 +323,21 @@ def is_isomorphic(tri1, tri2):
 # named fixtures and JSON
 
 
-def _ex11():
+# named gluings: the triangle count T and the slot pairs given to ``build``
+_GLUINGS = {
     # once-punctured torus: two triangles glued side-for-side
-    return build(2, [((0, k), (1, k)) for k in range(3)])
-
-
-def _n4ex():
+    "ex11": (2, [((0, k), (1, k)) for k in range(3)]),
     # boundary of the tetrahedron; dual graph is K4
-    return build(4, [((0, 0), (2, 2)), ((0, 1), (3, 2)), ((0, 2), (1, 0)),
-                     ((1, 1), (3, 1)), ((1, 2), (2, 0)), ((2, 1), (3, 0))])
-
-
-def _n4ex2():
+    "n4ex": (4, [((0, 0), (2, 2)), ((0, 1), (3, 2)), ((0, 2), (1, 0)),
+                 ((1, 1), (3, 1)), ((1, 2), (2, 0)), ((2, 1), (3, 0))]),
     # tetrahedron with one diagonal flipped; dual graph is a 4-cycle with
     # two doubled opposite sides
-    return build(4, [((0, 0), (3, 2)), ((0, 1), (3, 1)), ((0, 2), (1, 0)),
-                     ((1, 1), (2, 0)), ((1, 2), (2, 2)), ((2, 1), (3, 0))])
-
-
-def _three_punctured_sphere():
+    "n4ex2": (4, [((0, 0), (3, 2)), ((0, 1), (3, 1)), ((0, 2), (1, 0)),
+                  ((1, 1), (2, 0)), ((1, 2), (2, 2)), ((2, 1), (3, 0))]),
     # two folded triangles sharing their single sides: the degenerate
     # (g,n)=(0,3) petal gluing (the flower construction itself needs n>=4)
-    return build(2, [((0, 1), (0, 2)), ((1, 1), (1, 2)), ((0, 0), (1, 0))])
+    "flower:3": (2, [((0, 1), (0, 2)), ((1, 1), (1, 2)), ((0, 0), (1, 0))]),
+}
 
 
 def random_triangulation(rng, triangles):
@@ -377,12 +365,8 @@ def fixture(name):
     """Named triangulations: ex11, n4ex, n4ex2, flower:<n>, and
     random:<T>:<seed> (``random_triangulation(random.Random(seed), T)``).
     """
-    if name == "ex11":
-        return _ex11()
-    if name == "n4ex":
-        return _n4ex()
-    if name == "n4ex2":
-        return _n4ex2()
+    if name in _GLUINGS:
+        return build(*_GLUINGS[name])
     if name.startswith("flower:"):
         size = name.split(":", 1)[1]
         try:
@@ -390,9 +374,7 @@ def fixture(name):
         except ValueError:
             raise TriangulationError(
                 f"flower:<n> needs an integer n, got {size!r}") from None
-        if n == 3:
-            return _three_punctured_sphere()
-        return flower(n)
+        return build(*_GLUINGS["flower:3"]) if n == 3 else flower(n)
     if name.startswith("random:"):
         try:
             triangles, seed = (int(x) for x in name.split(":")[1:])

@@ -112,6 +112,14 @@ def simplicial_cells(triangles):
     return cells, facets
 
 
+def boundary_columns(cpx):
+    """The cellular boundary maps of ``cpx`` for k = 1..top, each as the
+    column dicts {facet number: sign} of its k-cells, from its incidences."""
+    incidence = cpx._incidences()
+    return {k: [incidence[c] for c in cpx.cells_of_dim(k)]
+            for k in range(1, cpx.dimension + 1)}
+
+
 def keyed_view(cpx):
     """({key: dimension}, {key: frozenset of facet keys}) of a polytope
     complex, its numbered cells read back through ``order``."""

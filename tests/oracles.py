@@ -437,8 +437,7 @@ def side_cycles(tri):
     def rec(e, chosen):
         if e == len(ends):
             verts = frozenset(t for i in chosen for t in ends[i])
-            if chosen and connected([[t] for t in verts],
-                                    [ends[i] for i in chosen]):
+            if chosen and connected(verts, [ends[i] for i in chosen]):
                 found.append((tuple(chosen), verts))
             return
         for take in (0, 1):
@@ -509,8 +508,10 @@ def _valid_tree(ends, bells, bell_vertices, chain):
     # contraction of the bells must be a tree
     if len(chain) != len(bells) + len(steiner) - 1:
         return False
-    return connected([b[1] for b in bells] + [{v} for v in steiner],
-                     [ends[i] for i in chain])
+    # each bell's vertices are joined to its least one
+    return connected(bell_vertices | steiner,
+                     [(min(b[1]), v) for b in bells for v in b[1]]
+                     + [ends[i] for i in chain])
 
 
 def rational_feasible(columns, target):

@@ -428,6 +428,19 @@ class TestExactSweeps:
             assert failures == fraction_param_sweep(50, random.Random(seed))
             assert failures >= 48
 
+    @pytest.mark.parametrize("scale", [2, -1], ids=["det", "trace"])
+    def test_quadric_identities_on_a_rescaled_e(self, monkeypatch, scale):
+        # (A, 2e) breaks det A = e^2 and (A, -e) breaks tr A = t e, except
+        # on the samples with p = pt, where e = 0 and both still hold
+        real = q.quadric_identity_residuals
+        monkeypatch.setattr(q, "quadric_identity_residuals", lambda qp, cp:
+                            real(q.QuadricPoint(qp.a, scale * qp.e), cp))
+        for seed, failures in ((1, 49), (7, 48)):
+            assert cli._exact_param_sweep(50, random.Random(seed)) == failures
+        code, out, _ = run(["param", "check", "--samples", "50", "--seed",
+                            "7", "--backend", "exact"])
+        assert code == 3 and json.loads(out)["failures"] == 48
+
     def test_sl2_draw_off_the_unit_determinant(self, monkeypatch):
         class Skewed(q.MobiusMap):
             __slots__ = ()

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -398,6 +399,16 @@ class TestSerialization:
         data = c.to_json_dict()
         assert data["triangulation"] == tri.gluing_hash()
         assert mc.fixture("n4ex").gluing_hash() == data["triangulation"]
+
+    def test_equal_colorings_hash_equal(self, any_fixture):
+        # a coloring hashes with its triangulation, so one rebuilt from
+        # JSON collapses with it in a set
+        tri = any_fixture
+        again = mc.load(json.dumps(tri.to_json_dict()))
+        values = [2] * tri.num_edges
+        made = {mc.Coloring(tri, values), mc.Coloring(again, values),
+                mc.Coloring(tri, tuple(values))}
+        assert len(made) == 1
 
 
 @settings(max_examples=25, deadline=None)

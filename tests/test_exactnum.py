@@ -34,8 +34,27 @@ class TestArithmetic:
         assert isinstance(z, GaussianRational)
         assert z * z.conjugate() == Fraction(1, 2)
 
+    def test_reflected_subtraction(self):
+        z = GaussianRational(Fraction(1, 2), 3)
+        assert 1 - z == GaussianRational(Fraction(1, 2), -3)
+        assert Fraction(1, 2) - z == GaussianRational(0, -3)
+        assert isinstance(1 - z, GaussianRational)
+
     def test_complex_conversion(self):
         assert complex(GaussianRational(1, -2)) == 1 - 2j
+
+    def test_equal_to_a_complex(self):
+        z = GaussianRational(Fraction(1, 4), -2)
+        assert z == complex(z) == 0.25 - 2j
+        assert z != 0.25 + 2j
+
+    def test_other_operands_are_not_implemented(self):
+        z = GaussianRational(1, 1)
+        for op in ("__add__", "__sub__", "__rsub__", "__mul__",
+                   "__truediv__", "__rtruediv__"):
+            assert getattr(z, op)(1.5) is NotImplemented
+        with pytest.raises(TypeError):
+            z + "1"
 
     def test_abs_exact_on_axes(self):
         assert abs(GaussianRational(Fraction(-3, 7), 0)) == Fraction(3, 7)

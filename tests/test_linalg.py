@@ -2,7 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import FIXTURES, RP2_TRIANGLES, simplicial_cells
+from conftest import (
+    FIXTURES,
+    RP2_TRIANGLES,
+    boundary_columns,
+    simplicial_cells,
+)
 from oracles import dense_smith_diagonal, keyed_complex, rational_feasible
 
 import multicurve as mc
@@ -108,14 +113,6 @@ def random_matrices(seed, count=300):
     return out
 
 
-def boundary_maps(cpx):
-    """The cellular boundary maps of ``cpx``, built from its incidences as
-    (column dicts {facet number: sign}, facet numbers of the rows)."""
-    incidence = cpx._incidences()
-    return [([incidence[c] for c in cpx.cells_of_dim(k)],
-             cpx.cells_of_dim(k - 1)) for k in range(1, cpx.dimension + 1)]
-
-
 class TestSparseMatchesDenseSmith:
     """The sparse elimination against the dense SNF of tests/oracles.py."""
 
@@ -135,10 +132,11 @@ class TestSparseMatchesDenseSmith:
     def test_boundary_maps(self, name):
         cpx = (keyed_complex(*simplicial_cells(RP2_TRIANGLES))
                if name == "rp2" else mc.relative_complex(mc.fixture(name)))
-        maps = boundary_maps(cpx)
+        maps = boundary_columns(cpx)
         assert maps
-        for columns, facets in maps:
-            dense = [[col.get(f, 0) for col in columns] for f in facets]
+        for k, columns in maps.items():
+            dense = [[col.get(f, 0) for col in columns]
+                     for f in cpx.cells_of_dim(k - 1)]
             assert (smith_normal_form_diagonal(columns)
                     == dense_smith_diagonal(dense))
 

@@ -90,7 +90,7 @@ class TestBuild:
             slots = list(range(3 * triangles))
             rng.shuffle(slots)
             pairs = list(zip(slots[::2], slots[1::2]))
-            whole = connected([{t} for t in range(triangles)],
+            whole = connected(range(triangles),
                               [(a // 3, b // 3) for a, b in pairs])
             try:
                 tri = mc.build(triangles, pairs)
@@ -240,7 +240,7 @@ class TestFlip:
             if s1 // 3 != s2 // 3:
                 flipped = mc.flip(tri, e)
                 assert connected(
-                    [{t} for t in range(flipped.triangle_count)],
+                    range(flipped.triangle_count),
                     [(a // 3, b // 3) for a, b in flipped.edges])
 
     def test_folded_edge_rejected(self):
@@ -287,6 +287,8 @@ class TestJson:
         text = json.dumps(tri.to_json_dict())
         again = mc.load(text)
         assert again == tri
+        assert again is not tri and hash(again) == hash(tri)
+        assert len({tri, again}) == 1
 
     def test_named_fixtures_load(self):
         for name in ("ex11", "n4ex", "n4ex2", "flower:4", "flower:6"):
