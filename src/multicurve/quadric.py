@@ -39,7 +39,7 @@ FLOAT_TOL = 1e-12
 
 
 def _is_exact(x):
-    return isinstance(x, (int, Fraction, GaussianRational))
+    return type(x) is int or isinstance(x, (int, Fraction, GaussianRational))
 
 
 def _ratio(x, y):
@@ -83,8 +83,9 @@ def mat_inv_sl2(m):
 
 
 def mat_sub(m, n):
-    return tuple(tuple(x - y for x, y in zip(rm, rn))
-                 for rm, rn in zip(m, n))
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return ((a - e, b - f), (c - g, d - h))
 
 
 def mat_scale(m, z):
@@ -109,14 +110,12 @@ class ConicPoint:
     __slots__ = ("t", "s", "beta1", "beta2", "h")
 
     def __init__(self, t, s, beta1=None, beta2=None, h=1):
-        self.t = t
-        self.s = s
+        self.t, self.s, self.h = t, s, h
         self.beta1 = beta1 if beta1 is not None else _ratio(t + s, 2)
         self.beta2 = beta2 if beta2 is not None else _ratio(t - s, 2)
-        self.h = h
         if _is_zero(h, tol=0):
             raise ValueError("h = 0 is off the affine conic t^2 - s^2 = 4")
-        residual = self.t * self.t - self.s * self.s - 4 * h * h
+        residual = t * t - s * s - 4 * h * h
         if not _is_zero(residual):
             raise ValueError(f"t^2 - s^2 != 4 (residual {residual})")
 
@@ -202,10 +201,9 @@ class ProjectivePoint:
     __slots__ = ("x1", "x2")
 
     def __init__(self, x1, x2):
-        if _is_exact(x1) and _is_exact(x2) and x1 == 0 and x2 == 0:
+        if _is_exact(x1) and x1 == 0 and _is_exact(x2) and x2 == 0:
             raise ValueError("[0 : 0] is not a projective point")
-        self.x1 = x1
-        self.x2 = x2
+        self.x1, self.x2 = x1, x2
 
     def negate(self):
         return ProjectivePoint(-self.x1, -self.x2)
@@ -235,9 +233,9 @@ class MobiusMap:
     __slots__ = ("m", "den")
 
     def __init__(self, m, den=1):
-        self.m = tuple(tuple(row) for row in m)
-        self.den = den
-        residual = mat_det(self.m) - den * den
+        (a, b), (c, d) = m
+        self.m, self.den = ((a, b), (c, d)), den
+        residual = a * d - b * c - den * den
         if not _is_zero(residual):
             if isinstance(residual, int):
                 residual = Fraction(residual, den * den)
@@ -261,8 +259,8 @@ class QuadricPoint:
     __slots__ = ("a", "e")
 
     def __init__(self, a, e):
-        self.a = tuple(tuple(row) for row in a)
-        self.e = e
+        (a00, a01), (a10, a11) = a
+        self.a, self.e = ((a00, a01), (a10, a11)), e
 
     @property
     def degenerate(self):
@@ -320,11 +318,10 @@ def equivariance_check(rho, p, q, cp):
     lhs = quadric_point(rho.apply(p), rho.apply(q), cp)
     base = quadric_point(p, q, cp)
     rhs_a = mat_mul(mat_mul(rho.m, base.a), mat_inv_sl2(rho.m))
-    diff = mat_sub(lhs.a, rhs_a)
-    e_diff = lhs.e - rho.den * rho.den * base.e
-    entries = [diff[0][0], diff[0][1], diff[1][0], diff[1][1], e_diff]
-    if all(_is_exact(x) for x in entries):
-        ok = all(x == 0 for x in entries)
+    (d00, d01), (d10, d11) = mat_sub(lhs.a, rhs_a)
+    entries = [d00, d01, d10, d11, lhs.e - rho.den * rho.den * base.e]
+    if all(map(_is_exact, entries)):
+        ok = not any(entries)
         return EquivarianceReport(ok, 0 if ok else max(map(abs, entries)))
     scale = max(1.0, mat_max_abs(lhs.a), mat_max_abs(rhs_a))
     residual = mat_max_abs((entries,)) / scale
@@ -367,11 +364,8 @@ def gamma_involution(i, points, cps):
     """
     if not 1 <= i <= len(cps):
         raise IndexOutOfRange(f"i = {i} not in 1..{len(cps)}")
-    points = list(points)
-    cps = list(cps)
-    p, q = points[2 * i - 2], points[2 * i - 1]
-    points[2 * i - 2] = q
-    points[2 * i - 1] = p.negate()
+    points, cps, j = list(points), list(cps), 2 * i - 2
+    points[j], points[j + 1] = points[j + 1], points[j].negate()
     cps[i - 1] = cps[i - 1].negate_s()
     return points, cps
 
@@ -423,20 +417,27 @@ def fricke_trace_coordinates(r1, r2, r3):
     The skein specialization uses the negative trace throughout: a_i is
     -tr(B_i), a_4 is -tr(B_1 B_2 B_3), c_ij is -tr(B_i B_j).  The cubic
     relation below fails under the positive-trace convention.  The maps
-    B_i = M_i / D_i are rescaled to one D = D_1 D_2 D_3 (a map with D_i = D
-    is taken as it is), and every trace is returned times L = D^3: the
-    traces themselves when D = 1, as for Fraction, complex and numpy maps.
+    B_i = M_i / D_i are taken over one D = D_1 D_2 D_3 and every trace is
+    returned times L = D^3 (as it is when all D_i = 1: Fraction, complex and
+    numpy maps).  Only M_1 M_2 is formed, not M_1 M_3 or M_2 M_3: each
+    other trace is summed off the entries as (x e + y g) + (z f + w h), in
+    the order of ``mat_trace(mat_mul(...))``, so float traces keep their
+    bits; a trace is then scaled by D^2 and the D_j of each map not in it.
     """
-    den = r1.den * r2.den * r3.den
-    m1, m2, m3 = (r.m if r.den == den else mat_scale(r.m, den // r.den)
-                  for r in (r1, r2, r3))
-    m12 = mat_mul(m1, m2)
-    a = [-mat_trace(m) for m in (m1, m2, m3, mat_mul(m12, m3))]
-    c = [-mat_trace(m) for m in (m12, mat_mul(m2, m3), mat_mul(m1, m3))]
-    if den != 1:
-        a[:3] = [x * den * den for x in a[:3]]
-        c = [x * den for x in c]
-    return a, tuple(c)
+    (a1, b1), (c1, d1) = r1.m
+    (a2, b2), (c2, d2) = r2.m
+    (a3, b3), (c3, d3) = r3.m
+    (a12, b12), (c12, d12) = mat_mul(r1.m, r2.m)
+    t = [a1 + d1, a2 + d2, a3 + d3,
+         (a12 * a3 + b12 * c3) + (c12 * b3 + d12 * d3), a12 + d12,
+         (a2 * a3 + b2 * c3) + (c2 * b3 + d2 * d3),
+         (a1 * a3 + b1 * c3) + (c1 * b3 + d1 * d3)]
+    e1, e2, e3 = r1.den, r2.den, r3.den
+    if (e1, e2, e3) != (1, 1, 1):
+        sq = (e1 * e2 * e3) ** 2
+        t = [x * y * sq for x, y in zip(t, (e2 * e3, e1 * e3, e1 * e2, 1,
+                                             e3, e1, e2))]
+    return [-t[0], -t[1], -t[2], -t[3]], (-t[4], -t[5], -t[6])
 
 
 def _cubic(a1, a2, a3, a4, c12, c23, c13, el):
@@ -498,19 +499,28 @@ def z_relation_verify(r1, r2, r3):
 
 
 def random_ratio(rng, span=6, nonzero=False):
-    """(num, den) in [-span, span] x [1, span] from two randint calls,
-    drawn again while num = 0 if nonzero."""
+    """(num, den) in [-span, span] x [1, span], drawn again while num = 0 if
+    nonzero, read off ``rng.getrandbits`` as ``randint`` reads them: for w
+    values, w.bit_length() bits, drawn again while at least w."""
+    if span < 1:
+        raise ValueError(f"need span >= 1, got {span}")
+    bits, width = rng.getrandbits, 2 * span + 1
+    k, j = width.bit_length(), span.bit_length()
     while True:
-        num, den = rng.randint(-span, span), rng.randint(1, span)
-        if num or not nonzero:
-            return num, den
+        while (num := bits(k)) >= width:
+            pass
+        while (den := bits(j)) >= span:
+            pass
+        if num != span or not nonzero:
+            return num - span, den + 1
 
 
 def random_point_int(rng):
     """(P, d1 d2) for a point (n1/d1 : n2/d2) != (0 : 0) drawn by
     random_ratio, with P = [n1 d2 : n2 d1] its integer representative."""
     while True:
-        (n1, d1), (n2, d2) = random_ratio(rng), random_ratio(rng)
+        n1, d1 = random_ratio(rng)
+        n2, d2 = random_ratio(rng)
         if n1 or n2:
             return ProjectivePoint(n1 * d2, n2 * d1), d1 * d2
 
@@ -521,9 +531,9 @@ def random_mobius_int(rng, span=4):
     an, ad = random_ratio(rng, span, nonzero=True)
     bn, bd = random_ratio(rng, span)
     cn, cd = random_ratio(rng, span)
-    return MobiusMap(((an * an * bd * cd, bn * an * ad * cd),
-                      (cn * an * ad * bd, ad * ad * (bd * cd + bn * cn))),
-                     an * ad * bd * cd)
+    x, u = an * ad, bd * cd
+    return MobiusMap(((an * an * u, bn * cd * x),
+                      (cn * bd * x, ad * ad * (u + bn * cn))), x * u)
 
 
 def complex_array(rng_np, n):

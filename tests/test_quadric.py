@@ -525,12 +525,17 @@ class TestFrickeOracle:
         rng = random.Random(seed)
         unit = [mc.MobiusMap(((2, 1), (1, 1))),
                 mc.MobiusMap(((1, 0), (-3, 1)))]
+        neg = [mc.MobiusMap(((-2, -1), (-1, -1)), -1),
+               mc.MobiusMap(((-1, 0), (3, -1)), -1)]
+        # D = 1 from two D_i = -1: their traces still change sign
+        yield [neg[0], unit[0], neg[1]]
         for _ in range(n):
             maps = [q.random_mobius_int(rng) for _ in range(3)]
             yield maps
             # D = D_1 and D = D_2: one map is taken as it is
             yield [maps[0], *unit]
             yield [unit[0], maps[1], unit[1]]
+            yield [neg[0], maps[1], neg[1]]
 
     def test_exact_traces_and_residuals(self):
         for maps in self.triples(51, 200):
@@ -656,6 +661,32 @@ class TestIntegerDraws:
                          (cp.beta1, want.beta1), (cp.beta2, want.beta2)):
                 assert type(x) is int and x == cp.h * y
         assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_span_draws_as_randint(self, seed):
+        # spans 1-8 both ways: the pairs two randint calls give, the
+        # oracle's Fractions, and the same state after them (span 1 still
+        # takes one bit per draw)
+        def randint_ratio(rng, span, nonzero):
+            while True:
+                num, den = rng.randint(-span, span), rng.randint(1, span)
+                if num or not nonzero:
+                    return num, den
+
+        for span in range(1, 9):
+            for nonzero in (False, True):
+                rng, raw, ref = (random.Random(seed) for _ in range(3))
+                for _ in range(10):
+                    got = q.random_ratio(rng, span, nonzero)
+                    assert got == randint_ratio(raw, span, nonzero)
+                    assert Fraction(*got) == fraction_rational(ref, span,
+                                                               nonzero)
+                assert rng.getstate() == raw.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("span", [0, -1])
+    def test_empty_span_refused(self, span):
+        with pytest.raises(ValueError, match="span >= 1"):
+            q.random_ratio(random.Random(0), span)
 
     def test_zero_ratio(self):
         # 0/3, and 3/0: its (t : s : h) = (9 : 9 : 0) has t^2 - s^2 = 4 h^2
