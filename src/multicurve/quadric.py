@@ -227,14 +227,14 @@ def projective_residual(u, v):
 
 class MobiusMap:
     """An SL(2) element as the homogeneous pair (m : den), det m = den^2,
-    acting on the projective line; den = 1 unless m holds integers.  The
-    determinant is checked here, once (within ``FLOAT_TOL`` for floats)."""
+    acting on P^1; den = 1 unless m holds integers.  det m is checked here,
+    once (within ``FLOAT_TOL`` for floats), and m is kept, not copied."""
 
     __slots__ = ("m", "den")
 
     def __init__(self, m, den=1):
         (a, b), (c, d) = m
-        self.m, self.den = ((a, b), (c, d)), den
+        self.m, self.den = m, den
         residual = a * d - b * c - den * den
         if not _is_zero(residual):
             if isinstance(residual, int):
@@ -254,13 +254,13 @@ class MobiusMap:
 
 
 class QuadricPoint:
-    """Pair (A, e) up to common scalar with det A = e^2, tr A = t e."""
+    """Pair (A, e) up to common scalar with det A = e^2, tr A = t e; the
+    2x2 rows A are kept as given, not copied."""
 
     __slots__ = ("a", "e")
 
     def __init__(self, a, e):
-        (a00, a01), (a10, a11) = a
-        self.a, self.e = ((a00, a01), (a10, a11)), e
+        self.a, self.e = a, e
 
     @property
     def degenerate(self):
