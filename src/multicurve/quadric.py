@@ -418,11 +418,11 @@ def fricke_trace_coordinates(r1, r2, r3):
     -tr(B_i), a_4 is -tr(B_1 B_2 B_3), c_ij is -tr(B_i B_j).  The cubic
     relation below fails under the positive-trace convention.  The maps
     B_i = M_i / D_i are taken over one D = D_1 D_2 D_3 and every trace is
-    returned times L = D^3 (as it is when all D_i = 1: Fraction, complex and
-    numpy maps).  Only M_1 M_2 is formed, not M_1 M_3 or M_2 M_3: each
-    other trace is summed off the entries as (x e + y g) + (z f + w h), in
-    the order of ``mat_trace(mat_mul(...))``, so float traces keep their
-    bits; a trace is then scaled by D^2 and the D_j of each map not in it.
+    returned times L = D^3 (L = 1 for Fraction, complex and numpy maps).
+    Only M_1 M_2 is formed, not M_1 M_3 or M_2 M_3: the other traces are
+    summed off the entries as (x e + y g) + (z f + w h), the order of
+    ``mat_trace(mat_mul(...))``, so float traces keep their bits; each is
+    then scaled by D^2 and by the D_j of every map not in it.
     """
     (a1, b1), (c1, d1) = r1.m
     (a2, b2), (c2, d2) = r2.m
